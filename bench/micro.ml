@@ -468,6 +468,23 @@ let test_cache_put =
          Plan_cache.put bench_cache ~exact:(Fingerprint.exact_key fp)
            ~coarse:(Fingerprint.coarse_key fp) cache_entry))
 
+module Service = Ljqo_service.Service
+
+(* An exact plan-cache hit through the server's per-request path, with no
+   learn state: fingerprint, lookup, plan instantiation and recost.  One
+   cold run on the same query primes the cache. *)
+let hit_service =
+  let s =
+    Service.create
+      { Service.default_config with budget = Service.Fixed_ticks 1000 }
+  in
+  ignore (Service.serve_direct s query);
+  s
+
+let test_serve_hit =
+  Test.make ~name:"service:serve-hit"
+    (Staged.stage (fun () -> ignore (Service.serve_direct hit_service query)))
+
 module Request_queue = Ljqo_service.Request_queue
 
 let bench_queue = Request_queue.create ~capacity:64 ()
@@ -603,6 +620,7 @@ let tests =
       test_fingerprint;
       test_cache_get;
       test_cache_put;
+      test_serve_hit;
       test_queue_push_pop;
       test_feedback_qerror_record;
       test_learn_featurize;

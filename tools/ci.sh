@@ -37,6 +37,17 @@ LJQO_PERF_TOLERANCE="${LJQO_PERF_TOLERANCE:-1.0}" dune exec tools/perf_gate.exe 
   --baseline results/BENCH_micro.json --fresh "$fresh_a" --fresh "$fresh_b"
 rm -f "$fresh_a" "$fresh_b"
 
+# End-to-end benchmark smoke: every workload of BENCHMARK.json runs once for
+# one second.  The benchmark checks its own outputs (plan validity, cost
+# recomputation, equality with a serialized serve_direct replay, the
+# nested-loop oracle) and exits nonzero when any check fails.  Cells left by
+# an earlier build are removed first, so this run records its own.
+rm -f .bench_out/cells-*-7.txt
+for workload in opt-narrow opt-wide serve-zipf feedback-exec; do
+  python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 1 \
+    --trace 0
+done
+
 # Wide-graph smoke: a 200-relation query — far past the old 126-id bitset
 # cap — must optimize end to end through the portfolio racer.
 wide_tmp=$(mktemp -d)
