@@ -90,8 +90,8 @@ let test_validity_mask =
 
 (* Random-plan generation.  The rewritten kernel is the candidate-set
    maintenance (discover/membership/pick); the RNG is untouched by the
-   rewrite and consumed identically by both forms, yet its boxed-int64
-   arithmetic would dominate both sides of the measurement.  So the kernel
+   rewrite and consumed identically by both forms, yet its arithmetic
+   would dominate both sides of the measurement.  So the kernel
    pair replays a pick sequence recorded once from the real generator, and a
    second pair reports the full generator (RNG included) for the end-to-end
    picture.  Both replay kernels are asserted to reproduce the production
@@ -558,6 +558,48 @@ let test_feedback_qerror_record =
     (Staged.stage (fun () ->
          ignore (Sys.opaque_identity (qerror_record_kernel ()))))
 
+(* Plan execution in the feedback workload's shape: default-spec queries at
+   N = 3..6, four of each size, their IAI plans and generated data fixed
+   up front, each executed under a 10,000-row cap (some overflow it, as in
+   [Feedback.run_spec]).  One run executes all sixteen plans, so per-plan
+   figures are a sixteenth of the run's.  The batch is built on first use:
+   built at start-up, its garbage doubled the obs kernels' readings. *)
+
+module Executor = Ljqo_exec.Executor
+
+let exec_batch =
+  lazy
+    (List.concat_map
+    (fun n_joins ->
+      List.init 4 (fun k ->
+          let rng = Ljqo_stats.Rng.create ((100 * n_joins) + k) in
+          let q = Qgen.generate_query Qgen.default ~n_joins ~rng in
+          let data = Ljqo_exec.Relation_data.generate_all q ~rng:(Ljqo_stats.Rng.split rng) in
+          let ticks = Optimizer.time_limit_ticks ~t_factor:1.0 ~query:q () in
+          let plan = (Optimizer.optimize ~method_:Methods.IAI ~model ~ticks ~seed:k q).plan in
+          (q, data, plan)))
+    [ 3; 4; 5; 6 ]
+  |> Array.of_list)
+
+let exec_feedback_mix () =
+  Array.iter
+    (fun (q, data, plan) ->
+      match Executor.run ~max_rows:10_000 q ~data plan with
+      | r -> ignore (Sys.opaque_identity r)
+      | exception Executor.Result_too_large _ -> ())
+    (Lazy.force exec_batch)
+
+let test_exec_feedback_mix =
+  Test.make ~name:"exec:feedback-mix" (Staged.stage exec_feedback_mix)
+
+(* One bounded integer draw: the unit of random data generation and of
+   every randomized search move. *)
+let rng_bench = Ljqo_stats.Rng.create 29
+
+let test_rng_int =
+  Test.make ~name:"rng:int"
+    (Staged.stage (fun () -> ignore (Sys.opaque_identity (Ljqo_stats.Rng.int rng_bench 1000))))
+
 (* ------------------------------------------------------------------ *)
 (* Learned routing: the two per-request costs an adaptive service pays
    before any optimization starts — featurizing the query and scoring one
@@ -596,6 +638,7 @@ let tests =
       test_obs_counter_off;
       test_obs_hist_off;
       test_obs_span_off;
+      test_rng_int;
       test_augmentation;
       test_kbz;
       test_eval_memory;
@@ -625,6 +668,8 @@ let tests =
       test_feedback_qerror_record;
       test_learn_featurize;
       test_learn_predict;
+      (* Last: the garbage it leaves would slow the kernels measured after it. *)
+      test_exec_feedback_mix;
     ]
 
 (* ------------------------------------------------------------------ *)

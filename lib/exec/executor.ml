@@ -29,6 +29,210 @@ let matches query ~data ~row ~r ~t edges =
       outer_col.(row.(k)) = inner_col.(t))
     edges
 
+(* ------------------------------------------------------------------ *)
+(* Per-domain scratch.                                                 *)
+
+(* The running intermediate is columnar: [cols.(j).(k)] is the tuple index
+   of the relation at plan position [j] in row [k].  A step emits only the
+   outer row ([src]) and the inner tuple ([tup]) of each output row; once
+   it completes, the prefix columns are gathered into [next] and the two
+   column sets swap.  The inner relation's build table is CSR: its tuples
+   bucketed by a hash of the anchor value, [off] holding bucket offsets and
+   [perm] the tuple ids, ascending within a bucket.  Arrays only grow, and
+   each is used up to the current run's sizes. *)
+type scratch = {
+  mutable cols : int array array;
+  mutable next : int array array;
+  mutable src : int array;
+  mutable tup : int array;  (* same length as [src] *)
+  mutable emitted : int;  (* rows the running step has emitted *)
+  mutable off : int array;
+  mutable perm : int array;
+  mutable busy : bool;  (* a run on this domain is using it *)
+}
+
+let empty () =
+  {
+    cols = [||];
+    next = [||];
+    src = [||];
+    tup = [||];
+    emitted = 0;
+    off = [||];
+    perm = [||];
+    busy = false;
+  }
+
+let scratch_key = Domain.DLS.new_key empty
+
+(* A domain keeps at most this many words of scratch between runs (8 MiB
+   on 64-bit): one huge execution must not pin its memory for the life of
+   the domain. *)
+let retained_words_max = 1 lsl 20
+
+let words s =
+  let cols a = Array.fold_left (fun acc c -> acc + Array.length c) 0 a in
+  cols s.cols + cols s.next + Array.length s.src + Array.length s.tup
+  + Array.length s.off + Array.length s.perm
+
+(* [a] if it holds [n] elements, else a larger array holding [a]'s first
+   [keep]. *)
+let reserve a ~keep n =
+  if Array.length a >= n then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 keep;
+    b
+  end
+
+(* Run [f] on this domain's scratch.  A run nested inside another (an
+   [on_step] callback that executes a plan) gets a scratch of its own. *)
+let with_scratch f =
+  let s = Domain.DLS.get scratch_key in
+  if s.busy then f (empty ())
+  else begin
+    s.busy <- true;
+    let release () =
+      s.busy <- false;
+      if words s > retained_words_max then Domain.DLS.set scratch_key (empty ())
+    in
+    match f s with
+    | r ->
+      release ();
+      r
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      release ();
+      Printexc.raise_with_backtrace e bt
+  end
+
+(* ------------------------------------------------------------------ *)
+(* One join step.                                                      *)
+
+(* Append output row (outer row [src], inner tuple [t]); the count past
+   [max_rows] raises. *)
+let[@inline] emit s ~max_rows src t =
+  let k = s.emitted in
+  if k = Array.length s.src then begin
+    s.src <- reserve s.src ~keep:k (k + 1);
+    s.tup <- reserve s.tup ~keep:k (k + 1)
+  end;
+  s.src.(k) <- src;
+  s.tup.(k) <- t;
+  s.emitted <- k + 1;
+  if k + 1 > max_rows then raise (Result_too_large (k + 1))
+
+(* Fibonacci hashing: the top bits of [v] times the golden ratio. *)
+let[@inline] bucket ~shift v = (v * 0x4F1BBCDCBFA53E0B) lsr shift
+
+(* Bucket the inner relation's tuples by anchor value into [s.off] /
+   [s.perm]; returns the hash shift.  There are at least as many buckets as
+   tuples, and bucket [b] spans [off.(b), off.(b + 1)). *)
+let build_table s anchor =
+  let card = Array.length anchor in
+  let bits = ref 1 in
+  while 1 lsl !bits < card do
+    incr bits
+  done;
+  let nb = 1 lsl !bits and shift = 63 - !bits in
+  s.off <- reserve s.off ~keep:0 (nb + 1);
+  s.perm <- reserve s.perm ~keep:0 card;
+  let off = s.off and perm = s.perm in
+  Array.fill off 0 (nb + 1) 0;
+  for t = 0 to card - 1 do
+    let b = bucket ~shift anchor.(t) in
+    off.(b) <- off.(b) + 1
+  done;
+  for b = 1 to nb - 1 do
+    off.(b) <- off.(b) + off.(b - 1)
+  done;
+  off.(nb) <- card;
+  for t = card - 1 downto 0 do
+    let b = bucket ~shift anchor.(t) in
+    let p = off.(b) - 1 in
+    off.(b) <- p;
+    perm.(p) <- t
+  done;
+  shift
+
+(* Does outer row [src] match inner tuple [t] on the non-anchor predicates
+   [e .. n-1]?  Predicate [e] compares [outer.(e)] at the tuple in column
+   [pos.(e)] with [inner.(e)] at [t]. *)
+let rec verify cols ~outer ~pos ~inner n src t e =
+  e = n
+  || outer.(e).(cols.(pos.(e)).(src)) = inner.(e).(t)
+     && verify cols ~outer ~pos ~inner n src t (e + 1)
+
+(* Join the [len]-row intermediate with relation [r]: emit the matching
+   rows and return the probe comparisons.  [pos.(k)] is relation [k]'s plan
+   position, or -1 while unplaced.  The emit order is the contract: outer
+   rows in order, and for each, inner tuples in descending index (a cross
+   product: ascending). *)
+let join s ~max_rows query ~data ~pos ~len r =
+  let inner_card = Relation_data.cardinality data.(r) in
+  let placed =
+    Array.fold_right
+      (fun k acc -> if pos.(k) >= 0 then k :: acc else acc)
+      (Join_graph.neighbor_ids (Query.graph query) r)
+      []
+  in
+  s.emitted <- 0;
+  match placed with
+  | [] ->
+    for src = 0 to len - 1 do
+      for t = 0 to inner_card - 1 do
+        emit s ~max_rows src t
+      done
+    done;
+    0
+  | anchor :: others ->
+    (* Bucket the inner on the anchor predicate's column, probe with the
+       outer's anchor value, then verify the remaining predicates. *)
+    let inner_anchor = Relation_data.column data.(r) ~other:anchor in
+    let outer_anchor = Relation_data.column data.(anchor) ~other:r in
+    let shift = build_table s inner_anchor in
+    let others = Array.of_list others in
+    let n = Array.length others in
+    let outer = Array.map (fun k -> Relation_data.column data.(k) ~other:r) others in
+    let inner = Array.map (fun k -> Relation_data.column data.(r) ~other:k) others in
+    let opos = Array.map (fun k -> pos.(k)) others in
+    let cols = s.cols and off = s.off and perm = s.perm in
+    let anchor_col = cols.(pos.(anchor)) in
+    let comparisons = ref 0 in
+    for src = 0 to len - 1 do
+      let v = outer_anchor.(anchor_col.(src)) in
+      let b = bucket ~shift v in
+      for p = off.(b + 1) - 1 downto off.(b) do
+        let t = perm.(p) in
+        if inner_anchor.(t) = v then begin
+          incr comparisons;
+          if verify cols ~outer ~pos:opos ~inner n src t 0 then emit s ~max_rows src t
+        end
+      done
+    done;
+    !comparisons
+
+(* Make the emitted rows the current intermediate, now [width + 1]
+   columns wide: gather the prefix columns through [src], append [tup]. *)
+let commit s ~width =
+  let k = s.emitted and src = s.src in
+  for j = 0 to width - 1 do
+    let col = s.cols.(j) and dst = reserve s.next.(j) ~keep:0 k in
+    for x = 0 to k - 1 do
+      dst.(x) <- col.(src.(x))
+    done;
+    s.next.(j) <- dst
+  done;
+  let dst = reserve s.next.(width) ~keep:0 k in
+  Array.blit s.tup 0 dst 0 k;
+  s.next.(width) <- dst;
+  let cols = s.cols in
+  s.cols <- s.next;
+  s.next <- cols
+
+(* ------------------------------------------------------------------ *)
+(* Plans.                                                              *)
+
 let check_inputs query ~data plan =
   let n = Query.n_relations query in
   if not (Plan.is_permutation plan) || Array.length plan <> n then
@@ -40,93 +244,62 @@ let check_inputs query ~data plan =
         invalid_arg "Executor: data must be indexed by relation id")
     data
 
-let run ?(max_rows = 1_000_000) ?on_step query ~data plan =
-  check_inputs query ~data plan;
-  let n = Query.n_relations query in
-  let placed = Array.make n false in
+let execute s ~max_rows ?on_step query ~data plan =
+  let n = Array.length plan in
+  if Array.length s.cols < n then begin
+    let widen a = Array.append a (Array.make (n - Array.length a) [||]) in
+    s.cols <- widen s.cols;
+    s.next <- widen s.next
+  end;
+  let pos = Array.make n (-1) in
   let first = plan.(0) in
-  let rows =
-    ref
-      (Array.init (Relation_data.cardinality data.(first)) (fun t ->
-           let row = Array.make n (-1) in
-           row.(first) <- t;
-           row))
-  in
-  placed.(first) <- true;
+  let first_card = Relation_data.cardinality data.(first) in
+  let col = reserve s.cols.(0) ~keep:0 first_card in
+  for t = 0 to first_card - 1 do
+    col.(t) <- t
+  done;
+  s.cols.(0) <- col;
+  pos.(first) <- 0;
+  let len = ref first_card in
   let steps = ref [] in
   for i = 1 to n - 1 do
     let r = plan.(i) in
-    let inner_card = Relation_data.cardinality data.(r) in
-    let edges = applicable_edges query ~placed r in
-    let comparisons = ref 0 in
-    let out = ref [] in
-    let out_count = ref 0 in
-    let emit row t =
-      let row' = Array.copy row in
-      row'.(r) <- t;
-      out := row' :: !out;
-      incr out_count;
-      if !out_count > max_rows then raise (Result_too_large !out_count)
-    in
-    (match edges with
-    | [] ->
-      (* Cross product. *)
-      Array.iter
-        (fun row ->
-          for t = 0 to inner_card - 1 do
-            emit row t
-          done)
-        !rows
-    | anchor :: others ->
-      (* Hash the inner on the anchor predicate's column, probe with the
-         outer's anchor value, then verify the remaining predicates. *)
-      let inner_anchor = Relation_data.column data.(r) ~other:anchor in
-      let outer_anchor = Relation_data.column data.(anchor) ~other:r in
-      let table = Hashtbl.create inner_card in
-      Array.iteri
-        (fun t v ->
-          let existing = try Hashtbl.find table v with Not_found -> [] in
-          Hashtbl.replace table v (t :: existing))
-        inner_anchor;
-      Array.iter
-        (fun row ->
-          let v = outer_anchor.(row.(anchor)) in
-          match Hashtbl.find_opt table v with
-          | None -> ()
-          | Some candidates ->
-            List.iter
-              (fun t ->
-                incr comparisons;
-                if matches query ~data ~row ~r ~t others then emit row t)
-              candidates)
-        !rows);
-    placed.(r) <- true;
-    rows := Array.of_list (List.rev !out);
-    Ljqo_obs.Obs.add Ljqo_obs.Obs.Exec_probe_comparisons !comparisons;
+    let comparisons = join s ~max_rows query ~data ~pos ~len:!len r in
+    commit s ~width:i;
+    pos.(r) <- i;
+    len := s.emitted;
+    Ljqo_obs.Obs.add Ljqo_obs.Obs.Exec_probe_comparisons comparisons;
     let stat =
-      {
-        inner_relation = r;
-        output_rows = Array.length !rows;
-        probe_comparisons = !comparisons;
-      }
+      { inner_relation = r; output_rows = !len; probe_comparisons = comparisons }
     in
     (match on_step with None -> () | Some f -> f stat);
     steps := stat :: !steps
   done;
-  let total_probes =
-    List.fold_left (fun a s -> a + s.probe_comparisons) 0 !steps
+  if Ljqo_obs.Obs.tracing () then begin
+    let total_probes =
+      List.fold_left (fun a s -> a + s.probe_comparisons) 0 !steps
+    in
+    Ljqo_obs.Obs.trace "exec.plan"
+      [
+        ("relations", Ljqo_obs.Obs.I n);
+        ("rows", Ljqo_obs.Obs.I !len);
+        ("probe_comparisons", Ljqo_obs.Obs.I total_probes);
+      ]
+  end;
+  let cols = s.cols in
+  let rows =
+    Array.init !len (fun k ->
+        let row = Array.make n (-1) in
+        for j = 0 to n - 1 do
+          row.(plan.(j)) <- cols.(j).(k)
+        done;
+        row)
   in
-  Ljqo_obs.Obs.trace "exec.plan"
-    [
-      ("relations", Ljqo_obs.Obs.I n);
-      ("rows", Ljqo_obs.Obs.I (Array.length !rows));
-      ("probe_comparisons", Ljqo_obs.Obs.I total_probes);
-    ];
-  {
-    rows = !rows;
-    steps = List.rev !steps;
-    first_card = Relation_data.cardinality data.(first);
-  }
+  { rows; steps = List.rev !steps; first_card }
+
+let run ?(max_rows = 1_000_000) ?on_step query ~data plan =
+  check_inputs query ~data plan;
+  with_scratch (fun s -> execute s ~max_rows ?on_step query ~data plan)
 
 let cardinalities result =
   result.first_card :: List.map (fun s -> s.output_rows) result.steps

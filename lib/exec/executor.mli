@@ -2,14 +2,41 @@
 
     Executes a valid permutation as the paper's outer linear join tree: the
     running intermediate result is a set of *binding vectors* (the tuple
-    index of each already-joined relation), and each step hash-joins it with
-    the next base relation on all applicable join predicates.  A step with
+    index of each already-joined relation, stored by column; see Layout),
+    and each step hash-joins it with the next base relation on all
+    applicable join predicates.  A step with
     no applicable predicate is a cross product.
 
     This substrate lets tests check the size estimator against ground truth
     and lets the examples run optimized plans for real.  Result sizes are
     capped ([Result_too_large]) because bad plans can be astronomically
-    large — that is the point of the paper. *)
+    large — that is the point of the paper.
+
+    {b Layout.}  The running intermediate is columnar: one int column of
+    tuple indices per placed relation, in plan order.  A step buckets the
+    inner relation's tuples by a hash of the anchor predicate's value into
+    a CSR table (bucket offsets plus a tuple permutation), probes it with
+    each outer row's anchor value, verifies the remaining predicates, and
+    records each output row as (outer row, inner tuple); the prefix columns
+    are gathered once the step completes.  The probe, verify and emit loop
+    allocates nothing.  The binding vectors of {!result.rows} are built
+    once, from the final columns.
+
+    {b Emit order.}  Output rows follow the outer rows in order; the inner
+    tuples matching one outer row come in descending tuple index (a cross
+    product: ascending).  Only the anchor predicate (the inner relation's
+    lowest-numbered placed neighbour) is hashed, and [probe_comparisons]
+    counts the inner tuples whose anchor value equals the outer row's.
+    Rows, step statistics and the [Result_too_large] payload are therefore
+    a function of the query, data, plan and cap alone.
+
+    {b Scratch.}  The columns and the build table live in a per-domain
+    workspace ([Domain.DLS]), double-buffered and reused across steps and
+    runs, so the domains of a parallel batch never share one.  A run
+    started from inside another run's [on_step] gets a workspace of its
+    own.  After a run the domain keeps at most 2{^20} words (8 MiB) of
+    scratch; a larger workspace is dropped, so one huge execution does not
+    pin its memory for the life of the domain. *)
 
 exception Result_too_large of int
 (** Carries the row count that exceeded the cap. *)
@@ -35,9 +62,11 @@ val run :
   data:Relation_data.t array ->
   Ljqo_core.Plan.t ->
   result
-(** [max_rows] defaults to 1_000_000.  The plan must be a valid permutation
-    of the query's relations and [data] must be indexed by relation id.
-    [on_step] is called with each step's statistics as the step completes —
+(** [max_rows] defaults to 1_000_000; the step whose output passes it
+    raises [Result_too_large] with the first count past it ([max_rows + 1]
+    for a non-negative cap).  The plan must be a permutation of the
+    query's relations (else [Invalid_argument]) and [data] must be indexed
+    by relation id.  [on_step] is called with each step's statistics as the step completes —
     the only way to recover the completed prefix when a later step raises
     {!Result_too_large} (the feedback layer uses it to keep partial
     per-depth cardinalities).  Each completed step's [probe_comparisons]

@@ -71,23 +71,27 @@ let depth_hist d =
 
 let observe ?max_rows query ~data plan =
   Obs.bump Obs.Feedback_plans_executed;
-  let acts = ref [ float_of_int (Relation_data.cardinality data.(plan.(0))) ] in
+  let acts = ref [] in
   let on_step (s : Executor.step_stat) =
     acts := float_of_int s.output_rows :: !acts
+  in
+  let act_cards first_card =
+    Array.of_list (float_of_int first_card :: List.rev !acts)
   in
   match Executor.run ?max_rows ~on_step query ~data plan with
   | result ->
     {
       plan;
-      act_cards = Array.of_list (List.rev !acts);
+      act_cards = act_cards result.first_card;
       truncated_at = None;
       result_rows = Some (Array.length result.rows);
     }
   | exception Executor.Result_too_large _ ->
     (* The completed prefix is what [on_step] saw; the overflowing step is
-       the next depth.  Count it here — the batch goes on. *)
+       the next depth.  Count it here — the batch goes on.  The executor
+       validated the plan before running it, so [plan.(0)] is in range. *)
     Obs.bump Obs.Feedback_result_too_large;
-    let act_cards = Array.of_list (List.rev !acts) in
+    let act_cards = act_cards (Relation_data.cardinality data.(plan.(0))) in
     {
       plan;
       act_cards;

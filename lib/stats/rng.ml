@@ -1,55 +1,72 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in an 8-byte [Bytes], read and
+   written through the unboxed primitives, so advancing the stream never
+   allocates an [Int64] block. *)
+type t = Bytes.t
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 (* splitmix64 constants, from the reference implementation. *)
 let gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64u t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix (Int64.of_int seed))
 
-let bits64 t =
-  t.state <- Int64.add t.state gamma;
-  mix t.state
+let copy = Bytes.copy
 
-let split t =
-  let s = bits64 t in
-  { state = mix s }
+let[@inline] next t =
+  let s = Int64.add (get64u t 0) gamma in
+  set64u t 0 s;
+  mix s
+
+let[@inline] bits64 t = next t
+
+let split t = of_state (mix (next t))
 
 let split_at t i =
   (* Derive child [i] from the current state without consuming it. *)
-  let s = Int64.add t.state (Int64.mul gamma (Int64.of_int (i + 1))) in
-  { state = mix (Int64.logxor (mix s) 0x2545F4914F6CDD1DL) }
+  let s = Int64.add (get64u t 0) (Int64.mul gamma (Int64.of_int (i + 1))) in
+  of_state (mix (Int64.logxor (mix s) 0x2545F4914F6CDD1DL))
 
 let int t n =
   assert (n > 0);
-  (* Rejection sampling to avoid modulo bias. *)
+  (* Rejection sampling to avoid modulo bias: a draw is rejected when its
+     block of [n] values is cut off by the top of the 63-bit range.  A loop
+     rather than a recursive closure, so the int64 temporaries stay in
+     registers. *)
   let n64 = Int64.of_int n in
-  let rec loop () =
-    let bits = Int64.shift_right_logical (bits64 t) 1 in
-    let v = Int64.rem bits n64 in
-    if Int64.(sub (add (sub bits v) n64) 1L) < 0L then loop ()
-    else Int64.to_int v
-  in
-  loop ()
+  let v = ref (-1) in
+  while !v < 0 do
+    let bits = Int64.shift_right_logical (next t) 1 in
+    let r = Int64.rem bits n64 in
+    if Int64.(sub (add (sub bits r) n64) 1L) >= 0L then v := Int64.to_int r
+  done;
+  !v
 
 let int_in t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let float t x =
+let[@inline] unit_float t =
   (* 53 random bits mapped to [0,1). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
-  let u = Int64.to_float bits *. (1.0 /. 9007199254740992.0) in
-  u *. x
+  let bits = Int64.shift_right_logical (next t) 11 in
+  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let[@inline] float t x = unit_float t *. x
 
-let bernoulli t p = float t 1.0 < p
+let bool t = Int64.logand (next t) 1L = 1L
+
+let bernoulli t p = unit_float t < p
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do

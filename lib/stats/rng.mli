@@ -6,7 +6,15 @@
     64-bit state, passes BigCrush, and supports cheap splitting: deriving an
     independent stream from a parent stream.  Splitting is what lets us give
     each query, each optimizer run, and each replicate its own stream without
-    the streams interfering. *)
+    the streams interfering.
+
+    Draws do not allocate: the 64-bit state is kept unboxed in an 8-byte
+    buffer, and [int] rejects in a loop rather than a closure, so [int],
+    [int_in], [bool], [bernoulli], [choose] and [shuffle_in_place] leave
+    [Gc.minor_words] unchanged.  [bits64] and [float] return a boxed
+    number, which the compiler unboxes where it inlines them (release
+    builds); only [create], [copy], [split] and [split_at] make a new
+    generator. *)
 
 type t
 (** A mutable generator. *)

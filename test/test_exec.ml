@@ -135,6 +135,200 @@ let prop_hash_equals_oracle =
       | exception Executor.Result_too_large _ -> QCheck.assume_fail ())
     QCheck.(pair small_int small_int)
 
+(* --- the columnar executor against the row-at-a-time oracle ----------- *)
+
+module Benchmark = Ljqo_querygen.Benchmark
+module Rng = Ljqo_stats.Rng
+
+(* One execution to compare: a [Benchmark] query, its data (statistical or
+   through the selection pipeline), a plan and a row cap. *)
+type case = {
+  spec : int;  (* [Benchmark.by_index] *)
+  n_joins : int;
+  pipeline : bool;
+  plan_kind : [ `Optimized | `Random_valid | `Arbitrary ];
+  cap : int option;  (* None = the default cap *)
+  seed : int;
+}
+
+let show_case c =
+  Printf.sprintf "spec %d, N=%d, %s data, %s plan, cap %s, seed %d" c.spec c.n_joins
+    (if c.pipeline then "pipeline" else "statistical")
+    (match c.plan_kind with
+    | `Optimized -> "optimized"
+    | `Random_valid -> "random valid"
+    | `Arbitrary -> "arbitrary")
+    (match c.cap with Some k -> string_of_int k | None -> "default")
+    c.seed
+
+let build c =
+  let rng = Rng.create c.seed in
+  let q = Benchmark.generate_query (Benchmark.by_index c.spec) ~n_joins:c.n_joins ~rng in
+  let data =
+    if c.pipeline then Pipeline.prepare q ~rng:(Rng.split rng)
+    else Relation_data.generate_all q ~rng:(Rng.split rng)
+  in
+  let plan =
+    match c.plan_kind with
+    | `Optimized ->
+      let ticks = Ljqo_core.Optimizer.time_limit_ticks ~t_factor:1.0 ~query:q () in
+      (Ljqo_core.Optimizer.optimize ~method_:Ljqo_core.Methods.IAI
+         ~model:Helpers.memory_model ~ticks ~seed:c.seed q)
+        .plan
+    | `Random_valid -> Ljqo_core.Random_plan.generate (Rng.split rng) q
+    | `Arbitrary ->
+      let p = Array.init (Query.n_relations q) Fun.id in
+      Rng.shuffle_in_place (Rng.split rng) p;
+      p
+  in
+  (q, data, plan)
+
+(* A run's observable outcome: the result or the overflow payload, with
+   every step statistic [on_step] saw before it. *)
+let outcome run =
+  let seen = ref [] in
+  let r =
+    match run ~on_step:(fun s -> seen := s :: !seen) with
+    | (r : Executor.result) -> Ok r
+    | exception Executor.Result_too_large k -> Error k
+  in
+  (r, List.rev !seen)
+
+let columnar c =
+  let q, data, plan = build c in
+  outcome (fun ~on_step -> Executor.run ?max_rows:c.cap ~on_step q ~data plan)
+
+let reference c =
+  let q, data, plan = build c in
+  outcome (fun ~on_step -> Executor_reference.run ?max_rows:c.cap ~on_step q ~data plan)
+
+let gen_case ~caps =
+  QCheck.Gen.(
+    map
+      (fun ((spec, n_joins, pipeline), (kind, cap, seed)) ->
+        {
+          spec;
+          n_joins;
+          pipeline;
+          plan_kind = [| `Optimized; `Random_valid; `Arbitrary |].(kind);
+          cap = caps.(cap);
+          seed;
+        })
+      (pair
+         (triple (int_range 0 9) (int_range 1 6) bool)
+         (triple (int_range 0 2) (int_range 0 (Array.length caps - 1)) (int_bound 1_000_000))))
+
+let arb_case ~caps = QCheck.make ~print:show_case (gen_case ~caps)
+
+(* A cap of a few rows truncates nearly every plan at its first join; 10,000
+   is the feedback benchmark's cap.  The default cap is drawn only for plans
+   whose intermediates stay within 200,000 rows, which the oracle enumerates
+   in well under a second; overflow itself is covered by the smaller caps. *)
+let prop_run_equals_reference =
+  Helpers.qcheck_case ~count:360 ~name:"runs equal the row-at-a-time oracle"
+    (fun c ->
+      if c.cap = None && Result.is_error (fst (columnar { c with cap = Some 200_000 })) then
+        QCheck.assume_fail ()
+      else columnar c = reference c)
+    (arb_case ~caps:[| Some 3; Some 50; Some 10_000; None |])
+
+(* The same executions fanned out over two domains (each with its own
+   scratch) and run in sequence on this one. *)
+let test_parallel_equals_sequential () =
+  let cases =
+    Array.init 60 (fun i ->
+        QCheck.Gen.generate1 ~rand:(Random.State.make [| 17; i |])
+          (gen_case ~caps:[| Some 50; Some 10_000 |]))
+  in
+  let seq = Array.map columnar cases in
+  let par = Ljqo_stats.Parallel.map_array ~jobs:2 columnar cases in
+  Array.iteri
+    (fun i c ->
+      if seq.(i) <> par.(i) then Alcotest.failf "differs under jobs=2: %s" (show_case c);
+      if seq.(i) <> reference c then Alcotest.failf "differs from the oracle: %s" (show_case c))
+    cases
+
+(* The [exec.probe_comparisons] counter adds each completed step's probes;
+   the step that overflows the cap adds none. *)
+let test_probe_counter () =
+  let module Obs = Ljqo_obs.Obs in
+  let cases =
+    Array.init 30 (fun i ->
+        QCheck.Gen.generate1 ~rand:(Random.State.make [| 23; i |])
+          (gen_case ~caps:[| Some 50; Some 10_000 |]))
+  in
+  let expected =
+    Array.fold_left
+      (fun acc c ->
+        let _, seen = reference c in
+        List.fold_left (fun acc (s : Executor.step_stat) -> acc + s.probe_comparisons) acc seen)
+      0 cases
+  in
+  let truncated = Array.exists (fun c -> Result.is_error (fst (reference c))) cases in
+  Alcotest.(check bool) "some runs overflow" true truncated;
+  Obs.reset ();
+  Obs.set_enabled true;
+  let counted =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.set_enabled false;
+        Obs.reset ())
+      (fun () ->
+        Array.iter (fun c -> ignore (columnar c)) cases;
+        List.assoc "exec.probe_comparisons" (Obs.snapshot ()).counters)
+  in
+  Alcotest.(check int) "completed steps' probes" expected counted
+
+(* A run started from inside another run's [on_step] gets its own scratch:
+   both results equal the oracle's. *)
+let test_nested_run () =
+  let outer =
+    { spec = 0; n_joins = 5; pipeline = false; plan_kind = `Random_valid; cap = Some 10_000; seed = 5 }
+  in
+  let inner = { outer with n_joins = 4; plan_kind = `Arbitrary; seed = 6 } in
+  let inner_runs = ref [] in
+  let q, data, plan = build outer in
+  let nested =
+    outcome (fun ~on_step ->
+        Executor.run ?max_rows:outer.cap q ~data plan ~on_step:(fun s ->
+            inner_runs := columnar inner :: !inner_runs;
+            on_step s))
+  in
+  Alcotest.(check bool) "outer run completed" true (Result.is_ok (fst nested));
+  Alcotest.(check bool) "outer run equals the oracle" true (nested = reference outer);
+  Alcotest.(check int) "one inner run per step" (Array.length plan - 1) (List.length !inner_runs);
+  List.iter
+    (fun r -> Alcotest.(check bool) "inner run equals the oracle" true (r = reference inner))
+    !inner_runs
+
+(* One large execution must not leave its scratch behind: after it, the
+   domain keeps at most 2^20 words (the bound [executor.mli] states). *)
+let test_scratch_released () =
+  let relations =
+    Array.init 3 (fun id -> Helpers.rel ~id ~card:(if id = 2 then 1000 else 20) ~distinct:1.0 ())
+  in
+  (* No predicates: every step is a cross product, 20 * 20 * 1000 rows. *)
+  let q = Query.make ~relations ~graph:(Join_graph.make ~n:3 []) in
+  let data = data_for q in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  (* On a fresh domain, so no earlier test's scratch is in the baseline. *)
+  let rows, grown =
+    Domain.join
+      (Domain.spawn (fun () ->
+           (match Executor.run ~max_rows:5 q ~data [| 0; 1; 2 |] with
+           | _ -> Alcotest.fail "expected Result_too_large"
+           | exception Executor.Result_too_large _ -> ());
+           let before = live () in
+           let rows = Array.length (Executor.run q ~data [| 0; 1; 2 |]).rows in
+           (rows, live () - before)))
+  in
+  Alcotest.(check int) "all rows" (20 * 20 * 1000) rows;
+  if grown > (1 lsl 20) + 65_536 then
+    Alcotest.failf "a run left %d words of scratch behind" grown
+
 let suite =
   [
     Alcotest.test_case "data matches statistics" `Quick test_data_matches_stats;
@@ -147,4 +341,9 @@ let suite =
     Alcotest.test_case "final size order-invariant" `Quick
       test_plan_order_preserves_final_size;
     prop_hash_equals_oracle;
+    prop_run_equals_reference;
+    Alcotest.test_case "jobs=2 equals sequential" `Quick test_parallel_equals_sequential;
+    Alcotest.test_case "probe counter counts completed steps" `Quick test_probe_counter;
+    Alcotest.test_case "nested run keeps its own scratch" `Quick test_nested_run;
+    Alcotest.test_case "scratch released after a large run" `Quick test_scratch_released;
   ]

@@ -46,6 +46,18 @@ let test_qerror_floors () =
   Alcotest.(check bool) "milli saturates, never overflows" true
     (Feedback.milli infinity = Feedback.milli 1e300)
 
+(* A malformed plan fails in the executor's validation, not on the first
+   relation's data lookup. *)
+let test_observe_rejects_bad_plans () =
+  let q = Helpers.chain3 () in
+  let data = data_for q in
+  List.iter
+    (fun plan ->
+      Alcotest.check_raises "executor's error"
+        (Invalid_argument "Executor: plan is not a permutation of the query")
+        (fun () -> ignore (Feedback.observe q ~data plan)))
+    [ [||]; [| 99; 0 |]; [| -1; 0 |] ]
+
 (* --- alignment: observe/measure on a hand-built chain ------------------- *)
 
 (* A - B - C chain whose graph selectivities are biased 10x below the truth
@@ -347,6 +359,8 @@ let suite =
       test_qerror_floors;
     Alcotest.test_case "observe aligns with the executor" `Quick
       test_observe_aligns_with_executor;
+    Alcotest.test_case "observe rejects malformed plans" `Quick
+      test_observe_rejects_bad_plans;
     Alcotest.test_case "golden: biased chain per-depth q-error" `Quick
       test_golden_biased_chain;
     Alcotest.test_case "calibration corrects a known bias" `Quick

@@ -48,6 +48,14 @@ for workload in opt-narrow opt-wide serve-zipf feedback-exec; do
     --trace 0
 done
 
+# Cross-run determinism: a second, traced run of each workload on the same
+# seed must reproduce the cells the first run recorded (ticks, probe
+# comparisons, q-error, output digest); a differing cell fails the run.
+for workload in opt-narrow opt-wide serve-zipf feedback-exec; do
+  python3 perfbench/run.py --workload "$workload" --seed 7 --seconds 1 \
+    --trace 1
+done
+
 # Wide-graph smoke: a 200-relation query — far past the old 126-id bitset
 # cap — must optimize end to end through the portfolio racer.
 wide_tmp=$(mktemp -d)
