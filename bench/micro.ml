@@ -264,14 +264,16 @@ let test_dp =
     (Staged.stage (fun () -> ignore (Dp.optimize ~jobs:1 model q)))
 
 (* ------------------------------------------------------------------ *)
-(* Fused neighbor evaluation vs the reference try_move protocol: one full
+(* Neighbor evaluation vs the reference try_move protocol: one full
    adjacent-swap sweep (N-1 neighbors) over the same N = 50 state.  The
    reference pays snapshot + mutate + recost + rollback per neighbor; the
-   fused kernel reads the permutation virtually and streams step costs into
-   preallocated scratch.  Both states are created once and never mutated
-   (every neighbor is rejected), and the two sweeps are asserted to produce
-   bit-identical verdicts at module init.  Unlimited-tick evaluators, so no
-   budget exception can fire mid-measurement. *)
+   kernel ([Neighborhood.adjacent_swaps], a consider/reject loop) starts
+   each candidate from the cached partial sums, reads the permutation
+   virtually and streams step costs into preallocated scratch.  Both states
+   are created once and never mutated (every neighbor is rejected), and the
+   two sweeps are asserted to produce bit-identical verdicts at module init.
+   Unlimited-tick evaluators, so no budget exception can fire
+   mid-measurement. *)
 
 let neighbors_reference_state =
   Search_state.init (Evaluator.create ~query ~model ~ticks:0 ()) plan
@@ -312,8 +314,8 @@ let test_neighbors_fused =
 (* ------------------------------------------------------------------ *)
 (* Growable-width kernels (N = 200): sets that spill past the two inline
    words.  [bitset:wide-ops] is the set algebra DP and the mask kernels
-   lean on, on tailed sets; the neighbors pair is the same fused-vs-
-   reference sweep as above but through the wide scratch-word path.      *)
+   lean on, on tailed sets; the neighbors pair is the same sweep as above
+   on a graph past 126 relations, through the same position-based path.  *)
 
 let wide_query = query_of_size 200
 

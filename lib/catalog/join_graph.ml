@@ -63,6 +63,8 @@ let neighbor_ids g v =
 
 let adjacency g = g.nbr_ids
 
+let selectivity_table g = g.nbr_sels
+
 let neighbor_sels g v =
   if v < 0 || v >= g.n then invalid_arg "Join_graph.neighbor_sels: out of range";
   Array.unsafe_get g.nbr_sels v

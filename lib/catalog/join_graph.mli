@@ -45,6 +45,11 @@ val adjacency : t -> int array array
     not mutate it.  Fetching it once outside a loop saves the per-vertex
     accessor call in the tightest kernels. *)
 
+val selectivity_table : t -> float array array
+(** The whole selectivity table at once — [selectivity_table g].(v) is
+    [neighbor_sels g v], parallel to {!adjacency}.  The backing store
+    itself, not a copy: callers must not mutate it. *)
+
 val neighbor_mask : t -> int -> Bitset.t
 (** The set of vertices adjacent to [v], as a bitset (any graph size).
     O(1): precomputed at [make]. *)

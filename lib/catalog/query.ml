@@ -32,6 +32,10 @@ let cardinality q i = q.cards.(i)
 
 let distinct_values q i = q.distincts.(i)
 
+let cardinalities q = q.cards
+
+let distinct_counts q = q.distincts
+
 let degree q i = Join_graph.degree q.graph i
 
 let selectivity_product q ~prefix j =

@@ -26,7 +26,15 @@ val cardinality : t -> int -> float
 (** [N_k], after selections. *)
 
 val distinct_values : t -> int -> float
-(** [D_k]. *)
+(** [D_k].  Always at least 1 (see {!Relation.distinct_values}). *)
+
+val cardinalities : t -> float array
+(** Every [N_k] at once, indexed by relation id.  The backing store itself,
+    not a copy: callers must not mutate it.  Hot loops read it directly,
+    so they pay no accessor call and box no float. *)
+
+val distinct_counts : t -> float array
+(** Every [D_k] at once; same contract as {!cardinalities}. *)
 
 val degree : t -> int -> int
 (** Degree in the join graph. *)

@@ -53,16 +53,15 @@ let unlimited () = create ~ticks:0 ()
 
 let set_checkpoint_callback t f = t.callback <- f
 
-let fire_crossed t =
-  let rec loop () =
-    match t.pending_checkpoints with
-    | c :: rest when t.used >= c ->
-      t.pending_checkpoints <- rest;
-      t.callback c;
-      loop ()
-    | _ -> ()
-  in
-  loop ()
+(* Top-level recursion rather than a local loop closure: this runs on every
+   charge, and a closure would be allocated each time. *)
+let rec fire_crossed t =
+  match t.pending_checkpoints with
+  | c :: rest when t.used >= c ->
+    t.pending_checkpoints <- rest;
+    t.callback c;
+    fire_crossed t
+  | _ -> ()
 
 let check_deadline t =
   match t.deadline with

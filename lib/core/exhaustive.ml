@@ -18,7 +18,6 @@ let optimize ?(max_relations = default_max_relations) ?seed_plan model query =
   if not (Query.is_connected query) then
     invalid_arg "Exhaustive.optimize: join graph is disconnected";
   if n > max_relations then raise (Too_large { n; max_relations });
-  let graph = Query.graph query in
   let best_cost = ref infinity in
   let best_plan = ref None in
   (match seed_plan with
@@ -28,15 +27,18 @@ let optimize ?(max_relations = default_max_relations) ?seed_plan model query =
   | Some _ -> invalid_arg "Exhaustive.optimize: invalid seed plan"
   | None -> ());
   let perm = Array.make n (-1) in
-  (* [max_int] marks unplaced relations: [Plan_cost] treats [pos.(r) < i]
-     as "placed before position i". *)
+  (* [max_int] marks unplaced relations: the step kernel treats
+     [pos.(r) < depth] as "placed before position depth", and refuses (at no
+     cost-model call) a relation that joins nothing placed. *)
   let pos = Array.make n max_int in
-  let placed = Array.make n false in
+  let stepper = Plan_cost.Stepper.make model query in
+  let cards = Array.make n 0.0 in
+  let costs = Array.make n 0.0 in
   let nodes = ref 0 in
   let pruned = ref 0 in
-  (* Depth-first over valid extensions; [outer_card] and [partial] are the
-     running intermediate size and cost of perm[0..depth-1]. *)
-  let rec extend depth outer_card partial =
+  (* Depth-first over valid extensions; [cards.(depth - 1)] and [partial]
+     are the running intermediate size and cost of perm[0..depth-1]. *)
+  let rec extend depth partial =
     if depth = n then begin
       if partial < !best_cost then begin
         best_cost := partial;
@@ -45,22 +47,20 @@ let optimize ?(max_relations = default_max_relations) ?seed_plan model query =
     end
     else
       for r = 0 to n - 1 do
-        if (not placed.(r))
-           && List.exists (fun (o, _) -> placed.(o)) (Join_graph.neighbors graph r)
-        then begin
-          incr nodes;
-          perm.(depth) <- r;
+        if pos.(r) = max_int then begin
           pos.(r) <- depth;
-          placed.(r) <- true;
-          let step, out =
-            Plan_cost.step_cost model query ~perm ~pos ~i:depth ~outer_card
-          in
-          let partial' = partial +. step in
-          if partial' < !best_cost then extend (depth + 1) out partial'
-          else incr pruned;
-          placed.(r) <- false;
-          pos.(r) <- max_int;
-          perm.(depth) <- -1
+          if
+            Plan_cost.Stepper.step stepper ~price_cross:false ~pos ~cards ~costs
+              ~k:depth ~r
+          then begin
+            incr nodes;
+            perm.(depth) <- r;
+            let partial' = partial +. costs.(depth) in
+            if partial' < !best_cost then extend (depth + 1) partial'
+            else incr pruned;
+            perm.(depth) <- -1
+          end;
+          pos.(r) <- max_int
         end
       done
   in
@@ -68,9 +68,8 @@ let optimize ?(max_relations = default_max_relations) ?seed_plan model query =
     incr nodes;
     perm.(0) <- first;
     pos.(first) <- 0;
-    placed.(first) <- true;
-    extend 1 (Query.cardinality query first) 0.0;
-    placed.(first) <- false;
+    cards.(0) <- Query.cardinality query first;
+    extend 1 0.0;
     pos.(first) <- max_int;
     perm.(0) <- -1
   done;

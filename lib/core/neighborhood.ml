@@ -1,62 +1,56 @@
 open Ljqo_cost
 module Obs = Ljqo_obs.Obs
 
-(* The fused neighbor kernel: evaluate a candidate move of a search state
-   without mutating it.  The reference protocol
+(* The neighbor kernel: evaluate a candidate move of a search state without
+   keeping any change to it.  The reference protocol
    (snapshot -> mutate -> [Search_state.recost] -> rollback) allocates three
-   window slices per attempt, boxes the running prefix into a [Bitset.t] and
-   a result tuple at every recosted step, and pays the rollback writes on
-   every rejection — and II/SA reject or invalidate most proposals.  Here the
-   mutated permutation is only read *virtually* (two compares per access),
-   the prefix stays in two machine words, step costs stream through
-   [Plan_cost.Stepper] into preallocated scratch arrays, and a rejected or
-   invalid neighbor leaves the state untouched at zero cost.  Only an
-   accepted move writes the state ([Search_state.apply_evaluated]).
+   window slices per attempt, recosts every step to the end of the plan,
+   and pays the rollback writes on every rejection — and II/SA reject or
+   invalidate most proposals.  Here a candidate costs O(1) to set up: the
+   sum over the untouched steps is one read of the state's partial sums,
+   and placement is the state's own [pos] array, with the move's window
+   applied for the walk and undone before [consider] returns or raises.
+   The mutated permutation is read virtually, step costs stream through
+   [Plan_cost.Stepper] into preallocated scratch, and the walk stops where
+   the intermediate sizes meet the stored ones again.  Only an accepted move
+   writes the state ([Search_state.apply_evaluated]).
 
    Bit-identity contract (enforced by qcheck against the reference): for any
    state and move, [consider] returns exactly what [Search_state.try_move]
    would have returned, charges the same ticks at the same point, and an
    [accept] leaves the state bit-identical to the committed reference state.
-   Graphs wider than the two inline bitset words run the same fused walk
-   with the prefix in a preallocated scratch word array, so callers never
-   branch on graph width and nothing falls back to the reference protocol. *)
-
-type pending =
-  | Nothing
-  | Fused of { move : Move.t; lo : int }
-      (** the move's effect lives in the scratch arrays *)
+   Placement by position works at every graph width, so there is one path. *)
 
 type t = {
   state : Search_state.t;
-  wide : bool;  (* graph needs more than the two inline bitset words *)
   stepper : Plan_cost.Stepper.t;
-  graph : Ljqo_catalog.Join_graph.t;
-  query : Ljqo_catalog.Query.t;
+  base_cards : float array;
   scratch_cards : float array;
   scratch_steps : float array;
-  prefix_words : int array;  (* wide path's placed-prefix scratch *)
-  step_out : float array;  (* 2 slots: Stepper.step's (cost, output_card) *)
-  mutable scratch_total : float;
-  mutable pending : pending;
+  (* The pending move, if [pending]: its effect on [max lo 1 .. upto - 1]
+     lives in the scratch arrays; from [upto] on it equals the stored
+     state.  Mutable fields rather than a variant, so [consider] allocates
+     nothing to record it. *)
+  mutable pending : bool;
+  mutable pending_move : Move.t;
+  mutable pending_lo : int;
+  mutable pending_upto : int;
 }
 
 let create state =
   let ev = Search_state.evaluator state in
   let query = Evaluator.query ev and model = Evaluator.model ev in
-  let graph = Ljqo_catalog.Query.graph query in
   let n = Search_state.n state in
   {
     state;
-    wide = n > Ljqo_catalog.Bitset.inline_size;
     stepper = Plan_cost.Stepper.make model query;
-    graph;
-    query;
+    base_cards = Ljqo_catalog.Query.cardinalities query;
     scratch_cards = Array.make (max n 1) 0.0;
     scratch_steps = Array.make (max n 1) 0.0;
-    prefix_words = Array.make (Ljqo_catalog.Bitset.words_needed n) 0;
-    step_out = Array.make 2 0.0;
-    scratch_total = 0.0;
-    pending = Nothing;
+    pending = false;
+    pending_move = Move.Swap (0, 0);
+    pending_lo = 0;
+    pending_upto = 0;
   }
 
 let state t = t.state
@@ -79,267 +73,132 @@ let[@inline] vperm perm move k =
     else if k > dst && k <= src then Array.unsafe_get perm (k - 1)
     else Array.unsafe_get perm k
 
-(* The fused evaluation.  Accounting mirrors [Search_state.recost] exactly:
-   [Recost_steps] and the tick charge land before any step is walked (so
-   [Budget.Exhausted] fires at the same proposal it would have on the
-   reference path), and an invalid step aborts after charging, as recost
-   does. *)
-let eval_fused t move ~lo =
-  let ev = Search_state.evaluator t.state in
-  let perm = Search_state.perm_view t.state in
-  let cards = Search_state.cards_view t.state in
-  let steps = Search_state.step_costs_view t.state in
-  let n = Array.length perm in
-  let first = max lo 1 in
-  (* Past the move's affected window the placed *set* equals the stored
-     prefix set and [r] reads straight from [perm], so the step at [k] is a
-     pure function of the running outer card.  The moment that card
-     bit-equals the stored [cards.(k - 1)], the rest of the walk reproduces
-     the stored arrays exactly — copy them and extend the sum term by term
-     (same addition order, hence a bit-identical total). *)
-  let _, reconverge = Move.affected_range move in
-  Obs.add Obs.Recost_steps (n - first);
-  Evaluator.charge ev (n - first);
-  Obs.bump Obs.Neighbors_evaluated;
-  if lo = 0 then
-    t.scratch_cards.(0) <-
-      Ljqo_catalog.Query.cardinality t.query (vperm perm move 0);
-  (* Placed prefix [0, first) as two raw words; positions below [lo] are
-     unaffected, position 0 (when [lo = 0]) reads virtually. *)
-  let p0 = ref 0 and p1 = ref 0 in
-  for k = 0 to first - 1 do
-    let r = vperm perm move k in
-    if r < 63 then p0 := !p0 lor (1 lsl r) else p1 := !p1 lor (1 lsl (r - 63))
-  done;
-  (* Left-to-right partial sum over the unchanged steps [1, first): extending
-     it with the new step costs below reproduces the reference's full-array
-     resum addition for addition. *)
-  let sum = ref 0.0 in
-  for k = 1 to first - 1 do
-    sum := !sum +. Array.unsafe_get steps k
-  done;
-  let outer =
-    ref (if lo = 0 then t.scratch_cards.(0) else Array.unsafe_get cards (first - 1))
-  in
-  let ok = ref true in
-  let idx = ref first in
-  while !ok && !idx < n do
-    let k = !idx in
-    if k >= reconverge && Array.unsafe_get cards (k - 1) = !outer then begin
-      for m = k to n - 1 do
-        Array.unsafe_set t.scratch_cards m (Array.unsafe_get cards m);
-        let c = Array.unsafe_get steps m in
-        Array.unsafe_set t.scratch_steps m c;
-        sum := !sum +. c
+(* Give [pos] the positions the move's window would have ([perm] is left
+   alone), and undo that.  Outside the window nothing moves. *)
+let apply_pos perm pos move =
+  match move with
+  | Move.Swap (i, j) ->
+    pos.(perm.(i)) <- j;
+    pos.(perm.(j)) <- i
+  | Move.Insert (src, dst) ->
+    if src < dst then
+      for p = src + 1 to dst do
+        pos.(perm.(p)) <- p - 1
+      done
+    else
+      for p = dst to src - 1 do
+        pos.(perm.(p)) <- p + 1
       done;
-      idx := n
-    end
-    else begin
-      let r = vperm perm move k in
-      let m = Ljqo_catalog.Join_graph.neighbor_mask t.graph r in
-      if
-        (m.Ljqo_catalog.Bitset.w0 land !p0) lor (m.Ljqo_catalog.Bitset.w1 land !p1)
-        = 0
-      then ok := false
-      else begin
-        Plan_cost.Stepper.step t.stepper ~w0:!p0 ~w1:!p1 ~r ~is_first:(k = 1)
-          ~outer_card:!outer ~into:t.step_out;
-        let cost = Array.unsafe_get t.step_out 0 in
-        let out = Array.unsafe_get t.step_out 1 in
-        Array.unsafe_set t.scratch_cards k out;
-        Array.unsafe_set t.scratch_steps k cost;
-        sum := !sum +. cost;
-        outer := out;
-        if r < 63 then p0 := !p0 lor (1 lsl r)
-        else p1 := !p1 lor (1 lsl (r - 63));
-        incr idx
-      end
-    end
-  done;
-  if !ok then begin
-    t.scratch_total <- !sum;
-    t.pending <- Fused { move; lo };
-    Some !sum
-  end
-  else None
+    pos.(perm.(src)) <- dst
 
-(* Wide twin of [eval_fused]: the placed prefix lives in the preallocated
-   [prefix_words] scratch array instead of two locals, validity is
-   [Bitset.intersects_words], and steps go through [Stepper.step_words].
-   Structure, accounting, and the reconvergence early-exit are identical. *)
-let eval_fused_wide t move ~lo =
-  let ev = Search_state.evaluator t.state in
-  let perm = Search_state.perm_view t.state in
-  let cards = Search_state.cards_view t.state in
-  let steps = Search_state.step_costs_view t.state in
-  let n = Array.length perm in
-  let first = max lo 1 in
-  let _, reconverge = Move.affected_range move in
-  Obs.add Obs.Recost_steps (n - first);
-  Evaluator.charge ev (n - first);
-  Obs.bump Obs.Neighbors_evaluated;
-  if lo = 0 then
-    t.scratch_cards.(0) <-
-      Ljqo_catalog.Query.cardinality t.query (vperm perm move 0);
-  let words = t.prefix_words in
-  Array.fill words 0 (Array.length words) 0;
-  let wb = Ljqo_catalog.Bitset.word_bits in
-  for k = 0 to first - 1 do
-    let r = vperm perm move k in
-    let kw = r / wb in
-    Array.unsafe_set words kw
-      (Array.unsafe_get words kw lor (1 lsl (r mod wb)))
-  done;
-  let sum = ref 0.0 in
-  for k = 1 to first - 1 do
-    sum := !sum +. Array.unsafe_get steps k
-  done;
-  let outer =
-    ref (if lo = 0 then t.scratch_cards.(0) else Array.unsafe_get cards (first - 1))
-  in
-  let ok = ref true in
-  let idx = ref first in
-  while !ok && !idx < n do
-    let k = !idx in
-    if k >= reconverge && Array.unsafe_get cards (k - 1) = !outer then begin
-      for m = k to n - 1 do
-        Array.unsafe_set t.scratch_cards m (Array.unsafe_get cards m);
-        let c = Array.unsafe_get steps m in
-        Array.unsafe_set t.scratch_steps m c;
-        sum := !sum +. c
-      done;
-      idx := n
-    end
-    else begin
-      let r = vperm perm move k in
-      let m = Ljqo_catalog.Join_graph.neighbor_mask t.graph r in
-      if not (Ljqo_catalog.Bitset.intersects_words m words) then ok := false
-      else begin
-        Plan_cost.Stepper.step_words t.stepper ~words ~r ~is_first:(k = 1)
-          ~outer_card:!outer ~into:t.step_out;
-        let cost = Array.unsafe_get t.step_out 0 in
-        let out = Array.unsafe_get t.step_out 1 in
-        Array.unsafe_set t.scratch_cards k out;
-        Array.unsafe_set t.scratch_steps k cost;
-        sum := !sum +. cost;
-        outer := out;
-        let kw = r / wb in
-        Array.unsafe_set words kw
-          (Array.unsafe_get words kw lor (1 lsl (r mod wb)));
-        incr idx
-      end
-    end
-  done;
-  if !ok then begin
-    t.scratch_total <- !sum;
-    t.pending <- Fused { move; lo };
-    Some !sum
-  end
-  else None
+let restore_pos perm pos move =
+  match move with
+  | Move.Swap (i, j) ->
+    pos.(perm.(i)) <- i;
+    pos.(perm.(j)) <- j
+  | Move.Insert (src, dst) ->
+    let a = if src < dst then src else dst and b = if src < dst then dst else src in
+    for p = a to b do
+      pos.(perm.(p)) <- p
+    done
 
+(* Accounting mirrors [Search_state.recost] exactly: [Recost_steps] and the
+   tick charge land before any step is walked (so [Budget.Exhausted] fires
+   at the same proposal it would have on the reference path), and an
+   invalid step aborts after charging, as recost does.
+
+   Past the move's window the placed *set* equals the stored one and [r]
+   reads straight from [perm], so the step at [k] is a pure function of the
+   running outer card.  The moment that card bit-equals the stored
+   [cards.(k - 1)], the rest of the walk would reproduce the stored steps:
+   the walk stops there ([upto]), and only the sum is extended over the
+   stored tail, term by term in the reference's order — or, as soon as it
+   meets the stored partial sum, by the stored total. *)
 let consider t move =
-  (match t.pending with
-  | Nothing -> ()
-  | Fused _ ->
-    invalid_arg "Neighborhood.consider: a considered move is still pending");
-  let lo, _ = Move.affected_range move in
-  if t.wide then eval_fused_wide t move ~lo else eval_fused t move ~lo
+  if t.pending then
+    invalid_arg "Neighborhood.consider: a considered move is still pending";
+  let st = t.state in
+  let perm = Search_state.perm_view st in
+  let pos = Search_state.pos_view st in
+  let cards = Search_state.cards_view st in
+  let steps = Search_state.step_costs_view st in
+  let psum = Search_state.psum_view st in
+  let n = Array.length perm in
+  (* [Move.affected_range], without the tuple *)
+  let lo = match move with Move.Swap (i, j) | Move.Insert (i, j) -> if i < j then i else j in
+  let hi =
+    match move with Move.Swap (i, j) | Move.Insert (i, j) -> 1 + if i < j then j else i
+  in
+  let first = if lo > 1 then lo else 1 in
+  Obs.add Obs.Recost_steps (n - first);
+  Evaluator.charge (Search_state.evaluator st) (n - first);
+  Obs.bump Obs.Neighbors_evaluated;
+  let sc = t.scratch_cards in
+  if lo = 0 then sc.(0) <- t.base_cards.(vperm perm move 0)
+  else sc.(first - 1) <- cards.(first - 1);
+  let sum = ref psum.(first - 1) in
+  let ok = ref true in
+  let upto = ref n in
+  apply_pos perm pos move;
+  (match
+     let k = ref first in
+     while !ok && !k < n do
+       let i = !k in
+       if i >= hi && Array.unsafe_get cards (i - 1) = Array.unsafe_get sc (i - 1)
+       then begin
+         upto := i;
+         let m = ref i in
+         while !m < n do
+           let s = !sum +. Array.unsafe_get steps !m in
+           if s = Array.unsafe_get psum !m then begin
+             sum := Array.unsafe_get psum (n - 1);
+             m := n
+           end
+           else begin
+             sum := s;
+             incr m
+           end
+         done;
+         k := n
+       end
+       else if
+         Plan_cost.Stepper.step t.stepper ~price_cross:false ~pos ~cards:sc
+           ~costs:t.scratch_steps ~k:i ~r:(vperm perm move i)
+       then begin
+         sum := !sum +. Array.unsafe_get t.scratch_steps i;
+         incr k
+       end
+       else ok := false
+     done
+   with
+  | () -> restore_pos perm pos move
+  | exception e ->
+    restore_pos perm pos move;
+    raise e);
+  if !ok then begin
+    t.pending <- true;
+    t.pending_move <- move;
+    t.pending_lo <- lo;
+    t.pending_upto <- !upto;
+    Some !sum
+  end
+  else None
 
 let accept t =
-  match t.pending with
-  | Fused { move; lo } ->
-    Search_state.apply_evaluated t.state move ~lo ~cards:t.scratch_cards
-      ~step_costs:t.scratch_steps ~total:t.scratch_total;
-    t.pending <- Nothing
-  | Nothing -> invalid_arg "Neighborhood.accept: no move under consideration"
+  if not t.pending then
+    invalid_arg "Neighborhood.accept: no move under consideration";
+  Search_state.apply_evaluated t.state t.pending_move ~lo:t.pending_lo
+    ~upto:t.pending_upto ~cards:t.scratch_cards ~step_costs:t.scratch_steps;
+  t.pending <- false
 
 let reject t =
-  match t.pending with
-  | Fused _ -> t.pending <- Nothing
-  | Nothing -> invalid_arg "Neighborhood.reject: no move under consideration"
+  if not t.pending then
+    invalid_arg "Neighborhood.reject: no move under consideration";
+  t.pending <- false
 
-(* Batched sweep over the full adjacent-swap neighborhood, prefix state
-   carried incrementally across candidates: candidate [i] needs the placed
-   words and the cost partial sum over [0, max i 1) — exactly candidate
-   [i-1]'s plus one relation and one step cost.  Candidate 0 rebuilds its
-   (one-element, virtual) prefix via the generic path.  Wide graphs take the
-   generic per-candidate walk ([eval_fused_wide] via [consider]), which
-   charges the same ticks per candidate as the batched form. *)
 let adjacent_swaps t f =
-  let n = Search_state.n t.state in
-  if n >= 2 then
-    if t.wide then
-      for i = 0 to n - 2 do
-        let v = consider t (Move.Swap (i, i + 1)) in
-        (match v with Some _ -> reject t | None -> ());
-        f i v
-      done
-    else begin
-      let ev = Search_state.evaluator t.state in
-      let perm = Search_state.perm_view t.state in
-      let cards = Search_state.cards_view t.state in
-      let steps = Search_state.step_costs_view t.state in
-      (* Candidate 0 swaps inside its own prefix; the generic path handles
-         the virtual read. *)
-      (let v = eval_fused t (Move.Swap (0, 1)) ~lo:0 in
-       (match v with Some _ -> t.pending <- Nothing | None -> ());
-       f 0 v);
-      let p0 = ref 0 and p1 = ref 0 in
-      let add r =
-        if r < 63 then p0 := !p0 lor (1 lsl r)
-        else p1 := !p1 lor (1 lsl (r - 63))
-      in
-      add (Array.unsafe_get perm 0);
-      let psum = ref 0.0 in
-      for i = 1 to n - 2 do
-        if i >= 2 then begin
-          add (Array.unsafe_get perm (i - 1));
-          psum := !psum +. Array.unsafe_get steps (i - 1)
-        end;
-        (* first = lo = i here, so the prefix is untouched by the swap. *)
-        Obs.add Obs.Recost_steps (n - i);
-        Evaluator.charge ev (n - i);
-        Obs.bump Obs.Neighbors_evaluated;
-        let q0 = ref !p0 and q1 = ref !p1 in
-        let sum = ref !psum in
-        let outer = ref (Array.unsafe_get cards (i - 1)) in
-        let ok = ref true in
-        let idx = ref i in
-        while !ok && !idx < n do
-          let k = !idx in
-          (* Same reconvergence early-exit as [eval_fused]: past the swap
-             window, matching outer card means the stored tail repeats. *)
-          if k >= i + 2 && Array.unsafe_get cards (k - 1) = !outer then begin
-            for m = k to n - 1 do
-              sum := !sum +. Array.unsafe_get steps m
-            done;
-            idx := n
-          end
-          else begin
-            let r =
-              if k = i then Array.unsafe_get perm (i + 1)
-              else if k = i + 1 then Array.unsafe_get perm i
-              else Array.unsafe_get perm k
-            in
-            let m = Ljqo_catalog.Join_graph.neighbor_mask t.graph r in
-            if
-              (m.Ljqo_catalog.Bitset.w0 land !q0)
-              lor (m.Ljqo_catalog.Bitset.w1 land !q1)
-              = 0
-            then ok := false
-            else begin
-              Plan_cost.Stepper.step t.stepper ~w0:!q0 ~w1:!q1 ~r
-                ~is_first:(k = 1) ~outer_card:!outer ~into:t.step_out;
-              let cost = Array.unsafe_get t.step_out 0 in
-              let out = Array.unsafe_get t.step_out 1 in
-              sum := !sum +. cost;
-              outer := out;
-              if r < 63 then q0 := !q0 lor (1 lsl r)
-              else q1 := !q1 lor (1 lsl (r - 63));
-              incr idx
-            end
-          end
-        done;
-        f i (if !ok then Some !sum else None)
-      done
-    end
+  for i = 0 to Search_state.n t.state - 2 do
+    let v = consider t (Move.Swap (i, i + 1)) in
+    (match v with Some _ -> reject t | None -> ());
+    f i v
+  done

@@ -1,21 +1,26 @@
-(** Fused move-generation + recost kernel: evaluate neighbors of a search
-    state without mutating it.
+(** Move evaluation without mutation: the neighbor kernel behind II, SA and
+    two-phase optimization.
 
     The reference protocol ({!Search_state.try_move}: snapshot, mutate,
-    recost, rollback) allocates three window slices per attempt, boxes the
-    prefix and a result tuple at every step, and pays rollback writes on
-    every rejection.  This kernel reads the mutated permutation virtually,
-    keeps the placed prefix in two machine words (one preallocated scratch
-    word array on graphs wider than {!Ljqo_catalog.Bitset.inline_size} —
-    same kernel, wider words), and streams step costs through
-    {!Ljqo_cost.Plan_cost.Stepper} into preallocated scratch — zero
-    allocation in the hot loop.  Only an accepted move touches the state.
+    recost to the end of the plan, rollback) allocates three window slices
+    per attempt and pays rollback writes on every rejection.  This kernel
+    needs no setup per candidate: the sum over the steps a move leaves alone
+    is one read of the state's partial sums ({!Search_state.psum_view}), and
+    placement comes from the state's own positions ({!Search_state.pos_view})
+    with the move's window applied for the walk and undone before
+    [consider] returns — or raises.  The moved permutation is read
+    virtually, step costs stream through {!Ljqo_cost.Plan_cost.Stepper}
+    into preallocated scratch, and the walk stops where the running
+    intermediate size meets the stored one again.  There is one path at
+    every graph width.  A candidate allocates only what the cost model's
+    [join_input] costs per computed step, plus its [Some total].  Only an
+    accepted move touches the state.
 
     Bit-identity contract (qcheck-enforced in [test_neighborhood.ml]):
     [consider] returns exactly what [try_move] would, charges the same ticks
     at the same point (so [Budget.Exhausted] and convergence fire at the
     same proposal), and [accept] leaves the state bit-identical to the
-    reference's committed state — at every graph width.
+    reference's committed state.
 
     A workspace is bound to one {!Search_state.t} and is single-threaded,
     like the state itself. *)
@@ -33,7 +38,9 @@ val consider : t -> Move.t -> float option
     {!reject} before the next [consider].  [None]: the move introduces a
     cross product; the state is untouched and nothing is pending.  Charges
     the evaluator exactly as [try_move] would (may raise
-    [Budget.Exhausted] / [Budget.Deadline_exceeded]). *)
+    [Budget.Exhausted] / [Budget.Deadline_exceeded]).  Whatever escapes —
+    a budget stop or an exception from the cost model — leaves the state
+    exactly as before, with nothing pending. *)
 
 val accept : t -> unit
 (** Install the pending considered move into the state (the state's cost
@@ -46,10 +53,8 @@ val reject : t -> unit
 
 val adjacent_swaps : t -> (int -> float option -> unit) -> unit
 (** [adjacent_swaps t f] evaluates the full adjacent-swap neighborhood
-    [Swap (i, i+1)] for [i = 0 .. n-2], calling [f i verdict] for each —
-    the batched form behind the [search:neighbors-fused] micro kernel.
-    Prefix words and the prefix cost sum are carried incrementally across
-    candidates, so the sweep costs one recost walk per neighbor and no
-    allocation.  Read-only: the state is unchanged and nothing is left
-    pending.  Each candidate charges the evaluator exactly as a lone
-    [try_move] would, in ascending [i] order. *)
+    [Swap (i, i+1)] for [i = 0 .. n-2], calling [f i verdict] for each — a
+    plain {!consider}/{!reject} loop, the [search:neighbors-fused] micro
+    kernel.  Read-only: the state is unchanged and nothing is left pending.
+    Each candidate charges the evaluator exactly as a lone [try_move] would,
+    in ascending [i] order. *)

@@ -64,14 +64,27 @@ let optimize_connected ?config ?(checkpoints = []) ?epsilon ?deadline ?clock
     | None -> false
   in
   match Evaluator.best ev with
+  | None when Evaluator.deadline_hit ev ->
+    (* The deadline fired before the method produced any plan at all; there
+       is nothing to salvage, so let the caller's guard record a timeout. *)
+    raise Budget.Deadline_exceeded
   | None ->
-    if Evaluator.deadline_hit ev then
-      (* The deadline fired before the method produced any plan at all; there
-         is nothing to salvage, so let the caller's guard record a timeout. *)
-      raise Budget.Deadline_exceeded
-    else
-      (* A positive budget always admits at least the first evaluation. *)
-      assert false
+    (* The ticks ran out before the method recorded a plan: heuristic
+       bookkeeping and start-state generation charge ticks too, so a tiny
+       budget can end a run first.  A positive budget still returns a valid
+       plan — one random valid plan drawn from the run's seed, costed once
+       (the dead budget cannot take the charge, so it is added here). *)
+    let plan = Random_plan.generate (Rng.create seed) query in
+    let e = Plan_cost.eval model query plan in
+    {
+      plan;
+      cost = e.total;
+      lower_bound = Evaluator.lower_bound ev;
+      ticks_used = Evaluator.used ev + e.est_steps;
+      checkpoints = Evaluator.checkpoint_costs ev;
+      converged = false;
+      timed_out = false;
+    }
   | Some (cost, plan) ->
     {
       plan;

@@ -39,6 +39,23 @@ val optimize :
 (** [ticks] must be positive: the iterative methods are defined relative to a
     time limit.  Raises [Invalid_argument] otherwise or on an empty query.
 
+    A positive budget always returns a valid plan.  Heuristic bookkeeping
+    and start-state generation charge ticks too, so a tiny budget can run
+    out before the method records any plan; the result is then one random
+    valid plan drawn from [seed], costed once, with [converged = false].
+
+    Bound on [ticks_used]: a budget dies at the first charge that reaches
+    it, so [ticks_used <= ticks - 1 + c + f] on a connected query.  [c] is
+    the largest single charge the method made: at most [n] for a full plan
+    evaluation or a random start, [n - 1] for a recost, the candidates
+    scored for one augmentation step or KBZ tree edge (at most
+    [max n e] for [n] relations and [e] join edges); and, for the portfolio,
+    one round barrier's summed replicate work, at most
+    [width * (r - 1 + max n e)] with [r = max 1 (ticks / (width * rounds))]
+    ticks per replicate round.  [f] is [n] when the fallback plan was
+    costed, 0 otherwise.  A disconnected query sums the bounds of its
+    components' budget shares.
+
     [deadline] (seconds of wall-clock time, checked from the budget's charge
     path) bounds the run in real time on top of the deterministic tick
     budget.  A run whose deadline fires after it has found at least one plan

@@ -2,14 +2,14 @@ open Ljqo_cost
 
 type t = {
   ev : Evaluator.t;
+  stepper : Plan_cost.Stepper.t;
   perm : int array;
   pos : int array;
   cards : float array;
   step_costs : float array;
-  scratch_words : int array;
-      (* prefix scratch for the wide recost walk: [Bitset.words_needed n]
-         63-bit words, zeroed and refilled on each use *)
-  mutable total : float;
+  psum : float array;
+      (* [psum.(i)]: left-to-right sum of [step_costs.(1 .. i)]; [psum.(0)]
+         is 0, and the plan's cost is [psum.(n - 1)] *)
 }
 
 type snapshot = {
@@ -18,35 +18,63 @@ type snapshot = {
   saved_perm : int array;  (* slice [lo, hi) before the mutation *)
   saved_cards : float array;
   saved_step_costs : float array;
-  saved_total : float;
 }
+
+(* Bring [psum] up to date from position [from >= 1] on.  Each entry is
+   rebuilt addition by addition, in the order a full left-to-right resum
+   uses, so the total is bit-identical to summing the whole array — never
+   by [-. old +. new] deltas, which drift catastrophically when step costs
+   span many orders of magnitude.  Past
+   [settled], step costs equal the ones [psum] was last summed over, so once
+   a rebuilt entry bit-equals the stored one the rest already holds.  (Costs
+   are clamped to [0, 1e150], so the sums are never NaN or a negative zero
+   and [=] is bit equality.) *)
+let refresh_psum t ~from ~settled =
+  let psum = t.psum and steps = t.step_costs in
+  let n = Array.length psum in
+  let k = ref from in
+  while !k < n do
+    let i = !k in
+    let s = Array.unsafe_get psum (i - 1) +. Array.unsafe_get steps i in
+    if i >= settled && s = Array.unsafe_get psum i then k := n
+    else begin
+      Array.unsafe_set psum i s;
+      incr k
+    end
+  done
 
 let init ev start =
   let query = Evaluator.query ev and model = Evaluator.model ev in
   assert (Plan.is_valid query start);
   let perm = Array.copy start in
+  let n = Array.length perm in
   Ljqo_obs.Obs.bump Ljqo_obs.Obs.Cost_evals;
   let e = Plan_cost.eval model query perm in
   Evaluator.record ev perm e.total;
   Evaluator.charge ev e.est_steps;
-  {
-    ev;
-    perm;
-    pos = Plan.inverse perm;
-    cards = e.cards;
-    step_costs = e.step_costs;
-    scratch_words =
-      Array.make (Ljqo_catalog.Bitset.words_needed (Array.length perm)) 0;
-    total = e.total;
-  }
+  let t =
+    {
+      ev;
+      stepper = Plan_cost.Stepper.make model query;
+      perm;
+      pos = Plan.inverse perm;
+      cards = e.cards;
+      step_costs = e.step_costs;
+      psum = Array.make n 0.0;
+    }
+  in
+  refresh_psum t ~from:1 ~settled:n;
+  t
 
 let evaluator t = t.ev
 let n t = Array.length t.perm
-let cost t = t.total
+let cost t = t.psum.(Array.length t.psum - 1)
 let perm t = Array.copy t.perm
 let perm_view t = t.perm
+let pos_view t = t.pos
 let cards_view t = t.cards
 let step_costs_view t = t.step_costs
+let psum_view t = t.psum
 
 let take_snapshot t ~lo ~hi =
   {
@@ -55,9 +83,10 @@ let take_snapshot t ~lo ~hi =
     saved_perm = Array.sub t.perm lo (hi - lo);
     saved_cards = Array.sub t.cards lo (hi - lo);
     saved_step_costs = Array.sub t.step_costs lo (hi - lo);
-    saved_total = t.total;
   }
 
+(* Every restored step may differ from what [psum] now holds, so the
+   refresh runs to the end. *)
 let rollback t snap =
   for k = 0 to snap.hi - snap.lo - 1 do
     let i = snap.lo + k in
@@ -66,99 +95,33 @@ let rollback t snap =
     t.cards.(i) <- snap.saved_cards.(k);
     t.step_costs.(i) <- snap.saved_step_costs.(k)
   done;
-  t.total <- snap.saved_total
+  refresh_psum t ~from:(max snap.lo 1) ~settled:(Array.length t.perm)
 
-(* Recost join steps in [max lo 1, hi); returns false (leaving arrays partly
-   updated — caller rolls back) if a step became a cross product.  Because
-   selectivities are clamped by the running intermediate size, [hi] is
-   always the plan length: every step after a change can change cost.
-
-   The walk carries the placed prefix as two raw bitset words: validity is
-   two word-ANDs per step and no [pos] lookups, and a rejected move costs no
-   allocation at all — the move-validity kernel the micro bench tracks.  The
-   prefix is boxed into a [Bitset.t] only at each surviving step's costing
-   call.  Graphs beyond the two inline words carry the prefix in the
-   preallocated [scratch_words] array instead and cost steps through
-   [Plan_cost.step_cost_words]; both produce bit-identical costs. *)
+(* Recost join steps in [max lo 1, hi) through the one step kernel, reading
+   placement from the already-mutated [pos]; returns false (leaving arrays
+   partly updated — the caller rolls back) if a step became a cross
+   product.  Because selectivities are clamped by the running intermediate
+   size, [hi] is always the plan length: every step after a change can
+   change cost.  The partial sums are refreshed only on success, from the
+   first recosted step on. *)
 let recost t ~lo ~hi =
-  let query = Evaluator.query t.ev and model = Evaluator.model t.ev in
   let first = max lo 1 in
   Ljqo_obs.Obs.add Ljqo_obs.Obs.Recost_steps (hi - first);
   Evaluator.charge t.ev (hi - first);
   if lo = 0 then
-    t.cards.(0) <- Ljqo_catalog.Query.cardinality query t.perm.(0);
-  let ok = ref true in
-  let i = ref first in
-  let graph = Ljqo_catalog.Query.graph query in
-  if Array.length t.perm <= Ljqo_catalog.Bitset.inline_size then begin
-    let p0 = ref 0 and p1 = ref 0 in
-    for k = 0 to first - 1 do
-      let r = t.perm.(k) in
-      if r < 63 then p0 := !p0 lor (1 lsl r) else p1 := !p1 lor (1 lsl (r - 63))
-    done;
-    while !ok && !i < hi do
-      let idx = !i in
-      let r = t.perm.(idx) in
-      let m = Ljqo_catalog.Join_graph.neighbor_mask graph r in
-      if
-        (m.Ljqo_catalog.Bitset.w0 land !p0) lor (m.Ljqo_catalog.Bitset.w1 land !p1)
-        = 0
-      then ok := false
-      else begin
-        let prefix = Ljqo_catalog.Bitset.of_words ~w0:!p0 ~w1:!p1 in
-        let cost, out =
-          Plan_cost.step_cost_prefix model query ~prefix ~r ~is_first:(idx = 1)
-            ~outer_card:t.cards.(idx - 1)
-        in
-        t.cards.(idx) <- out;
-        t.step_costs.(idx) <- cost;
-        if r < 63 then p0 := !p0 lor (1 lsl r)
-        else p1 := !p1 lor (1 lsl (r - 63))
-      end;
-      incr i
-    done
-  end
-  else begin
-    let words = t.scratch_words in
-    Array.fill words 0 (Array.length words) 0;
-    let wb = Ljqo_catalog.Bitset.word_bits in
-    for k = 0 to first - 1 do
-      let r = t.perm.(k) in
-      let kw = r / wb in
-      Array.unsafe_set words kw
-        (Array.unsafe_get words kw lor (1 lsl (r mod wb)))
-    done;
-    while !ok && !i < hi do
-      let idx = !i in
-      let r = t.perm.(idx) in
-      let m = Ljqo_catalog.Join_graph.neighbor_mask graph r in
-      if not (Ljqo_catalog.Bitset.intersects_words m words) then ok := false
-      else begin
-        let cost, out =
-          Plan_cost.step_cost_words model query ~words ~r ~is_first:(idx = 1)
-            ~outer_card:t.cards.(idx - 1)
-        in
-        t.cards.(idx) <- out;
-        t.step_costs.(idx) <- cost;
-        let kw = r / wb in
-        Array.unsafe_set words kw
-          (Array.unsafe_get words kw lor (1 lsl (r mod wb)))
-      end;
-      incr i
-    done
-  end;
-  (* Recompute the total from scratch: incremental [-. old +. new] updates
-     drift catastrophically when step costs span many orders of magnitude
-     (1e20-scale uphill excursions would leave garbage residue in a 1e3
-     total). *)
-  if !ok then begin
-    let sum = ref 0.0 in
-    for k = 1 to Array.length t.step_costs - 1 do
-      sum := !sum +. t.step_costs.(k)
-    done;
-    t.total <- !sum
-  end;
-  !ok
+    t.cards.(0) <-
+      (Ljqo_catalog.Query.cardinalities (Evaluator.query t.ev)).(t.perm.(0));
+  let k = ref first in
+  while
+    !k < hi
+    && Plan_cost.Stepper.step t.stepper ~price_cross:false ~pos:t.pos
+         ~cards:t.cards ~costs:t.step_costs ~k:!k ~r:t.perm.(!k)
+  do
+    incr k
+  done;
+  let ok = !k = hi in
+  if ok then refresh_psum t ~from:first ~settled:hi;
+  ok
 
 let apply_perm_mutation t = function
   | Move.Swap (i, j) ->
@@ -183,7 +146,7 @@ let apply_perm_mutation t = function
     t.pos.(moved) <- dst
 
 let finish_attempt t snap ok =
-  if ok then Some (t.total, snap)
+  if ok then Some (cost t, snap)
   else begin
     rollback t snap;
     None
@@ -210,21 +173,19 @@ let try_rewrite t ~lo ~rels =
   let ok = recost t ~lo ~hi in
   finish_attempt t snap ok
 
-(* Install a move whose effect was already computed off-state (the fused
-   neighbor kernel): apply the permutation mutation, then overwrite exactly
-   the slots [recost] would have written — [cards]/[step_costs] on
-   [max lo 1 .. n-1] plus [cards.(0)] when [lo = 0] — and the total.  No
-   recosting, no tick charges: those happened when the kernel evaluated the
-   move. *)
-let apply_evaluated t move ~lo ~cards ~step_costs ~total =
+(* Install a move whose effect was already computed off-state (the neighbor
+   kernel): apply the permutation mutation, then write the slots [recost]
+   would have changed — [cards]/[step_costs] on [max lo 1 .. upto - 1] plus
+   [cards.(0)] when [lo = 0].  From [upto] on, the recomputed steps equal
+   the stored ones, so the stored tail stays in place; only the partial sums
+   are refreshed past it, until they meet the stored ones.  No recosting, no
+   tick charges: those happened when the kernel evaluated the move. *)
+let apply_evaluated t move ~lo ~upto ~cards ~step_costs =
   apply_perm_mutation t move;
-  let n = Array.length t.perm in
   let first = max lo 1 in
   if lo = 0 then t.cards.(0) <- cards.(0);
-  for k = first to n - 1 do
-    t.cards.(k) <- cards.(k);
-    t.step_costs.(k) <- step_costs.(k)
-  done;
-  t.total <- total
+  Array.blit cards first t.cards first (upto - first);
+  Array.blit step_costs first t.step_costs first (upto - first);
+  refresh_psum t ~from:first ~settled:upto
 
-let commit t = Evaluator.record t.ev t.perm t.total
+let commit t = Evaluator.record t.ev t.perm (cost t)

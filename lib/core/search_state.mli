@@ -1,6 +1,14 @@
 (** Mutable search state: a valid permutation plus the incremental costing
     arrays that make move evaluation cheap.
 
+    Alongside the permutation, its inverse [pos], the intermediate
+    cardinalities and the per-step costs, the state caches the left-to-right
+    partial sums of the step costs ({!psum_view}); the plan's cost is the
+    last of them.  Every mutation ([init], a successful recost, [rollback],
+    {!apply_evaluated}) refreshes them, so a candidate move starts from one
+    read of the sum over the steps it leaves alone.  All costing goes
+    through {!Ljqo_cost.Plan_cost.Stepper}, with placement read from [pos].
+
     A proposed move is applied *in place* and recosted over only the affected
     window of join steps; the caller then decides to [commit] (keep the new
     state and offer it to the evaluator as an incumbent) or [rollback]
@@ -44,6 +52,16 @@ val step_costs_view : t -> float array
 (** The state's per-step cost array ([step_costs.(0) = 0.]), NOT a copy —
     same aliasing contract as {!perm_view}. *)
 
+val pos_view : t -> int array
+(** The state's inverse permutation ([pos.(perm.(i)) = i]), NOT a copy —
+    same aliasing contract as {!perm_view}. *)
+
+val psum_view : t -> float array
+(** The state's partial sums, NOT a copy — same aliasing contract as
+    {!perm_view}.  [psum.(i)] is [((0 +. c1) +. c2) ... +. ci] over the step
+    costs [c], added left to right, so [psum.(n - 1)] is {!cost} bit for
+    bit. *)
+
 val try_move : t -> Move.t -> (float * snapshot) option
 (** Apply the move and recost.  [Some (new_total, snap)]: the state now holds
     the moved permutation; pass [snap] to [rollback] to restore, or call
@@ -60,16 +78,19 @@ val apply_evaluated :
   t ->
   Move.t ->
   lo:int ->
+  upto:int ->
   cards:float array ->
   step_costs:float array ->
-  total:float ->
   unit
 (** Install a move already evaluated off-state by {!Neighborhood}: applies
-    the permutation mutation and copies the supplied suffix slices
-    ([max lo 1 .. n-1], plus [cards.(0)] when [lo = 0]) and total into the
-    state.  Charges nothing — the kernel charged the evaluation.  The
-    supplied arrays must hold exactly what {!try_move} would have computed
-    for this move; {!Neighborhood.accept} is the only intended caller. *)
+    the permutation mutation and copies the supplied slices
+    ([max lo 1 .. upto - 1], plus [cards.(0)] when [lo = 0]) into the
+    state.  From [upto] on, {!try_move} would have recomputed exactly the
+    stored values, so that tail stays in place and only the partial sums
+    are refreshed, until they meet the stored ones.  Charges nothing — the
+    kernel charged the evaluation.  The supplied slices must hold exactly
+    what {!try_move} would have computed for this move;
+    {!Neighborhood.accept} is the only intended caller. *)
 
 val commit : t -> unit
 (** Record the current state with the evaluator (incumbent tracking /

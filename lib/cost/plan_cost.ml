@@ -35,40 +35,11 @@ let edge_selectivity query ~outer_card ~k ~r s_base =
   let s = match !calibration_ref with None -> s | Some c -> s *. c.sel_factor in
   Float.min 1.0 s
 
-let selectivity_before query ~perm ~pos ~outer_card i =
-  let r = perm.(i) in
-  List.fold_left
-    (fun acc (k, s) ->
-      if pos.(k) < i then acc *. edge_selectivity query ~outer_card ~k ~r s
-      else acc)
-    1.0
-    (Join_graph.neighbors (Query.graph query) r)
-
 let joins_before query ~perm ~pos i =
   let r = perm.(i) in
   List.exists
     (fun (other, _) -> pos.(other) < i)
     (Join_graph.neighbors (Query.graph query) r)
-
-(* Bitset kernels: the placed prefix as a mask instead of a
-   [pos] array.  [selectivity_prefix] visits neighbors in the same ascending
-   order as [selectivity_before], so the float products are bit-identical;
-   [joins_prefix] is two word-ANDs where the list version scans. *)
-
-let joins_prefix query ~prefix r =
-  Bitset.intersects (Join_graph.neighbor_mask (Query.graph query) r) prefix
-
-let selectivity_prefix query ~prefix ~outer_card r =
-  let graph = Query.graph query in
-  let ids = Join_graph.neighbor_ids graph r in
-  let sels = Join_graph.neighbor_sels graph r in
-  let acc = ref 1.0 in
-  for j = 0 to Array.length ids - 1 do
-    let k = Array.unsafe_get ids j in
-    if Bitset.mem k prefix then
-      acc := !acc *. edge_selectivity query ~outer_card ~k ~r (Array.unsafe_get sels j)
-  done;
-  !acc
 
 (* Ceiling on estimated cardinalities.  Terrible plans produce sizes beyond
    any float's useful range; capping keeps every cost finite so that
@@ -85,195 +56,130 @@ let card_ceiling = 1e120
    injection (see Chaos). *)
 let cost_ceiling = 1e150
 
-let clamp_card c =
-  if Float.is_nan c then 1.0 else Float.min card_ceiling (Float.max 1.0 c)
+(* Both clamps are written as plain compares: for a constant, non-NaN bound
+   [b] and any non-NaN [c], [if c > b then c else b] is [Float.max b c] and
+   [if c > b then b else c] is [Float.min b c], bit for bit (signed zeros
+   included); NaN is handled first.  Inlined, they box nothing. *)
+let[@inline] clamp_card c =
+  if Float.is_nan c then 1.0
+  else
+    let c = if c > 1.0 then c else 1.0 in
+    if c > card_ceiling then card_ceiling else c
 
-let clamp_cost c =
-  if Float.is_nan c then cost_ceiling else Float.min cost_ceiling (Float.max 0.0 c)
+let[@inline] clamp_cost c =
+  if Float.is_nan c then cost_ceiling
+  else
+    let c = if c > 0.0 then c else 0.0 in
+    if c > cost_ceiling then cost_ceiling else c
 
-let step_cost (model : Cost_model.t) query ~perm ~pos ~i ~outer_card =
-  let module M = (val model : Cost_model.S) in
-  let r = perm.(i) in
-  let inner_card = Query.cardinality query r in
-  let sel = selectivity_before query ~perm ~pos ~outer_card i in
-  let is_cross = not (joins_before query ~perm ~pos i) in
-  let output_card = clamp_card (outer_card *. inner_card *. sel) in
-  let input : Cost_model.join_input =
-    {
-      outer_card;
-      inner_card;
-      inner_distinct = Query.distinct_values query r;
-      output_card;
-      is_first = i = 1;
-      is_cross;
-    }
-  in
-  (clamp_cost (M.join_cost input), output_card)
+(* The one join-step kernel.  Relation [j] counts as placed before position
+   [k] when [pos.(j) < k], so a prefix costs nothing to build or carry at
+   any graph width: the incremental recost and the neighbor kernel pass the
+   state's inverse permutation, [eval] builds one, and [Exhaustive] marks
+   unplaced relations with [max_int].
 
-(* Word-array twins of [joins_prefix]/[selectivity_prefix]/[step_cost_prefix]
-   for graphs wider than the two inline bitset words: the placed prefix is a
-   caller-owned scratch array of 63-bit words (id [i] at bit [i mod 63] of
-   word [i / 63], the [Bitset.words_needed] layout), so the wide hot loops
-   never box a prefix [Bitset.t] per step.  Same ascending neighbor-visit
-   order, hence bit-identical float products. *)
+   One pass over [r]'s neighbor arrays yields both the cross-product test
+   and the product of the effective selectivities of the placed edges, in
+   ascending neighbor order.  Each factor is [edge_selectivity] inlined on
+   unboxed floats: the same float operations in the same order.  The
+   [Float.min]/[Float.max] calls become plain compares, which agree with
+   them bit for bit here because distinct counts are at least 1 (neither
+   NaN nor a signed zero; see [Relation.distinct_values]) and a constant
+   non-NaN bound is compared the same way by both forms.
 
-let joins_words query ~words r =
-  Bitset.intersects_words (Join_graph.neighbor_mask (Query.graph query) r) words
-
-let selectivity_words query ~words ~outer_card r =
-  let graph = Query.graph query in
-  let ids = Join_graph.neighbor_ids graph r in
-  let sels = Join_graph.neighbor_sels graph r in
-  let acc = ref 1.0 in
-  for j = 0 to Array.length ids - 1 do
-    let k = Array.unsafe_get ids j in
-    if Array.unsafe_get words (k / 63) land (1 lsl (k mod 63)) <> 0 then
-      acc := !acc *. edge_selectivity query ~outer_card ~k ~r (Array.unsafe_get sels j)
-  done;
-  !acc
-
-let step_cost_prefix (model : Cost_model.t) query ~prefix ~r ~is_first ~outer_card =
-  let module M = (val model : Cost_model.S) in
-  let inner_card = Query.cardinality query r in
-  let sel = selectivity_prefix query ~prefix ~outer_card r in
-  let is_cross = not (joins_prefix query ~prefix r) in
-  let output_card = clamp_card (outer_card *. inner_card *. sel) in
-  let input : Cost_model.join_input =
-    {
-      outer_card;
-      inner_card;
-      inner_distinct = Query.distinct_values query r;
-      output_card;
-      is_first;
-      is_cross;
-    }
-  in
-  (clamp_cost (M.join_cost input), output_card)
-
-let step_cost_words (model : Cost_model.t) query ~words ~r ~is_first ~outer_card =
-  let module M = (val model : Cost_model.S) in
-  let inner_card = Query.cardinality query r in
-  let sel = selectivity_words query ~words ~outer_card r in
-  let is_cross = not (joins_words query ~words r) in
-  let output_card = clamp_card (outer_card *. inner_card *. sel) in
-  let input : Cost_model.join_input =
-    {
-      outer_card;
-      inner_card;
-      inner_distinct = Query.distinct_values query r;
-      output_card;
-      is_first;
-      is_cross;
-    }
-  in
-  (clamp_cost (M.join_cost input), output_card)
-
-(* Allocation-free form of [step_cost_prefix] for the fused neighbor kernel:
-   the placed prefix arrives as two raw bitset words and the result leaves
-   through a caller-owned 2-slot float array (flat, unboxed), so the hot loop
-   pays no [Bitset.t] box, no result tuple and no float boxing per step.  The
-   cost-model module is unpacked once at [make] instead of once per step.
-   Every float operation happens in the same order as [step_cost_prefix], so
-   the two are bit-identical (enforced by qcheck in test_neighborhood.ml). *)
+   The outer cardinality is read from [cards.(k - 1)] and the results are
+   written to [cards.(k)] and [costs.(k)], so no float crosses the call
+   boxed.  The cost-model module is unpacked once, at [make]. *)
 module Stepper = struct
   type t = {
-    query : Query.t;
-    graph : Join_graph.t;
+    adjacency : int array array;
+    selectivities : float array array;
+    base_cards : float array;
+    distincts : float array;
     join_cost : Cost_model.join_input -> float;
   }
 
   let make (model : Cost_model.t) query =
     let module M = (val model : Cost_model.S) in
-    { query; graph = Query.graph query; join_cost = M.join_cost }
+    let graph = Query.graph query in
+    {
+      adjacency = Join_graph.adjacency graph;
+      selectivities = Join_graph.selectivity_table graph;
+      base_cards = Query.cardinalities query;
+      distincts = Query.distinct_counts query;
+      join_cost = M.join_cost;
+    }
 
-  let selectivity_inline t ~w0 ~w1 ~outer_card r =
-    let ids = Join_graph.neighbor_ids t.graph r in
-    let sels = Join_graph.neighbor_sels t.graph r in
-    let acc = ref 1.0 in
+  let step t ~price_cross ~pos ~cards ~costs ~k ~r =
+    (* Checked reads of [r] and [pos]'s length: every neighbor id is then a
+       valid index into [distincts] and [pos]. *)
+    let ids = t.adjacency.(r) in
+    if Array.length pos < Array.length t.distincts then
+      invalid_arg "Plan_cost.Stepper.step: pos is shorter than the relation count";
+    let sels = Array.unsafe_get t.selectivities r in
+    let dr = Array.unsafe_get t.distincts r in
+    let outer_card = cards.(k - 1) in
+    let calib = !calibration_ref in
+    let sel = ref 1.0 in
+    let joined = ref false in
     for j = 0 to Array.length ids - 1 do
-      let k = Array.unsafe_get ids j in
-      let present =
-        if k < 63 then w0 land (1 lsl k) <> 0 else w1 land (1 lsl (k - 63)) <> 0
-      in
-      if present then
-        acc :=
-          !acc *. edge_selectivity t.query ~outer_card ~k ~r (Array.unsafe_get sels j)
+      let other = Array.unsafe_get ids j in
+      if Array.unsafe_get pos other < k then begin
+        joined := true;
+        let dk = Array.unsafe_get t.distincts other in
+        let m = if outer_card > dk then dk else outer_card in
+        let clamped = if m < 1.0 then 1.0 else m in
+        let s =
+          Array.unsafe_get sels j
+          *. (if dr > dk then dr else dk)
+          /. if dr > clamped then dr else clamped
+        in
+        let s = match calib with None -> s | Some c -> s *. c.sel_factor in
+        sel := !sel *. if s > 1.0 then 1.0 else s
+      end
     done;
-    !acc
-
-  let step t ~w0 ~w1 ~r ~is_first ~outer_card ~into =
-    let inner_card = Query.cardinality t.query r in
-    let sel = selectivity_inline t ~w0 ~w1 ~outer_card r in
-    let m = Join_graph.neighbor_mask t.graph r in
-    let is_cross = (m.Bitset.w0 land w0) lor (m.Bitset.w1 land w1) = 0 in
-    let output_card = clamp_card (outer_card *. inner_card *. sel) in
-    let input : Cost_model.join_input =
-      {
-        outer_card;
-        inner_card;
-        inner_distinct = Query.distinct_values t.query r;
-        output_card;
-        is_first;
-        is_cross;
-      }
-    in
-    Array.unsafe_set into 0 (clamp_cost (t.join_cost input));
-    Array.unsafe_set into 1 output_card
-
-  (* Wide twin of [step]: the prefix as a scratch word array instead of two
-     inline words.  Same float operations in the same order as
-     [step_cost_words]. *)
-  let step_words t ~words ~r ~is_first ~outer_card ~into =
-    let inner_card = Query.cardinality t.query r in
-    let sel =
-      let ids = Join_graph.neighbor_ids t.graph r in
-      let sels = Join_graph.neighbor_sels t.graph r in
-      let acc = ref 1.0 in
-      for j = 0 to Array.length ids - 1 do
-        let k = Array.unsafe_get ids j in
-        if Array.unsafe_get words (k / 63) land (1 lsl (k mod 63)) <> 0 then
-          acc :=
-            !acc *. edge_selectivity t.query ~outer_card ~k ~r (Array.unsafe_get sels j)
-      done;
-      !acc
-    in
-    let m = Join_graph.neighbor_mask t.graph r in
-    let is_cross = not (Bitset.intersects_words m words) in
-    let output_card = clamp_card (outer_card *. inner_card *. sel) in
-    let input : Cost_model.join_input =
-      {
-        outer_card;
-        inner_card;
-        inner_distinct = Query.distinct_values t.query r;
-        output_card;
-        is_first;
-        is_cross;
-      }
-    in
-    Array.unsafe_set into 0 (clamp_cost (t.join_cost input));
-    Array.unsafe_set into 1 output_card
+    if !joined || price_cross then begin
+      let inner_card = Array.unsafe_get t.base_cards r in
+      let output_card = clamp_card (outer_card *. inner_card *. !sel) in
+      let input : Cost_model.join_input =
+        {
+          outer_card;
+          inner_card;
+          inner_distinct = dr;
+          output_card;
+          is_first = k = 1;
+          is_cross = not !joined;
+        }
+      in
+      costs.(k) <- clamp_cost (t.join_cost input);
+      cards.(k) <- output_card
+    end;
+    !joined
 end
 
 let eval model query perm =
   let n = Array.length perm in
   if n = 0 then invalid_arg "Plan_cost.eval: empty permutation";
+  let n_relations = Query.n_relations query in
+  (* Positions of first occurrences, so a repeated id counts as placed from
+     its first position on; every id is range-checked before any step. *)
+  let pos = Array.make n_relations max_int in
+  for i = n - 1 downto 0 do
+    let r = perm.(i) in
+    if r < 0 || r >= n_relations then
+      invalid_arg "Plan_cost.eval: relation id out of range";
+    pos.(r) <- i
+  done;
+  let stepper = Stepper.make model query in
   let cards = Array.make n 0.0 in
   let step_costs = Array.make n 0.0 in
-  cards.(0) <- Query.cardinality query perm.(0);
+  cards.(0) <- (Query.cardinalities query).(perm.(0));
   let total = ref 0.0 in
-  (* One code path at every width: neighbor masks always exist, and the
-     prefix bitset grows its tail only past 126 relations (where this cold
-     entry point's per-step allocation is immaterial). *)
-  let prefix = ref (Bitset.singleton perm.(0)) in
   for i = 1 to n - 1 do
-    let cost, out =
-      step_cost_prefix model query ~prefix:!prefix ~r:perm.(i) ~is_first:(i = 1)
-        ~outer_card:cards.(i - 1)
-    in
-    cards.(i) <- out;
-    step_costs.(i) <- cost;
-    total := !total +. cost;
-    prefix := Bitset.add perm.(i) !prefix
+    ignore
+      (Stepper.step stepper ~price_cross:true ~pos ~cards ~costs:step_costs ~k:i
+         ~r:perm.(i));
+    total := !total +. step_costs.(i)
   done;
   { cards; step_costs; total = !total; est_steps = n }
 

@@ -12,8 +12,9 @@
     character.
 
     Consequently an incremental recosting after a local change to positions
-    [>= lo] must recompute all steps from [lo] to the end (earlier steps are
-    untouched).
+    [>= lo] must recompute the steps from [lo] on (earlier steps are
+    untouched) until the running intermediate size meets the stored one
+    again.
 
     Functions taking a [pos] array expect the inverse permutation
     ([pos.(perm.(i)) = i]). *)
@@ -33,7 +34,7 @@ val edge_selectivity :
     [s] of edge [(k, r)] for an intermediate of [outer_card] tuples holding
     [k]; capped at 1.  When a {!calibration} is installed the result is
     additionally multiplied by its per-edge correction factor (before the
-    cap). *)
+    cap).  {!Stepper.step} applies the same formula inline. *)
 
 type calibration = { sel_factor : float }
 (** A multiplicative per-edge selectivity correction fitted from executed
@@ -43,53 +44,18 @@ type calibration = { sel_factor : float }
 
 val set_calibration : calibration option -> unit
 (** Install (or clear, with [None]) the global calibration applied by
-    {!edge_selectivity} — and hence by every costing path: [eval], the
-    incremental prefix/word recosts, and the fused {!Stepper}.  [None] (the
-    default) performs no extra float operation, so uncalibrated costs are
-    bit-identical to a build without the hook.  Flip only between runs, from
-    the main domain. *)
+    {!edge_selectivity} and {!Stepper.step} — and hence by every costing
+    path.  [None] (the default) performs no extra float operation, so
+    uncalibrated costs are bit-identical to a build without the hook.  Flip
+    only between runs, from the main domain. *)
 
 val calibration : unit -> calibration option
 (** The currently installed calibration, if any. *)
 
-val selectivity_before :
-  Ljqo_catalog.Query.t ->
-  perm:int array ->
-  pos:int array ->
-  outer_card:float ->
-  int ->
-  float
-(** Product of the effective selectivities of edges between [perm.(i)] and
-    relations at earlier positions; [1.0] if none (cross product). *)
-
 val joins_before : Ljqo_catalog.Query.t -> perm:int array -> pos:int array -> int -> bool
 (** Whether [perm.(i)] is joined to at least one earlier relation.  List-scan
-    reference form; the hot paths use {!joins_prefix}. *)
-
-val joins_prefix :
-  Ljqo_catalog.Query.t -> prefix:Ljqo_catalog.Bitset.t -> int -> bool
-(** [joins_prefix q ~prefix r]: whether [r] is joined to any relation in the
-    placed-prefix mask — a few word-ANDs against the precomputed neighbor
-    mask, at any graph width. *)
-
-val joins_words : Ljqo_catalog.Query.t -> words:int array -> int -> bool
-(** {!joins_prefix} with the prefix as a scratch word array in the
-    {!Ljqo_catalog.Bitset.words_needed} layout — the form the wide
-    ([n > Bitset.inline_size]) hot loops use so they never box a prefix. *)
-
-val selectivity_prefix :
-  Ljqo_catalog.Query.t ->
-  prefix:Ljqo_catalog.Bitset.t ->
-  outer_card:float ->
-  int ->
-  float
-(** {!selectivity_before} with the prefix as a mask; visits edges in the same
-    ascending order, so results are bit-identical to the [pos]-based form. *)
-
-val selectivity_words :
-  Ljqo_catalog.Query.t -> words:int array -> outer_card:float -> int -> float
-(** {!selectivity_prefix} with the prefix as a scratch word array; same
-    ascending visit order, bit-identical results. *)
+    form for cold callers; {!Stepper.step} makes the same test in its
+    neighbor scan. *)
 
 val clamp_card : float -> float
 (** Sanitize an estimated cardinality: NaN becomes 1, and the result is
@@ -101,81 +67,57 @@ val clamp_cost : float -> float
     wall that makes the search methods total even under a faulty
     (e.g. fault-injecting) cost model. *)
 
-val step_cost :
-  Cost_model.t ->
-  Ljqo_catalog.Query.t ->
-  perm:int array ->
-  pos:int array ->
-  i:int ->
-  outer_card:float ->
-  float * float
-(** [(cost, output_card)] of the join at position [i >= 1]. *)
+(** The one join-step kernel.  Every costing path runs through it: {!eval},
+    the incremental recost ([Ljqo_core.Search_state]), the neighbor kernel
+    ([Ljqo_core.Neighborhood]) and the exhaustive search
+    ([Ljqo_core.Exhaustive]).
 
-val step_cost_prefix :
-  Cost_model.t ->
-  Ljqo_catalog.Query.t ->
-  prefix:Ljqo_catalog.Bitset.t ->
-  r:int ->
-  is_first:bool ->
-  outer_card:float ->
-  float * float
-(** {!step_cost} with the placed prefix as a mask: [r] is the relation being
-    joined next, [is_first] whether this is the plan's first join step
-    (position 1).  Bit-identical to {!step_cost}; this is the form the
-    incremental search state and {!eval} use. *)
+    {b Position convention.}  Relation [j] counts as placed before position
+    [k] exactly when [pos.(j) < k]; [max_int] marks a relation that is not
+    placed at all.  For a permutation, [pos] is its inverse.  The prefix is
+    never materialized, so a step costs the same at every graph width.
 
-val step_cost_words :
-  Cost_model.t ->
-  Ljqo_catalog.Query.t ->
-  words:int array ->
-  r:int ->
-  is_first:bool ->
-  outer_card:float ->
-  float * float
-(** {!step_cost_prefix} with the prefix as a scratch word array — the form
-    the wide incremental recost uses.  Bit-identical float operations. *)
-
-(** Allocation-free stepping for the fused neighbor kernel
-    ({!Ljqo_core.Neighborhood}): the placed prefix as two raw bitset words,
-    the result through a caller-owned scratch array, the cost-model module
-    unpacked once.  [step] is bit-identical to {!step_cost_prefix} on the
-    same inputs (same float operations in the same order). *)
+    {b One unboxed scan.}  A single pass over the joined relation's neighbor
+    arrays yields the cross-product test and the product of the effective
+    edge selectivities ({!edge_selectivity}, inlined on unboxed floats).
+    Floats cross the call only through caller-owned arrays, so the kernel
+    allocates nothing but the cost model's [join_input] record and its
+    result.  Every float operation happens in {!edge_selectivity}'s order,
+    so a step's results equal, bit for bit, those computed from the product
+    of {!edge_selectivity} over the placed edges. *)
 module Stepper : sig
   type t
 
   val make : Cost_model.t -> Ljqo_catalog.Query.t -> t
-  (** The neighbor masks (always present) back the cross-product test. *)
+  (** O(1): holds the query's neighbor and statistics arrays and the cost
+      model's [join_cost]. *)
 
   val step :
     t ->
-    w0:int ->
-    w1:int ->
+    price_cross:bool ->
+    pos:int array ->
+    cards:float array ->
+    costs:float array ->
+    k:int ->
     r:int ->
-    is_first:bool ->
-    outer_card:float ->
-    into:float array ->
-    unit
-  (** Cost the join of relation [r] against the prefix [{w0, w1}]:
-      [into.(0) <- cost] and [into.(1) <- output_card] ([into] must have at
-      least 2 slots).  A cross product is {e not} rejected here — the caller
-      tests validity against the neighbor mask first; when it asks anyway,
-      the model's [is_cross] pricing applies, exactly as in
-      {!step_cost_prefix}. *)
-
-  val step_words :
-    t ->
-    words:int array ->
-    r:int ->
-    is_first:bool ->
-    outer_card:float ->
-    into:float array ->
-    unit
-  (** {!step} for graphs wider than the two inline bitset words: the prefix
-      arrives as a scratch word array ({!Ljqo_catalog.Bitset.words_needed}
-      layout).  Bit-identical to {!step_cost_words} on the same inputs. *)
+    bool
+  (** Cost joining relation [r] at position [k >= 1] onto an intermediate
+      of [cards.(k - 1)] tuples whose relations are those with
+      [pos.(j) < k].  Returns whether [r] joins a placed relation.  When it
+      does, or when [price_cross] is set, the step is priced:
+      [costs.(k) <- cost] and [cards.(k) <- output_card], a cross product
+      at the model's [is_cross] price.  A cross product with [price_cross]
+      unset calls no cost model and writes nothing — the search paths
+      reject such steps.  [pos] must cover every relation id
+      ([Invalid_argument] otherwise, and for an out-of-range [r]). *)
 end
 
 val eval : Cost_model.t -> Ljqo_catalog.Query.t -> int array -> eval
+(** Cost a whole permutation through {!Stepper.step}, pricing cross
+    products.  Any non-empty array of relation ids is accepted: a repeated
+    id counts as placed from its first occurrence.  Raises
+    [Invalid_argument] on an empty array or an id outside
+    [[0, n_relations)] before costing anything. *)
 
 val total : Cost_model.t -> Ljqo_catalog.Query.t -> int array -> float
 

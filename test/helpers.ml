@@ -111,6 +111,28 @@ let small_exec_query ?(n_joins = 4) seed =
   end;
   Query.make ~relations ~graph:(Join_graph.make ~n !edges)
 
+(* Bit equality of floats, for the bit-identity contracts. *)
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+(* The memory model, counting [join_cost] calls (= computed join steps). *)
+let counting_model calls : Ljqo_cost.Cost_model.t =
+  (module struct
+    let name = "counting"
+
+    let join_cost input =
+      incr calls;
+      Ljqo_cost.Memory_model.join_cost input
+
+    let scan_cost = Ljqo_cost.Memory_model.scan_cost
+
+    let output_cost = Ljqo_cost.Memory_model.output_cost
+  end)
+
+let graph_dense =
+  List.find
+    (fun (s : Ljqo_querygen.Benchmark.spec) -> s.name = "graph-dense")
+    Ljqo_querygen.Benchmark.variations
+
 let qcheck_case ?(count = 100) ~name prop arb =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb prop)
 

@@ -1,0 +1,125 @@
+(* Golden optimizer outputs.  Fixed-seed plans, costs and tick counts are
+   the spec a performance change must keep bit for bit; perfbench only
+   compares runs within one checkout, so these constants pin them across
+   commits.  Each row is (method, plan, cost as %h, ticks_used).  The plans
+   of the 151-relation query are pinned by the MD5 of their text (the ids
+   joined by single spaces), which keeps the rows short.  The constants were
+   printed by an earlier commit, and this file must still build and pass
+   there, so it uses no newer test helpers. *)
+
+open Ljqo_core
+module Qgen = Ljqo_querygen.Benchmark
+
+let model = Helpers.memory_model
+
+let query spec ~n_joins seed =
+  Qgen.generate_query spec ~n_joins ~rng:(Ljqo_stats.Rng.create seed)
+
+let dense =
+  List.find (fun (s : Qgen.spec) -> s.name = "graph-dense") Qgen.variations
+
+let plan_text p = String.concat " " (Array.to_list (Array.map string_of_int p))
+
+let run ~t_factor q m =
+  let ticks = Optimizer.time_limit_ticks ~t_factor ~query:q () in
+  Optimizer.optimize ~method_:m ~model ~ticks ~seed:7 q
+
+(* default spec, N = 20, t = 1 *)
+let narrow_golden =
+  [
+    ("II", "16 11 4 14 5 3 2 10 9 12 8 7 17 1 6 20 0 15 19 18 13", "0x1.7398b97486b0bp+14", 24010);
+    ("SA", "15 6 20 0 19 1 2 3 5 4 14 13 11 18 10 8 16 9 12 17 7", "0x1.d7fdd99a77971p+14", 24012);
+    ("SAA", "6 15 19 7 8 2 3 20 4 11 18 16 5 9 10 17 12 0 14 1 13", "0x1.644b97f0b2453p+15", 24004);
+    ("SAK", "6 20 7 15 19 8 2 3 1 4 5 0 11 9 16 10 17 12 14 18 13", "0x1.98aedd8c74edep+14", 24013);
+    ("IAI", "16 11 3 2 8 5 9 4 7 13 17 12 14 6 15 19 1 20 10 0 18", "0x1.815fdac282faep+14", 24002);
+    ("IKI", "5 3 2 8 1 11 4 7 0 14 6 17 20 15 10 16 9 19 18 12 13", "0x1.159396965629ap+14", 24002);
+    ("IAL", "16 11 3 2 8 5 9 4 7 13 17 12 14 6 15 19 1 20 10 0 18", "0x1.815fdac282faep+14", 24002);
+    ("AGI", "16 11 4 14 5 3 2 10 9 12 8 7 17 1 6 20 0 15 19 18 13", "0x1.7398b97486b0bp+14", 24002);
+    ("KBI", "16 11 4 14 5 3 2 10 9 12 8 7 17 1 6 20 0 15 19 18 13", "0x1.7398b97486b0bp+14", 24007);
+    ("2PO", "16 11 4 14 5 3 2 10 9 12 8 7 17 1 6 20 0 15 19 18 13", "0x1.7398b97486b0bp+14", 24010);
+    ("portfolio", "12 9 5 3 4 11 2 13 1 16 0 8 14 6 20 15 19 7 18 17 10", "0x1.4f3508dd09683p+14", 24134);
+    ("adaptive", "12 9 5 3 4 11 2 13 1 16 0 8 14 6 20 15 19 7 18 17 10", "0x1.4f3508dd09683p+14", 24134);
+  ]
+
+(* graph-dense spec, N = 150 (past the two inline bitset words), t = 0.05 *)
+let wide_golden =
+  [
+    ("II", "ae7f1a692f4b66fdf918e427dbd81c92", "0x1.b3b5e69e7984cp+16", 67522);
+    ("SA", "c191fbf7ea5478d9ff43378946b27e21", "0x1.6280edb8f3f9ep+31", 67500);
+    ("SAA", "52008657840ec640dd497c0a5b7f4b07", "0x1.19ccc8cf6ffe3p+17", 67528);
+    ("SAK", "3310d11a5bea3e486b4dd0e3ec68c106", "0x1.b703381cba27ap+16", 67511);
+    ("IAI", "14797952f0377a98ac66799ad924b793", "0x1.11e3492f19a53p+17", 67633);
+    ("IKI", "d2e2c4fc49572d8a975fd91651f325b8", "0x1.b20c3e732e7eap+16", 67511);
+    ("IAL", "14797952f0377a98ac66799ad924b793", "0x1.11e3492f19a53p+17", 67633);
+    ("AGI", "802523dab3e93e2af271ec20cbb7e5b3", "0x1.79fdf1ad12345p+17", 67517);
+    ("KBI", "05df50e98df1a03dcc72648a7e7b379c", "0x1.b320e7649f157p+16", 67500);
+    ("2PO", "ae7f1a692f4b66fdf918e427dbd81c92", "0x1.b3b5e69e7984cp+16", 67522);
+    ("portfolio", "a06b08da8eb8583527f9980c06f6e832", "0x1.f9a9c250db0f1p+16", 68589);
+    ("adaptive", "a06b08da8eb8583527f9980c06f6e832", "0x1.f9a9c250db0f1p+16", 68589);
+  ]
+
+let check_row ~label ~plan_key (name, plan, cost, ticks) (r : Optimizer.result) =
+  let msg what = Printf.sprintf "%s %s %s" label name what in
+  Alcotest.(check string) (msg "plan") plan (plan_key r.plan);
+  Alcotest.(check string) (msg "cost") cost (Printf.sprintf "%h" r.cost);
+  Alcotest.(check int) (msg "ticks_used") ticks r.ticks_used
+
+let method_named name =
+  match Methods.of_name name with
+  | Some m -> m
+  | None -> Alcotest.failf "unknown method %s" name
+
+(* Every selectable method is pinned, and nothing beyond them: a new
+   selectable method must get a row. *)
+let check_table ~label ~plan_key ~t_factor q golden =
+  Alcotest.(check (list string))
+    (label ^ " covers Methods.selectable")
+    (List.map Methods.name Methods.selectable)
+    (List.map (fun (name, _, _, _) -> name) golden);
+  Optimizer.set_adaptive_router None;
+  Ljqo_cost.Plan_cost.set_calibration None;
+  List.iter
+    (fun ((name, _, _, _) as row) ->
+      check_row ~label ~plan_key row (run ~t_factor q (method_named name)))
+    golden
+
+let test_narrow () =
+  check_table ~label:"default N=20" ~plan_key:plan_text ~t_factor:1.0
+    (query Qgen.default ~n_joins:20 2024)
+    narrow_golden
+
+let test_wide () =
+  check_table ~label:"graph-dense N=150"
+    ~plan_key:(fun p -> Digest.to_hex (Digest.string (plan_text p)))
+    ~t_factor:0.05
+    (query dense ~n_joins:150 2025)
+    wide_golden
+
+let test_calibrated () =
+  let q = query Qgen.default ~n_joins:20 2024 in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Ljqo_cost.Plan_cost.set_calibration None)
+      (fun () ->
+        Ljqo_cost.Plan_cost.set_calibration (Some { sel_factor = 1.7 });
+        run ~t_factor:1.0 q Methods.IAI)
+  in
+  check_row ~label:"calibrated" ~plan_key:plan_text
+    ("IAI", "3 2 8 4 17 5 7 11 9 16 6 1 15 14 19 0 20 10 12 18 13",
+     "0x1.07fc9a2b37742p+17", 24004)
+    r
+
+let test_exhaustive () =
+  let e = Exhaustive.optimize model (query Qgen.default ~n_joins:8 2026) in
+  Alcotest.(check string) "plan" "4 2 3 1 7 8 0 5 6" (plan_text e.plan);
+  Alcotest.(check string) "cost" "0x1.9141cf6ef1609p+17" (Printf.sprintf "%h" e.cost);
+  Alcotest.(check int) "nodes expanded" 9639 e.nodes_expanded;
+  Alcotest.(check int) "pruned" 4202 e.pruned
+
+let suite =
+  [
+    Alcotest.test_case "every selectable method, default N=20" `Quick test_narrow;
+    Alcotest.test_case "every selectable method, graph-dense N=150" `Quick test_wide;
+    Alcotest.test_case "IAI under a calibration" `Quick test_calibrated;
+    Alcotest.test_case "exhaustive N=8" `Quick test_exhaustive;
+  ]

@@ -21,6 +21,29 @@ let same_verdict = function
   | Some (a : float), Some (b, _) -> a = b
   | _ -> false
 
+(* The state's cached arrays agree with a from-scratch costing by the
+   independent oracle, and [psum] is the left-to-right sum of the step costs
+   with the plan's cost as its last entry — all bit for bit. *)
+let state_consistent q model st =
+  let perm = Search_state.perm_view st in
+  let n = Array.length perm in
+  let e = Plan_cost_reference.eval model q perm in
+  let steps = Search_state.step_costs_view st in
+  let psum = Search_state.psum_view st in
+  let pos = Search_state.pos_view st in
+  let ok = ref (Helpers.same_bits psum.(0) 0.0) in
+  let acc = ref 0.0 in
+  for i = 1 to n - 1 do
+    acc := !acc +. steps.(i);
+    if not (Helpers.same_bits !acc psum.(i)) then ok := false
+  done;
+  Array.iteri (fun i r -> if pos.(r) <> i then ok := false) perm;
+  !ok
+  && Helpers.same_bits (Search_state.cost st) psum.(n - 1)
+  && Helpers.same_bits (Search_state.cost st) e.total
+  && Array.for_all2 Helpers.same_bits e.cards (Search_state.cards_view st)
+  && Array.for_all2 Helpers.same_bits e.step_costs steps
+
 (* Drive both paths through the same random move sequence with the same
    accept/reject coin; every observable — verdict, tick meter, permutation,
    state cost — must stay bit-equal throughout. *)
@@ -28,7 +51,7 @@ let prop_fused_matches_reference =
   Helpers.qcheck_case ~count:40
     ~name:"consider/accept/reject bit-identical to try_move protocol"
     (fun (qseed, pseed) ->
-      let _, st_f, st_r = make_pair ~qseed ~pseed:(pseed + 17) () in
+      let q, st_f, st_r = make_pair ~qseed ~pseed:(pseed + 17) () in
       let nb = Neighborhood.create st_f in
       let ev_f = Search_state.evaluator st_f in
       let ev_r = Search_state.evaluator st_r in
@@ -55,7 +78,9 @@ let prop_fused_matches_reference =
         | _ -> ());
         if Evaluator.used ev_f <> Evaluator.used ev_r then ok := false;
         if Search_state.perm st_f <> Search_state.perm st_r then ok := false;
-        if not (Search_state.cost st_f = Search_state.cost st_r) then ok := false
+        if not (Search_state.cost st_f = Search_state.cost st_r) then ok := false;
+        if not (state_consistent q mem st_f && state_consistent q mem st_r) then
+          ok := false
       done;
       !ok
       && Evaluator.best ev_f = Evaluator.best ev_r)
@@ -91,10 +116,9 @@ let prop_adjacent_swaps_matches_loop =
       && Search_state.cost st_f = Search_state.cost st_r)
     QCheck.(pair small_int small_int)
 
-(* A 130-relation chain exceeds the two inline bitset words, so the kernel
-   takes the wide fused path ([eval_fused_wide], prefix in a scratch word
-   array) — which must honor the same bit-identity contract as the inline
-   path, with zero fallbacks to the reference protocol. *)
+(* A 130-relation chain exceeds the two inline bitset words.  Placement is
+   read from positions, so the kernel has one path at every width; it must
+   honor the same bit-identity contract past 126 relations. *)
 let big_chain n =
   let relations =
     Array.init n (fun id ->
@@ -161,6 +185,140 @@ let test_wide_fused () =
   Alcotest.(check int)
     "sweep tick meters agree" (Evaluator.used ev_r) (Evaluator.used ev_f)
 
+(* Random swaps and inserts on a dense graph of 150 to 200 relations: the
+   verdicts, tick meters and states of the kernel and the reference stay
+   bit-equal, and both states stay consistent with the oracle. *)
+let prop_wide_random_moves =
+  Helpers.qcheck_case ~count:6
+    ~name:"random moves on graph-dense N = 150..200 bit-identical"
+    (fun (size, seed) ->
+      let rng = Ljqo_stats.Rng.create seed in
+      let q =
+        Ljqo_querygen.Benchmark.generate_query Helpers.graph_dense
+          ~n_joins:(149 + size) ~rng
+      in
+      let plan = Random_plan.generate rng q in
+      let ev_f = Evaluator.create ~query:q ~model:mem ~ticks:0 () in
+      let ev_r = Evaluator.create ~query:q ~model:mem ~ticks:0 () in
+      let st_f = Search_state.init ev_f plan in
+      let st_r = Search_state.init ev_r plan in
+      let nb = Neighborhood.create st_f in
+      let n = Search_state.n st_f in
+      let ok = ref true in
+      for _ = 1 to 150 do
+        let m = Move.random rng ~n in
+        let keep = Ljqo_stats.Rng.int rng 3 = 0 in
+        let vf = Neighborhood.consider nb m in
+        let vr = Search_state.try_move st_r m in
+        if not (same_verdict (vf, vr)) then ok := false;
+        (match (vf, vr) with
+        | Some _, Some (_, snap) ->
+          if keep then Neighborhood.accept nb
+          else begin
+            Neighborhood.reject nb;
+            Search_state.rollback st_r snap
+          end
+        | _ -> ());
+        if Evaluator.used ev_f <> Evaluator.used ev_r then ok := false;
+        if Search_state.perm_view st_f <> Search_state.perm_view st_r then
+          ok := false;
+        if not (state_consistent q mem st_f && state_consistent q mem st_r) then
+          ok := false
+      done;
+      !ok)
+    QCheck.(pair (int_bound 50) int)
+
+(* A cost model that raises mid-walk must leave the state exactly as it was:
+   permutation, positions, cards, step costs, partial sums and cost.  The
+   raising model ([Chaos.wrap_raising]) is armed only after [init]. *)
+let test_raise_leaves_state () =
+  let q = Helpers.random_query ~n_joins:30 11 in
+  let armed = ref false in
+  let raising = Ljqo_cost.Chaos.wrap_raising ~rate:0.3 ~seed:5 mem in
+  let model : Ljqo_cost.Cost_model.t =
+    (module struct
+      let name = "armed-chaos"
+
+      let join_cost input =
+        if !armed then
+          let module R = (val raising : Ljqo_cost.Cost_model.S) in
+          R.join_cost input
+        else Ljqo_cost.Memory_model.join_cost input
+
+      let scan_cost = Ljqo_cost.Memory_model.scan_cost
+
+      let output_cost = Ljqo_cost.Memory_model.output_cost
+    end)
+  in
+  let ev = Evaluator.create ~query:q ~model ~ticks:0 () in
+  let st = Search_state.init ev (Helpers.valid_random_plan q 4) in
+  let nb = Neighborhood.create st in
+  let snapshot () =
+    ( Array.copy (Search_state.perm_view st),
+      Array.copy (Search_state.pos_view st),
+      Array.map Int64.bits_of_float (Search_state.cards_view st),
+      Array.map Int64.bits_of_float (Search_state.step_costs_view st),
+      Array.map Int64.bits_of_float (Search_state.psum_view st),
+      Int64.bits_of_float (Search_state.cost st) )
+  in
+  armed := true;
+  let rng = Ljqo_stats.Rng.create 9 in
+  let raised = ref 0 in
+  for _ = 1 to 400 do
+    let before = snapshot () in
+    let m = Move.random rng ~n:(Search_state.n st) in
+    (match Neighborhood.consider nb m with
+    | Some _ -> Neighborhood.reject nb
+    | None -> ()
+    | exception Ljqo_cost.Chaos.Injected _ -> incr raised);
+    if snapshot () <> before then
+      Alcotest.failf "state changed by %s" (Format.asprintf "%a" Move.pp m)
+  done;
+  Alcotest.(check bool) "some considers raised" true (!raised > 0)
+
+(* Allocation contract: a [consider] allocates 17 minor words per computed
+   step — the cost model's [join_input] record with its four boxed floats
+   (15) and the boxed cost it returns (2) — plus the 4 words of a valid
+   candidate's [Some total], and nothing else, at any degree and width.
+   Counted on one domain over a fixed sequence of 20,000 consider/reject
+   calls; the model counts the computed steps.  The stated slack (64 words
+   in all, not per call) covers the measurement's own closure and refs. *)
+let check_consider_allocation label spec ~n_joins =
+  let rng = Ljqo_stats.Rng.create 42 in
+  let q = Ljqo_querygen.Benchmark.generate_query spec ~n_joins ~rng in
+  let calls = ref 0 in
+  let ev = Evaluator.create ~query:q ~model:(Helpers.counting_model calls) ~ticks:0 () in
+  let st = Search_state.init ev (Random_plan.generate rng q) in
+  let nb = Neighborhood.create st in
+  let moves =
+    Array.init 20_000 (fun _ -> Move.random rng ~n:(Search_state.n st))
+  in
+  let valid = ref 0 in
+  calls := 0;
+  let before = Gc.minor_words () in
+  Array.iter
+    (fun m ->
+      match Neighborhood.consider nb m with
+      | Some _ ->
+        incr valid;
+        Neighborhood.reject nb
+      | None -> ())
+    moves;
+  let words = Gc.minor_words () -. before in
+  let extra = words -. float_of_int ((17 * !calls) + (4 * !valid)) in
+  if extra < 0.0 || extra > 64.0 then
+    Alcotest.failf
+      "%s: %.0f minor words over %d computed steps and %d valid candidates \
+       (%.2f per step); %.0f beyond 17 per step + 4 per valid candidate"
+      label words !calls !valid
+      (words /. float_of_int !calls)
+      extra
+
+let test_consider_allocation () =
+  check_consider_allocation "default N=50" Ljqo_querygen.Benchmark.default
+    ~n_joins:50;
+  check_consider_allocation "graph-dense N=200" Helpers.graph_dense ~n_joins:200
+
 let test_pending_protocol_enforced () =
   let q = Helpers.chain3 () in
   let ev = Evaluator.create ~query:q ~model:mem ~ticks:100000 () in
@@ -184,4 +342,9 @@ let suite =
     Alcotest.test_case "wide fused path (n = 130)" `Quick test_wide_fused;
     Alcotest.test_case "pending protocol enforced" `Quick
       test_pending_protocol_enforced;
+    prop_wide_random_moves;
+    Alcotest.test_case "a raising cost model leaves the state untouched" `Quick
+      test_raise_leaves_state;
+    Alcotest.test_case "consider allocates 17 words per computed step" `Quick
+      test_consider_allocation;
   ]

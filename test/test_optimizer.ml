@@ -166,6 +166,45 @@ let prop_valid_plans_all_methods =
       Plan.is_valid q r.plan && r.cost >= r.lower_bound -. 1e-9)
     QCheck.(pair small_int small_int)
 
+(* A budget can run out before the method records its first plan.  Every
+   selectable method must still return a valid plan under any positive
+   budget, raise nothing, and keep [ticks_used] within the
+   bound [optimizer.mli] states: [ticks - 1 + c + f], with [c] the largest
+   single charge ([max n e], or one portfolio barrier) and [f <= n] for the
+   fallback plan.  Budgets run from 1 to 2 n^2 ticks; every method records
+   its first plan well inside that (the KBZ-seeded ones, the last, by about
+   0.4 n^2 on these queries). *)
+let prop_tiny_budgets_return_a_plan =
+  Helpers.qcheck_case ~count:60
+    ~name:"any positive budget returns a valid plan within the tick bound"
+    (fun (qseed, size, raw_ticks) ->
+      let q = Helpers.random_query ~n_joins:(1 + (abs size mod 50)) qseed in
+      let n = Ljqo_catalog.Query.n_relations q in
+      let e = Ljqo_catalog.Join_graph.n_edges (Ljqo_catalog.Query.graph q) in
+      let ticks = 1 + (abs raw_ticks mod (2 * n * n)) in
+      let p = Methods.default_config.portfolio_params in
+      List.for_all
+        (fun m ->
+          let c =
+            match m with
+            | Methods.Portfolio | Methods.Adaptive ->
+              let r = max 1 (ticks / (p.width * p.rounds)) in
+              p.width * (r - 1 + max n e)
+            | _ -> max n e
+          in
+          match Optimizer.optimize ~method_:m ~model:mem ~ticks ~seed:qseed q with
+          | r ->
+            Plan.is_valid q r.plan
+            && r.cost = Ljqo_cost.Plan_cost.total mem q r.plan
+            && r.ticks_used <= ticks - 1 + c + n
+            || QCheck.Test.fail_reportf "%s at %d ticks (n = %d): ticks_used %d"
+                 (Methods.name m) ticks n r.ticks_used
+          | exception ex ->
+            QCheck.Test.fail_reportf "%s at %d ticks (n = %d) raised %s"
+              (Methods.name m) ticks n (Printexc.to_string ex))
+        Methods.selectable)
+    QCheck.(triple small_int small_int int)
+
 let suite =
   [
     Alcotest.test_case "connected query" `Quick test_connected_query;
@@ -180,4 +219,5 @@ let suite =
       test_deadline_salvages_incumbent;
     prop_adversarial_stats_never_raise;
     prop_valid_plans_all_methods;
+    prop_tiny_budgets_return_a_plan;
   ]

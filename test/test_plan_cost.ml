@@ -127,6 +127,128 @@ let prop_cards_at_least_one =
       Array.for_all (fun c -> c >= 1.0) e.cards)
     QCheck.(pair small_int small_int)
 
+(* ---- Bit identity with the oracle ([Plan_cost_reference]) ---- *)
+
+let same_eval (a : Plan_cost.eval) (b : Plan_cost.eval) =
+  Array.length a.cards = Array.length b.cards
+  && Array.for_all2 Helpers.same_bits a.cards b.cards
+  && Array.for_all2 Helpers.same_bits a.step_costs b.step_costs
+  && Helpers.same_bits a.total b.total
+  && a.est_steps = b.est_steps
+
+(* [Ok] the evaluation, or [Error ()] when it raised [Invalid_argument]. *)
+let outcome f = match f () with e -> Ok e | exception Invalid_argument _ -> Error ()
+
+(* The same query with a seeded quarter of its edges made always-false. *)
+let with_zero_edges rng q =
+  let n = Query.n_relations q in
+  let edges =
+    List.map
+      (fun (e : Join_graph.edge) ->
+        if Ljqo_stats.Rng.int rng 4 = 0 then { e with selectivity = 0.0 } else e)
+      (Join_graph.edges (Query.graph q))
+  in
+  Query.make ~relations:(Array.init n (Query.relation q))
+    ~graph:(Join_graph.make ~n edges)
+
+(* Valid plans; shuffles (cross products); arrays of any length with repeated
+   ids; and arrays with one id out of range, which both sides must refuse
+   with [Invalid_argument]. *)
+let arrays rng q =
+  let n = Query.n_relations q in
+  let module R = Ljqo_stats.Rng in
+  let valid = Ljqo_core.Random_plan.generate rng q in
+  let shuffled = Array.init n Fun.id in
+  R.shuffle_in_place rng shuffled;
+  let repeats = Array.init (1 + R.int rng (2 * n)) (fun _ -> R.int rng n) in
+  let out_of_range = Array.copy valid in
+  out_of_range.(R.int rng n) <- (if R.bool rng then n + R.int rng 3 else -1 - R.int rng 3);
+  [ valid; shuffled; repeats; out_of_range ]
+
+let prop_eval_matches_oracle =
+  Helpers.qcheck_case ~count:150
+    ~name:"eval bit-identical to the bitset-prefix oracle (all specs, N = 1..200)"
+    (fun (spec_idx, size, seed) ->
+      let rng = Ljqo_stats.Rng.create seed in
+      let spec = Ljqo_querygen.Benchmark.by_index spec_idx in
+      let n_joins = 1 + size in
+      let q = Ljqo_querygen.Benchmark.generate_query spec ~n_joins ~rng in
+      let q = if Ljqo_stats.Rng.bool rng then with_zero_edges rng q else q in
+      let model =
+        match Ljqo_stats.Rng.int rng 4 with
+        | 0 -> mem
+        | 1 -> Helpers.disk_model
+        | 2 -> Chaos.wrap ~rate:0.2 ~seed mem
+        | _ -> Chaos.wrap ~rate:0.2 ~seed Helpers.disk_model
+      in
+      let calibration =
+        match Ljqo_stats.Rng.int rng 4 with
+        | 0 -> Some { Plan_cost.sel_factor = 1.7 }
+        | 1 -> Some { Plan_cost.sel_factor = 1e-3 }
+        | 2 -> Some { Plan_cost.sel_factor = 1e3 }
+        | _ -> None
+      in
+      Fun.protect
+        ~finally:(fun () -> Plan_cost.set_calibration None)
+        (fun () ->
+          Plan_cost.set_calibration calibration;
+          List.for_all
+            (fun perm ->
+              match
+                ( outcome (fun () -> Plan_cost.eval model q perm),
+                  outcome (fun () -> Plan_cost_reference.eval model q perm) )
+              with
+              | Ok a, Ok b -> same_eval a b
+              | Error (), Error () -> true
+              | _ -> false)
+            (arrays rng q)))
+    QCheck.(triple (int_bound 9) (int_bound 199) int)
+
+(* Out-of-range ids are refused before the cost model is called at all. *)
+let test_eval_checks_ids_first () =
+  let q = Helpers.chain3 () in
+  let calls = ref 0 in
+  let counting = Helpers.counting_model calls in
+  List.iter
+    (fun perm ->
+      (match Plan_cost.eval counting q perm with
+      | _ -> Alcotest.fail "out-of-range id accepted"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check int) "no join costed" 0 !calls)
+    [ [| 0; 1; 3 |]; [| 0; 1; -1 |]; [| 7 |] ]
+
+(* Allocation contract for [eval]: 17 minor words per computed step (the
+   cost model's [join_input] record with four boxed floats, and its boxed
+   result), three arrays of [n + 1] words (positions, cards, step costs),
+   and at most 16 words of small records per call — at any degree.  Steps
+   are counted by the model; measured on one domain. *)
+let test_eval_allocation () =
+  List.iter
+    (fun (label, spec, n_joins) ->
+      let rng = Ljqo_stats.Rng.create 42 in
+      let q = Ljqo_querygen.Benchmark.generate_query spec ~n_joins ~rng in
+      let plan = Ljqo_core.Random_plan.generate rng q in
+      let n = Array.length plan in
+      let calls = ref 0 in
+      let model = Helpers.counting_model calls in
+      let runs = 50 in
+      let before = Gc.minor_words () in
+      for _ = 1 to runs do
+        ignore (Sys.opaque_identity (Plan_cost.eval model q plan))
+      done;
+      let words = Gc.minor_words () -. before in
+      let extra =
+        (words -. float_of_int ((17 * !calls) + (runs * 3 * (n + 1))))
+        /. float_of_int runs
+      in
+      if extra < 0.0 || extra > 16.0 then
+        Alcotest.failf "%s: %.2f minor words per step, %.1f per call beyond the contract"
+          label (words /. float_of_int !calls) extra)
+    [
+      ("default N=50", Ljqo_querygen.Benchmark.default, 50);
+      ("graph-dense N=200", Helpers.graph_dense, 200);
+    ]
+
 let suite =
   [
     Alcotest.test_case "chain3 forward (hand computed)" `Quick test_chain3_forward;
@@ -142,4 +264,9 @@ let suite =
     prop_lower_bound_admissible;
     prop_total_is_sum_of_steps;
     prop_cards_at_least_one;
+    prop_eval_matches_oracle;
+    Alcotest.test_case "eval checks ids before costing" `Quick
+      test_eval_checks_ids_first;
+    Alcotest.test_case "eval allocates 17 words per computed step" `Quick
+      test_eval_allocation;
   ]
