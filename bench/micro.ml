@@ -35,6 +35,19 @@ let test_augmentation =
     (Staged.stage (fun () ->
          ignore (Augmentation.generate query Augmentation.default_criterion ~start:0)))
 
+(* The same on a graph-dense query of 201 relations, where scoring a
+   candidate visits many placed edges. *)
+let test_augmentation_dense =
+  let q =
+    Qgen.generate_query
+      (List.find (fun (s : Qgen.spec) -> s.name = "graph-dense") Qgen.variations)
+      ~n_joins:200 ~rng:(Ljqo_stats.Rng.create 97)
+  in
+  let start = List.hd (Augmentation.starts q) in
+  Test.make ~name:"table1:augmentation-state-dense"
+    (Staged.stage (fun () ->
+         ignore (Augmentation.generate q Augmentation.default_criterion ~start)))
+
 (* Table 2 kernel: one KBZ rooted ordering (tree prebuilt). *)
 let kbz_tree = Kbz.spanning_tree query Kbz.default_weighting
 
@@ -642,6 +655,7 @@ let tests =
       test_obs_span_off;
       test_rng_int;
       test_augmentation;
+      test_augmentation_dense;
       test_kbz;
       test_eval_memory;
       test_eval_disk;

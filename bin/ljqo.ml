@@ -269,6 +269,7 @@ let load_query path =
 (* --- generate ---------------------------------------------------------- *)
 
 let generate benchmark n_joins seed output =
+  if n_joins < 1 then fail_usage "--n-joins must be a positive integer, got %d" n_joins;
   let rng = Ljqo_stats.Rng.create seed in
   let query = Qgen.generate_query benchmark ~n_joins ~rng in
   let text = Ljqo_qdl.Printer.to_string query in
@@ -652,6 +653,7 @@ let inspect_cmd =
 (* --- workload ---------------------------------------------------------- *)
 
 let workload benchmark per_n large seed out =
+  if per_n < 1 then fail_usage "--per-n must be a positive integer, got %d" per_n;
   let ns =
     if large then Ljqo_querygen.Workload.large_ns
     else Ljqo_querygen.Workload.standard_ns

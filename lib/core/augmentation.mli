@@ -16,8 +16,27 @@
     + [Min_rank] — smallest KBZ rank
       [(N_i N_j J_ij - 1) / (0.5 N_i (N_j / D_j))].
 
-    Ties break toward the smaller relation id, keeping the heuristic
-    deterministic. *)
+    Criteria 3–5 read each edge through the cost model's estimator
+    ([Ljqo_cost.Plan_cost.edge_selectivity], with its distinct-value clamp at
+    the current intermediate size and any installed calibration).
+    Criteria 4 and 5 multiply the effective selectivities of a candidate's
+    edges to placed relations in ascending neighbor order; criterion 3 takes
+    their minimum, as [Float.min] does (NaN and signed zeros included).  The
+    running intermediate size is floored at one tuple but not capped, so on
+    extreme inputs it can reach [inf], and then NaN after a zero-selectivity
+    edge.
+
+    The chosen candidate minimizes [(key, -.D_j, j)] in the order
+    polymorphic [<] gives those tuples: the smallest key, then ties toward
+    more distinct values [D_j] (keeping intermediate distinct counts high,
+    the paper's stated goal), then toward the smaller relation id, so the
+    heuristic is deterministic.  A NaN key compares unordered: it never
+    displaces the best so far, and nothing displaces it once it is the best.
+    Candidates are scanned in the order they joined the prefix, a placed
+    one's slot taken by the last, so that order decides the NaN cases.
+
+    Scoring a candidate allocates nothing: a state allocates only its
+    [O(n)] working arrays. *)
 
 type criterion =
   | Min_cardinality

@@ -116,10 +116,78 @@ let test_exhaustive () =
   Alcotest.(check int) "nodes expanded" 9639 e.nodes_expanded;
   Alcotest.(check int) "pruned" 4202 e.pruned
 
+(* Every augmentation criterion, from the first and the last start of
+   [Augmentation.starts]: each row is (criterion index, start, plan, summed
+   charge).  Every pinned method above runs the default criterion only, so
+   these rows pin Table 1's other columns.  Plans of the 151-relation query
+   are pinned by MD5, as above. *)
+let narrow_criteria_golden =
+  [
+    (1, 20, "20 6 0 1 15 19 7 8 2 3 5 14 10 11 16 4 17 13 18 9 12", 66);
+    (1, 9, "9 5 12 14 10 3 2 1 0 8 7 6 20 15 19 11 16 4 17 13 18", 77);
+    (2, 20, "20 6 15 7 8 2 3 5 4 11 9 14 0 1 18 13 10 17 12 16 19", 113);
+    (2, 9, "9 5 3 4 2 11 8 7 6 15 14 0 1 18 13 10 17 12 16 19 20", 129);
+    (3, 20, "20 6 15 18 19 7 8 2 3 4 11 17 14 1 5 9 13 12 16 10 0", 69);
+    (3, 9, "9 5 13 12 3 4 11 2 8 17 14 1 16 7 6 15 18 19 10 0 20", 79);
+    (4, 20, "20 6 15 19 0 18 7 8 2 1 3 5 4 11 16 14 17 10 9 12 13", 61);
+    (4, 9, "9 5 12 10 13 3 2 1 8 4 11 16 14 17 7 6 20 15 19 0 18", 67);
+    (5, 20, "20 6 0 1 2 8 7 3 5 4 11 16 14 17 15 19 10 18 9 12 13", 76);
+    (5, 9, "9 5 12 10 13 3 2 1 8 4 11 16 14 17 7 6 20 0 15 19 18", 65);
+  ]
+
+let wide_criteria_golden =
+  [
+    (1, 17, "094a30a3aba0dda8dac6a74a0c82fe72", 10164);
+    (1, 97, "5544f930b3ad287c0e0897efd6e244a9", 10092);
+    (2, 17, "029501c6d5f10f00c12bf6a65a52b8ea", 10449);
+    (2, 97, "29919eb63b112219537e710a8270ba1f", 10462);
+    (3, 17, "81ade05d693b3b213a05a794578f1bb6", 10111);
+    (3, 97, "0749d6153d2a5e307e520539be21cb96", 10145);
+    (4, 17, "98725ec2e7eb3f195282d6b4a36bb940", 10062);
+    (4, 97, "5ab629d50bd7db12afced2cfc73566fa", 9995);
+    (5, 17, "67536f1c3dd1bd2a5a1c6992c8a734bc", 10056);
+    (5, 97, "3010c1e984a85b99bdc73c957e07dddf", 10065);
+  ]
+
+let check_criteria ~label ~plan_key q golden =
+  let starts = Augmentation.starts q in
+  Alcotest.(check (list int))
+    (label ^ " pins the first and the last start")
+    (List.sort compare [ List.hd starts; List.nth starts (List.length starts - 1) ])
+    (List.sort_uniq compare (List.map (fun (_, start, _, _) -> start) golden));
+  Ljqo_cost.Plan_cost.set_calibration None;
+  List.iter
+    (fun (index, start, plan, charge) ->
+      let charged = ref 0 in
+      let p =
+        Augmentation.generate
+          ~charge:(fun k -> charged := !charged + k)
+          q (Augmentation.criterion_of_index index) ~start
+      in
+      let msg what = Printf.sprintf "%s criterion %d start %d %s" label index start what in
+      Alcotest.(check string) (msg "plan") plan (plan_key p);
+      Alcotest.(check int) (msg "summed charge") charge !charged)
+    golden
+
+let test_criteria_narrow () =
+  check_criteria ~label:"default N=20" ~plan_key:plan_text
+    (query Qgen.default ~n_joins:20 2024)
+    narrow_criteria_golden
+
+let test_criteria_wide () =
+  check_criteria ~label:"graph-dense N=150"
+    ~plan_key:(fun p -> Digest.to_hex (Digest.string (plan_text p)))
+    (query dense ~n_joins:150 2025)
+    wide_criteria_golden
+
 let suite =
   [
     Alcotest.test_case "every selectable method, default N=20" `Quick test_narrow;
     Alcotest.test_case "every selectable method, graph-dense N=150" `Quick test_wide;
     Alcotest.test_case "IAI under a calibration" `Quick test_calibrated;
     Alcotest.test_case "exhaustive N=8" `Quick test_exhaustive;
+    Alcotest.test_case "every augmentation criterion, default N=20" `Quick
+      test_criteria_narrow;
+    Alcotest.test_case "every augmentation criterion, graph-dense N=150" `Quick
+      test_criteria_wide;
   ]
