@@ -171,7 +171,7 @@ let parse_args () =
       o.trajectories <- Some v;
       go rest
     | ("-j" | "--jobs") :: v :: rest ->
-      Ljqo_harness.Parallel.set_jobs (int_arg ~flag:"--jobs" ~min:1 v);
+      Ljqo_stats.Parallel.set_jobs (int_arg ~flag:"--jobs" ~min:1 v);
       go rest
     | "--methods" :: v :: rest ->
       let names =

@@ -2,9 +2,10 @@
    reproduced table/figure's dominant kernel, so regressions in the pieces
    that determine experiment wall-time are visible in isolation.
 
-   The "kernel:*" group benchmarks each bitset-rewritten hot path against its
-   pre-bitset scan/list form on the same inputs (N = 50 joins), so the
-   speedup that justified the rewrite stays measured.  Results also go to
+   The "kernel:*" group times the bitset hot paths on the same inputs
+   (N = 50 joins); for the random-plan bookkeeping and induced connectivity
+   it also times the pre-bitset scan/list form, so the speedup that
+   justified the rewrite stays measured.  Results also go to
    results/BENCH_micro.json (kernel name, ns/run, minor words/run) for
    machine consumption. *)
 
@@ -90,13 +91,8 @@ let test_generate =
 let n = Query.n_relations query
 
 (* Move-validity: the full-plan validity sweep (every relation past the
-   first joins something earlier) that guards each candidate move.  The
-   reference is the pre-bitset array-marking form; the mask form is one
-   allocation-free pass of word-ANDs against the running prefix. *)
-let test_validity_scan =
-  Test.make ~name:"kernel:move-validity-scan"
-    (Staged.stage (fun () -> ignore (Plan.is_valid_reference query plan)))
-
+   first joins something earlier), one allocation-free pass of word-ANDs
+   against the running prefix. *)
 let test_validity_mask =
   Test.make ~name:"kernel:move-validity-mask"
     (Staged.stage (fun () -> ignore (Plan.is_valid query plan)))
@@ -105,10 +101,10 @@ let test_validity_mask =
    maintenance (discover/membership/pick); the RNG is untouched by the
    rewrite and consumed identically by both forms, yet its arithmetic
    would dominate both sides of the measurement.  So the kernel
-   pair replays a pick sequence recorded once from the real generator, and a
-   second pair reports the full generator (RNG included) for the end-to-end
-   picture.  Both replay kernels are asserted to reproduce the production
-   generator's plan exactly. *)
+   pair replays a pick sequence recorded once from the real generator, and
+   [kernel:random-plan-full-mask] reports the full generator (RNG included)
+   for the end-to-end picture.  Both replay kernels are asserted to
+   reproduce the production generator's plan exactly. *)
 
 let picks =
   (* The first relation, then each step's candidate index, recorded by
@@ -147,8 +143,8 @@ let picks =
   done;
   picks
 
-(* Pre-bitset bookkeeping (generate_reference minus the RNG): placed and
-   candidate-index side tables, neighbor lists. *)
+(* Pre-bitset bookkeeping (test/random_plan_reference.ml minus the RNG):
+   placed and candidate-index side tables, neighbor lists. *)
 let random_plan_scan_kernel () =
   let graph = Query.graph query in
   let perm = Array.make n (-1) in
@@ -241,12 +237,6 @@ let test_random_plan_mask =
   Test.make ~name:"kernel:random-plan-mask"
     (Staged.stage (fun () -> ignore (random_plan_mask_kernel ())))
 
-let test_random_plan_full_scan =
-  Test.make ~name:"kernel:random-plan-full-scan"
-    (Staged.stage (fun () ->
-         let rng = Ljqo_stats.Rng.create 3 in
-         ignore (Random_plan.generate_reference rng query)))
-
 let test_random_plan_full_mask =
   Test.make ~name:"kernel:random-plan-full-mask"
     (Staged.stage (fun () ->
@@ -277,58 +267,45 @@ let test_dp =
     (Staged.stage (fun () -> ignore (Dp.optimize ~jobs:1 model q)))
 
 (* ------------------------------------------------------------------ *)
-(* Neighbor evaluation vs the reference try_move protocol: one full
-   adjacent-swap sweep (N-1 neighbors) over the same N = 50 state.  The
-   reference pays snapshot + mutate + recost + rollback per neighbor; the
-   kernel ([Neighborhood.adjacent_swaps], a consider/reject loop) starts
-   each candidate from the cached partial sums, reads the permutation
-   virtually and streams step costs into preallocated scratch.  Both states
-   are created once and never mutated (every neighbor is rejected), and the
-   two sweeps are asserted to produce bit-identical verdicts at module init.
-   Unlimited-tick evaluators, so no budget exception can fire
-   mid-measurement. *)
-
-let neighbors_reference_state =
-  Search_state.init (Evaluator.create ~query ~model ~ticks:0 ()) plan
+(* Neighbor evaluation: one full adjacent-swap sweep (N-1 neighbors) over
+   an N = 50 state, each candidate considered and rejected, so the state is
+   created once and never mutated.  Unlimited-tick evaluator, so no budget
+   exception can fire mid-measurement. *)
 
 let neighbors_fused_workspace =
   Neighborhood.create
     (Search_state.init (Evaluator.create ~query ~model ~ticks:0 ()) plan)
 
-let neighbors_reference_kernel () =
+let neighbors_sweep nb =
   let acc = ref 0.0 in
-  for i = 0 to n - 2 do
-    match Search_state.try_move neighbors_reference_state (Move.Swap (i, i + 1)) with
+  for i = 0 to Search_state.n (Neighborhood.state nb) - 2 do
+    match Neighborhood.consider nb (Move.Swap (i, i + 1)) with
     | None -> ()
-    | Some (total, snap) ->
+    | Some total ->
       acc := !acc +. total;
-      Search_state.rollback neighbors_reference_state snap
+      Neighborhood.reject nb
   done;
   !acc
 
-let neighbors_fused_kernel () =
-  let acc = ref 0.0 in
-  Neighborhood.adjacent_swaps neighbors_fused_workspace (fun _ verdict ->
-      match verdict with Some total -> acc := !acc +. total | None -> ());
-  !acc
-
-let () =
-  (* The bit-identity contract, checked on the benchmark inputs too. *)
-  assert (neighbors_reference_kernel () = neighbors_fused_kernel ())
-
-let test_neighbors_reference =
-  Test.make ~name:"search:neighbors-reference"
-    (Staged.stage (fun () -> ignore (neighbors_reference_kernel ())))
-
 let test_neighbors_fused =
   Test.make ~name:"search:neighbors-fused"
-    (Staged.stage (fun () -> ignore (neighbors_fused_kernel ())))
+    (Staged.stage (fun () -> ignore (neighbors_sweep neighbors_fused_workspace)))
+
+(* Table 3's local phase: one (3, 2) local-improvement pass — every
+   arrangement of every cluster a window rewrite through the same kernel —
+   on a fresh state from the N = 50 plan. *)
+let test_local_improvement_pass =
+  Test.make ~name:"table3:local-improvement-pass"
+    (Staged.stage (fun () ->
+         let ev = Evaluator.create ~query ~model ~ticks:0 () in
+         ignore (Local_improvement.one_pass (Search_state.init ev plan) ~c:3 ~o:2)))
 
 (* ------------------------------------------------------------------ *)
 (* Growable-width kernels (N = 200): sets that spill past the two inline
    words.  [bitset:wide-ops] is the set algebra DP and the mask kernels
-   lean on, on tailed sets; the neighbors pair is the same sweep as above
-   on a graph past 126 relations, through the same position-based path.  *)
+   lean on, on tailed sets; [search:neighbors-fused-wide] is the same sweep
+   as above on a graph past 126 relations, through the same position-based
+   path.  *)
 
 let wide_query = query_of_size 200
 
@@ -367,43 +344,13 @@ let test_bitset_wide_ops =
   Test.make ~name:"bitset:wide-ops"
     (Staged.stage (fun () -> ignore (Sys.opaque_identity (bitset_wide_ops_kernel ()))))
 
-let wide_neighbors_reference_state =
-  Search_state.init (Evaluator.create ~query:wide_query ~model ~ticks:0 ()) wide_plan
-
 let wide_neighbors_fused_workspace =
   Neighborhood.create
     (Search_state.init (Evaluator.create ~query:wide_query ~model ~ticks:0 ()) wide_plan)
 
-let wide_neighbors_reference_kernel () =
-  let acc = ref 0.0 in
-  for i = 0 to wide_n - 2 do
-    match
-      Search_state.try_move wide_neighbors_reference_state (Move.Swap (i, i + 1))
-    with
-    | None -> ()
-    | Some (total, snap) ->
-      acc := !acc +. total;
-      Search_state.rollback wide_neighbors_reference_state snap
-  done;
-  !acc
-
-let wide_neighbors_fused_kernel () =
-  let acc = ref 0.0 in
-  Neighborhood.adjacent_swaps wide_neighbors_fused_workspace (fun _ verdict ->
-      match verdict with Some total -> acc := !acc +. total | None -> ());
-  !acc
-
-let () =
-  (* Bit-identity holds on the wide path too. *)
-  assert (wide_neighbors_reference_kernel () = wide_neighbors_fused_kernel ())
-
-let test_neighbors_reference_wide =
-  Test.make ~name:"search:neighbors-reference-wide"
-    (Staged.stage (fun () -> ignore (wide_neighbors_reference_kernel ())))
-
 let test_neighbors_fused_wide =
   Test.make ~name:"search:neighbors-fused-wide"
-    (Staged.stage (fun () -> ignore (wide_neighbors_fused_kernel ())))
+    (Staged.stage (fun () -> ignore (neighbors_sweep wide_neighbors_fused_workspace)))
 
 (* Portfolio barrier overhead: fold [width] replicate results in replicate
    order into the round's incumbent and re-derive each replicate's child RNG
@@ -660,19 +607,16 @@ let tests =
       test_eval_memory;
       test_eval_disk;
       test_iai_run;
+      test_local_improvement_pass;
       test_generate;
-      test_validity_scan;
       test_validity_mask;
       test_random_plan_scan;
       test_random_plan_mask;
-      test_random_plan_full_scan;
       test_random_plan_full_mask;
       test_connected_list;
       test_connected_mask;
-      test_neighbors_reference;
       test_neighbors_fused;
       test_bitset_wide_ops;
-      test_neighbors_reference_wide;
       test_neighbors_fused_wide;
       test_portfolio_exchange;
       test_dp;
@@ -702,20 +646,10 @@ let estimate tbl name =
 (* Scan/mask pairs whose ratio the JSON reports as the speedup evidence. *)
 let speedup_pairs =
   [
-    ("move-validity", "ljqo/kernel:move-validity-scan", "ljqo/kernel:move-validity-mask");
     ("random-plan", "ljqo/kernel:random-plan-scan", "ljqo/kernel:random-plan-mask");
-    ( "random-plan-full",
-      "ljqo/kernel:random-plan-full-scan",
-      "ljqo/kernel:random-plan-full-mask" );
     ( "induced-connected",
       "ljqo/kernel:induced-connected-list",
       "ljqo/kernel:induced-connected-mask" );
-    ( "neighbors-fused",
-      "ljqo/search:neighbors-reference",
-      "ljqo/search:neighbors-fused" );
-    ( "neighbors-fused-wide",
-      "ljqo/search:neighbors-reference-wide",
-      "ljqo/search:neighbors-fused-wide" );
   ]
 
 let json_escape s =

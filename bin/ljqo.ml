@@ -409,6 +409,8 @@ let explain_cmd =
 let run_query file method_ model t_factor kappa seed max_rows metrics trace
     trace_sample =
   check_knobs ~t_factor ~kappa ~trace_sample;
+  if max_rows < 1 then
+    fail_usage "--max-rows must be a positive integer, got %d" max_rows;
   with_obs ~metrics ~trace ~trace_sample @@ fun () ->
   let query = load_query file in
   let ticks = ticks_for query t_factor kappa in
@@ -491,6 +493,7 @@ let dp_cmd =
 (* --- space ------------------------------------------------------------- *)
 
 let space file model seed samples =
+  if samples < 1 then fail_usage "--samples must be a positive integer, got %d" samples;
   let query = load_query file in
   let stats = Space_stats.sample ~n_samples:samples ~seed model query in
   Format.printf "%a@." Space_stats.pp stats

@@ -13,13 +13,15 @@ let perturbation_walk ?(mix = Move.default_mix) ev rng =
     let n = Search_state.n state in
     if n < 2 then ()
     else begin
+      let nb = Neighborhood.create state in
       let steps = 8 * n * n in
       for _ = 1 to steps do
         let move = Move.random ~mix rng ~n in
-        match Search_state.try_move state move with
+        match Neighborhood.consider nb move with
         | None -> ()
-        | Some (_, _) ->
+        | Some _ ->
           (* accept unconditionally; remember the best state visited *)
+          Neighborhood.accept nb;
           Search_state.commit state
       done;
       one_walk ()
@@ -43,6 +45,7 @@ let steepest_descent ?(params = default_steepest_params) ev rng =
     let n = Search_state.n state in
     if n < 2 then ()
     else begin
+      let nb = Neighborhood.create state in
       let patience =
         if params.patience_batches > 0 then params.patience_batches else n
       in
@@ -53,10 +56,10 @@ let steepest_descent ?(params = default_steepest_params) ev rng =
         let best_move = ref None in
         for _ = 1 to params.batch do
           let move = Move.random ~mix:params.mix rng ~n in
-          match Search_state.try_move state move with
+          match Neighborhood.consider nb move with
           | None -> ()
-          | Some (total, snap) ->
-            Search_state.rollback state snap;
+          | Some total ->
+            Neighborhood.reject nb;
             (match !best_move with
             | Some (_, bt) when bt <= total -> ()
             | _ -> if total < before then best_move := Some (move, total))
@@ -64,8 +67,9 @@ let steepest_descent ?(params = default_steepest_params) ev rng =
         match !best_move with
         | None -> incr failures
         | Some (move, _) -> (
-          match Search_state.try_move state move with
+          match Neighborhood.consider nb move with
           | Some _ ->
+            Neighborhood.accept nb;
             Search_state.commit state;
             failures := 0
           | None -> incr failures)

@@ -4,11 +4,10 @@ type params = { patience_factor : int; mix : Move.mix }
 
 let default_params = { patience_factor = 4; mix = Move.default_mix }
 
-(* The descent samples neighbors through the fused kernel: a rejected or
-   invalid proposal (the common case near a local minimum) costs no
+(* The descent samples neighbors through the neighbor kernel: a rejected
+   or invalid proposal (the common case near a local minimum) costs no
    snapshot, no rollback and no allocation; only accepted moves touch the
-   state.  Verdicts, tick charges and commits are bit-identical to the
-   retained [Search_state.try_move] reference path (see Neighborhood). *)
+   state (see Neighborhood). *)
 let descend ?(params = default_params) state rng =
   let n = Search_state.n state in
   if n >= 2 then begin

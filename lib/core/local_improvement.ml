@@ -37,9 +37,13 @@ let iter_permutations f a =
   in
   go n
 
+(* Every arrangement of a cluster is a window rewrite through the neighbor
+   kernel; the best strictly improving one is considered again (and charged
+   again) before it is accepted. *)
 let one_pass state ~c ~o =
   if c < 2 || o < 0 || o >= c then invalid_arg "Local_improvement.one_pass";
   let n = Search_state.n state in
+  let nb = Neighborhood.create state in
   let improved = ref false in
   List.iter
     (fun (p, len) ->
@@ -52,20 +56,21 @@ let one_pass state ~c ~o =
         iter_permutations
           (fun candidate ->
             if candidate <> current then
-              match Search_state.try_rewrite state ~lo:p ~rels:candidate with
+              match Neighborhood.consider_rewrite nb ~lo:p ~rels:candidate with
               | None -> ()
-              | Some (total, snap) ->
+              | Some total ->
                 if total < !best then begin
                   best := total;
                   best_arrangement := Some (Array.copy candidate)
                 end;
-                Search_state.rollback state snap)
+                Neighborhood.reject nb)
           current;
         match !best_arrangement with
         | None -> ()
         | Some arrangement ->
-          (match Search_state.try_rewrite state ~lo:p ~rels:arrangement with
-          | Some (_, _) ->
+          (match Neighborhood.consider_rewrite nb ~lo:p ~rels:arrangement with
+          | Some _ ->
+            Neighborhood.accept nb;
             Search_state.commit state;
             improved := true
           | None -> assert false)

@@ -14,28 +14,6 @@ let is_permutation perm =
     true
   with Exit -> false
 
-(* Array-marking connectivity walk — the pre-bitset form, kept as the
-   reference the mask forms are tested and benchmarked against. *)
-let connected_prefixes_scan graph perm =
-  let placed = Array.make (Array.length perm) false in
-  let ok = ref true in
-  Array.iteri
-    (fun i r ->
-      if i > 0 then begin
-        let joined =
-          List.exists (fun (other, _) -> placed.(other)) (Join_graph.neighbors graph r)
-        in
-        if not joined then ok := false
-      end;
-      placed.(r) <- true)
-    perm;
-  !ok
-
-let is_valid_reference query perm =
-  Array.length perm = Query.n_relations query
-  && is_permutation perm
-  && connected_prefixes_scan (Query.graph query) perm
-
 (* One allocation-free pass: the placed-prefix mask, tracked as two raw
    bitset words, doubles as the duplicate detector, so the permutation check
    fuses into the connectivity walk.  Step [i] is valid iff the neighbor mask

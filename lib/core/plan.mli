@@ -19,11 +19,6 @@ val is_valid : Ljqo_catalog.Query.t -> t -> bool
     local ints up to {!Ljqo_catalog.Bitset.inline_size} relations and in one
     preallocated scratch word array beyond. *)
 
-val is_valid_reference : Ljqo_catalog.Query.t -> t -> bool
-(** The pre-bitset array-marking form of {!is_valid}.  Same verdict on every
-    input; kept as the equivalence oracle for the property tests and the
-    baseline the micro benchmark measures the mask kernel against. *)
-
 val inverse : t -> int array
 (** [pos] array with [pos.(perm.(i)) = i]. *)
 

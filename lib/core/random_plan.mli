@@ -17,11 +17,5 @@ val generate : Ljqo_stats.Rng.t -> Ljqo_catalog.Query.t -> Plan.t
     word array beyond.  Both forms consume the RNG identically and return
     identical plans. *)
 
-val generate_reference : Ljqo_stats.Rng.t -> Ljqo_catalog.Query.t -> Plan.t
-(** The pre-bitset array-marking implementation.  Kept as the equivalence
-    oracle for the property tests and as the baseline the micro benchmark
-    compares the mask kernel against.  Produces exactly the plans [generate]
-    produces for the same RNG state. *)
-
 val generate_charged : Evaluator.t -> Ljqo_stats.Rng.t -> Plan.t
 (** Same, charging [n] ticks to the evaluator's budget. *)

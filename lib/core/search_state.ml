@@ -2,7 +2,6 @@ open Ljqo_cost
 
 type t = {
   ev : Evaluator.t;
-  stepper : Plan_cost.Stepper.t;
   perm : int array;
   pos : int array;
   cards : float array;
@@ -10,14 +9,6 @@ type t = {
   psum : float array;
       (* [psum.(i)]: left-to-right sum of [step_costs.(1 .. i)]; [psum.(0)]
          is 0, and the plan's cost is [psum.(n - 1)] *)
-}
-
-type snapshot = {
-  lo : int;
-  hi : int;
-  saved_perm : int array;  (* slice [lo, hi) before the mutation *)
-  saved_cards : float array;
-  saved_step_costs : float array;
 }
 
 (* Bring [psum] up to date from position [from >= 1] on.  Each entry is
@@ -55,7 +46,6 @@ let init ev start =
   let t =
     {
       ev;
-      stepper = Plan_cost.Stepper.make model query;
       perm;
       pos = Plan.inverse perm;
       cards = e.cards;
@@ -76,112 +66,13 @@ let cards_view t = t.cards
 let step_costs_view t = t.step_costs
 let psum_view t = t.psum
 
-let take_snapshot t ~lo ~hi =
-  {
-    lo;
-    hi;
-    saved_perm = Array.sub t.perm lo (hi - lo);
-    saved_cards = Array.sub t.cards lo (hi - lo);
-    saved_step_costs = Array.sub t.step_costs lo (hi - lo);
-  }
-
-(* Every restored step may differ from what [psum] now holds, so the
-   refresh runs to the end. *)
-let rollback t snap =
-  for k = 0 to snap.hi - snap.lo - 1 do
-    let i = snap.lo + k in
-    t.perm.(i) <- snap.saved_perm.(k);
-    t.pos.(snap.saved_perm.(k)) <- i;
-    t.cards.(i) <- snap.saved_cards.(k);
-    t.step_costs.(i) <- snap.saved_step_costs.(k)
-  done;
-  refresh_psum t ~from:(max snap.lo 1) ~settled:(Array.length t.perm)
-
-(* Recost join steps in [max lo 1, hi) through the one step kernel, reading
-   placement from the already-mutated [pos]; returns false (leaving arrays
-   partly updated — the caller rolls back) if a step became a cross
-   product.  Because selectivities are clamped by the running intermediate
-   size, [hi] is always the plan length: every step after a change can
-   change cost.  The partial sums are refreshed only on success, from the
-   first recosted step on. *)
-let recost t ~lo ~hi =
-  let first = max lo 1 in
-  Ljqo_obs.Obs.add Ljqo_obs.Obs.Recost_steps (hi - first);
-  Evaluator.charge t.ev (hi - first);
-  if lo = 0 then
-    t.cards.(0) <-
-      (Ljqo_catalog.Query.cardinalities (Evaluator.query t.ev)).(t.perm.(0));
-  let k = ref first in
-  while
-    !k < hi
-    && Plan_cost.Stepper.step t.stepper ~price_cross:false ~pos:t.pos
-         ~cards:t.cards ~costs:t.step_costs ~k:!k ~r:t.perm.(!k)
-  do
-    incr k
-  done;
-  let ok = !k = hi in
-  if ok then refresh_psum t ~from:first ~settled:hi;
-  ok
-
-let apply_perm_mutation t = function
-  | Move.Swap (i, j) ->
-    let a = t.perm.(i) and b = t.perm.(j) in
-    t.perm.(i) <- b;
-    t.perm.(j) <- a;
-    t.pos.(b) <- i;
-    t.pos.(a) <- j
-  | Move.Insert (src, dst) ->
-    let moved = t.perm.(src) in
-    if src < dst then
-      for i = src to dst - 1 do
-        t.perm.(i) <- t.perm.(i + 1);
-        t.pos.(t.perm.(i)) <- i
-      done
-    else
-      for i = src downto dst + 1 do
-        t.perm.(i) <- t.perm.(i - 1);
-        t.pos.(t.perm.(i)) <- i
-      done;
-    t.perm.(dst) <- moved;
-    t.pos.(moved) <- dst
-
-let finish_attempt t snap ok =
-  if ok then Some (cost t, snap)
-  else begin
-    rollback t snap;
-    None
-  end
-
-let try_move t move =
-  let lo, _ = Move.affected_range move in
-  let hi = Array.length t.perm in
-  let snap = take_snapshot t ~lo ~hi in
-  apply_perm_mutation t move;
-  let ok = recost t ~lo ~hi in
-  finish_attempt t snap ok
-
-let try_rewrite t ~lo ~rels =
-  let len = Array.length rels in
-  assert (lo + len <= Array.length t.perm);
-  let hi = Array.length t.perm in
-  let snap = take_snapshot t ~lo ~hi in
-  Array.iteri
-    (fun k r ->
-      t.perm.(lo + k) <- r;
-      t.pos.(r) <- lo + k)
-    rels;
-  let ok = recost t ~lo ~hi in
-  finish_attempt t snap ok
-
-(* Install a move whose effect was already computed off-state (the neighbor
-   kernel): apply the permutation mutation, then write the slots [recost]
-   would have changed — [cards]/[step_costs] on [max lo 1 .. upto - 1] plus
+(* The permutation and positions already hold the change; write the slots
+   it changed — [cards]/[step_costs] on [max lo 1 .. upto - 1] plus
    [cards.(0)] when [lo = 0].  From [upto] on, the recomputed steps equal
    the stored ones, so the stored tail stays in place; only the partial sums
-   are refreshed past it, until they meet the stored ones.  No recosting, no
-   tick charges: those happened when the kernel evaluated the move. *)
-let apply_evaluated t move ~lo ~upto ~cards ~step_costs =
-  apply_perm_mutation t move;
+   are refreshed past it, until they meet the stored ones.  No costing, no
+   tick charges: those happened when the change was evaluated. *)
+let install_evaluated t ~lo ~upto ~cards ~step_costs =
   let first = max lo 1 in
   if lo = 0 then t.cards.(0) <- cards.(0);
   Array.blit cards first t.cards first (upto - first);

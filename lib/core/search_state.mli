@@ -4,25 +4,22 @@
     Alongside the permutation, its inverse [pos], the intermediate
     cardinalities and the per-step costs, the state caches the left-to-right
     partial sums of the step costs ({!psum_view}); the plan's cost is the
-    last of them.  Every mutation ([init], a successful recost, [rollback],
-    {!apply_evaluated}) refreshes them, so a candidate move starts from one
-    read of the sum over the steps it leaves alone.  All costing goes
-    through {!Ljqo_cost.Plan_cost.Stepper}, with placement read from [pos].
+    last of them.  [init] and {!install_evaluated} keep them current, so a
+    candidate change starts from one read of the sum over the steps it
+    leaves alone.
 
-    A proposed move is applied *in place* and recosted over only the affected
-    window of join steps; the caller then decides to [commit] (keep the new
-    state and offer it to the evaluator as an incumbent) or [rollback]
-    (restore the previous state exactly).  Moves that would create a cross
-    product are rejected and leave the state untouched.
+    The state does not evaluate candidates itself: {!Neighborhood} does,
+    for single moves and for window rewrites alike, without touching the
+    state, and installs only an accepted change.  A caller then decides
+    whether to [commit] (offer the state to the evaluator as an incumbent).
 
     Tick accounting: each recosted join step costs one tick, charged to the
-    evaluator's budget.  [Budget.Exhausted] can therefore escape from
-    [try_move]/[try_rewrite]; when it does the state may be mid-mutation, but
-    by then the incumbent best lives safely in the evaluator. *)
+    evaluator's budget when the change is evaluated.  [Budget.Exhausted]
+    can therefore escape from {!Neighborhood.consider} and
+    {!Neighborhood.consider_rewrite}; when it does the state is exactly as
+    before the call, and the incumbent best lives in the evaluator. *)
 
 type t
-
-type snapshot
 
 val init : Evaluator.t -> Plan.t -> t
 (** Full evaluation of the start permutation (which must be valid); charges
@@ -38,11 +35,13 @@ val perm_view : t -> Plan.t
 (** The state's own permutation array, NOT a copy — an O(1) read for hot
     loops that only inspect it.
 
-    Aliasing contract: the array is owned by the state and mutated in place
-    by [try_move]/[try_rewrite]/[rollback]; callers must not mutate it, must
-    not retain it across any state-mutating call, and must [Array.copy] (or
-    use {!perm}) before storing it anywhere.  Violations corrupt the search
-    state silently. *)
+    Aliasing contract: the array is owned by the state.  {!Neighborhood} is
+    the only other writer: it mutates [perm] and [pos] in place when it
+    installs an accepted change, and moves [pos] during an evaluation,
+    restoring it before returning.  Other callers must not mutate the views,
+    must not retain them across an accepted change, and must [Array.copy]
+    (or use {!perm}) before storing them anywhere.  Violations corrupt the
+    search state silently. *)
 
 val cards_view : t -> float array
 (** The state's intermediate-cardinality array ([cards.(i)] after position
@@ -62,34 +61,16 @@ val psum_view : t -> float array
     costs [c], added left to right, so [psum.(n - 1)] is {!cost} bit for
     bit. *)
 
-val try_move : t -> Move.t -> (float * snapshot) option
-(** Apply the move and recost.  [Some (new_total, snap)]: the state now holds
-    the moved permutation; pass [snap] to [rollback] to restore, or call
-    [commit].  [None]: the move was invalid; the state is unchanged. *)
-
-val try_rewrite : t -> lo:int -> rels:int array -> (float * snapshot) option
-(** Replace the relations at positions [lo .. lo + length rels - 1] with
-    [rels] (which must be a rearrangement of the relations currently in that
-    window) and recost; same protocol as [try_move]. *)
-
-val rollback : t -> snapshot -> unit
-
-val apply_evaluated :
-  t ->
-  Move.t ->
-  lo:int ->
-  upto:int ->
-  cards:float array ->
-  step_costs:float array ->
-  unit
-(** Install a move already evaluated off-state by {!Neighborhood}: applies
-    the permutation mutation and copies the supplied slices
-    ([max lo 1 .. upto - 1], plus [cards.(0)] when [lo = 0]) into the
-    state.  From [upto] on, {!try_move} would have recomputed exactly the
-    stored values, so that tail stays in place and only the partial sums
-    are refreshed, until they meet the stored ones.  Charges nothing — the
-    kernel charged the evaluation.  The supplied slices must hold exactly
-    what {!try_move} would have computed for this move;
+val install_evaluated :
+  t -> lo:int -> upto:int -> cards:float array -> step_costs:float array -> unit
+(** Install a change already evaluated off-state by {!Neighborhood}, whose
+    permutation and positions the caller has already written through the
+    views: copies the supplied slices ([max lo 1 .. upto - 1], plus
+    [cards.(0)] when [lo = 0]) into the state.  From [upto] on, a full
+    recost would reproduce the stored values, so that tail stays in place
+    and only the partial sums are refreshed, until they meet the stored
+    ones.  Charges nothing — the evaluation was charged.  The supplied
+    slices must hold exactly what costing the new permutation gives;
     {!Neighborhood.accept} is the only intended caller. *)
 
 val commit : t -> unit

@@ -51,10 +51,9 @@ let anneal_once ?(params = default_params) ev rng ~start =
   let state = Search_state.init ev start in
   let n = Search_state.n state in
   if n >= 2 then begin
-    (* One fused-kernel workspace serves the probing phase and every chain:
-       metropolis-rejected moves (most of a cooled run) never touch the
-       state.  Verdicts and charges are bit-identical to the reference
-       [try_move] protocol (see Neighborhood). *)
+    (* One neighbor-kernel workspace serves the probing phase and every
+       chain: metropolis-rejected moves (most of a cooled run) never touch
+       the state (see Neighborhood). *)
     let nb = Neighborhood.create state in
     let temp = ref (initial_temperature params nb state rng) in
     let chain_length = max 4 (params.size_factor * n) in

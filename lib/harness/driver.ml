@@ -43,11 +43,11 @@ let run_seed ~seed ~query_seed ~replicate ~method_index =
   seed + (query_seed * 1009) + (replicate * 9176867) + (method_index * 277)
 
 (* A process-wide method-set override (the bench's [--methods] flag), like
-   [Parallel.set_jobs]: experiments hard-code the method lists the paper's
-   artifacts call for, and the override lets one rerun any of them on a
-   chosen subset — or on [portfolio] — without forking the experiment
-   definitions.  It participates in the checkpoint fingerprint through the
-   effective method list. *)
+   [Ljqo_stats.Parallel.set_jobs]: experiments hard-code the method lists
+   the paper's artifacts call for, and the override lets one rerun any of
+   them on a chosen subset — or on [portfolio] — without forking the
+   experiment definitions.  It participates in the checkpoint fingerprint
+   through the effective method list. *)
 let methods_override : Methods.t list option ref = ref None
 
 let set_methods_override ms = methods_override := ms
@@ -176,7 +176,7 @@ let run_experiment ?kappa ?config ?(seed = 1) ?deadline ?checkpoint
                 | Guard.Timed_out _ -> "timed_out") ) ];
       g
   in
-  let results = Parallel.map_array guarded entries in
+  let results = Ljqo_stats.Parallel.map_array guarded entries in
   Option.iter Checkpoint.close store;
   let scaled = Array.init n_methods (fun _ -> Array.make n_factors []) in
   let n_crashed = ref 0 and n_timed_out = ref 0 and n_run_timeouts = ref 0 in

@@ -180,6 +180,150 @@ let test_criteria_wide () =
     (query dense ~n_joins:150 2025)
     wide_criteria_golden
 
+(* Local improvement from a fixed random start, for every rung of the
+   strategy ladder, with no tick limit: [one_pass] when o = 0, [improve]
+   otherwise.  Each row is (c, o, improved, plan, cost as %h, ticks the
+   pass or passes charged).  [improved] is [one_pass]'s verdict, or for
+   [improve] whether the cost fell.  IAL's rows above stop before its local
+   phase runs, so these rows pin the paper's L. *)
+let narrow_local_golden =
+  [
+    (5, 4, true, "3 2 8 5 7 1 6 20 11 4 9 13 17 16 0 15 14 12 19 10 18", "0x1.378d4dfd602e9p+14", 105061);
+    (4, 3, true, "3 2 8 5 7 1 6 20 11 4 13 0 10 17 15 19 9 16 12 14 18", "0x1.3f34d5dc69f26p+14", 26093);
+    (3, 2, true, "8 2 7 3 5 1 6 20 0 11 4 10 9 16 13 17 14 15 19 12 18", "0x1.c6ce8d5a4a744p+14", 5994);
+    (2, 1, true, "8 2 7 1 0 3 5 6 20 10 9 12 4 11 16 13 14 15 17 19 18", "0x1.856b701716e39p+17", 1120);
+    (2, 0, true, "8 2 7 1 0 3 5 13 6 14 20 9 12 10 4 11 15 16 17 19 18", "0x1.1a38302e7734fp+23", 176);
+  ]
+
+let wide_local_golden =
+  [
+    (5, 4, true, "0f69d5eeb52eb979b5b871d5891dc430", "0x1.aff8fa18ab5d4p+16", 4098076);
+    (4, 3, true, "70e8e7f5d47987e993c2efff930b6942", "0x1.af3d26fc99e6fp+16", 1060955);
+    (3, 2, true, "5f726129dc90f33c55a1117ceba75c7c", "0x1.b1106110f523dp+16", 234615);
+    (2, 1, true, "e50aaf8bec2c4ef5bfbf00f48606422a", "0x1.b7f68abfe3851p+16", 61990);
+    (2, 0, true, "87e556bc4dfb3d63d54987d5228c9977", "0x1.d78b95874d7efp+16", 7499);
+  ]
+
+let local_start q = Random_plan.generate (Ljqo_stats.Rng.create 11) q
+
+let check_local ~label ~plan_key q golden =
+  Ljqo_cost.Plan_cost.set_calibration None;
+  List.iter
+    (fun (c, o, improved, plan, cost, ticks) ->
+      let ev = Evaluator.create ~query:q ~model ~ticks:0 () in
+      let st = Search_state.init ev (local_start q) in
+      let cost0 = Search_state.cost st and used0 = Evaluator.used ev in
+      let flag =
+        if o = 0 then Local_improvement.one_pass st ~c ~o
+        else begin
+          Local_improvement.improve st ~c ~o;
+          Search_state.cost st < cost0
+        end
+      in
+      let msg what = Printf.sprintf "%s (%d, %d) %s" label c o what in
+      Alcotest.(check bool) (msg "improved") improved flag;
+      Alcotest.(check string) (msg "plan") plan (plan_key (Search_state.perm st));
+      Alcotest.(check string) (msg "cost") cost (Printf.sprintf "%h" (Search_state.cost st));
+      Alcotest.(check int) (msg "ticks") ticks (Evaluator.used ev - used0))
+    golden
+
+(* [Local_improvement.auto] from the same start under a tick budget: each
+   row is (budget, incumbent plan, incumbent cost as %h, ticks used).  A
+   budget can stop a pass midway; the evaluator's incumbent is the result. *)
+let narrow_auto_golden =
+  [
+    (5000, "8 2 7 3 1 5 6 0 20 10 9 4 11 16 13 14 12 15 17 19 18", "0x1.0ad8197a3c194p+16", 5001);
+    (500000, "3 2 8 5 7 1 6 20 11 4 9 13 17 16 0 15 14 12 19 10 18", "0x1.378d4dfd602e9p+14", 105082);
+  ]
+
+let wide_auto_golden =
+  [
+    (5000, "51ece10f619a900c2fc9ca306826903d", "0x1.bfa86b007adebp+16", 5045);
+    (500000, "4311a23443d560131410c506eaab489b", "0x1.b4c844a496b4bp+16", 500088);
+  ]
+
+let check_auto ~label ~plan_key q golden =
+  Ljqo_cost.Plan_cost.set_calibration None;
+  List.iter
+    (fun (budget, plan, cost, ticks) ->
+      let ev = Evaluator.create ~query:q ~model ~ticks:budget () in
+      (try Local_improvement.auto (Search_state.init ev (local_start q))
+       with Budget.Exhausted | Evaluator.Converged -> ());
+      let msg what = Printf.sprintf "%s auto %d %s" label budget what in
+      match Evaluator.best ev with
+      | None -> Alcotest.fail (msg "recorded no plan")
+      | Some (c, p) ->
+        Alcotest.(check string) (msg "plan") plan (plan_key p);
+        Alcotest.(check string) (msg "cost") cost (Printf.sprintf "%h" c);
+        Alcotest.(check int) (msg "ticks") ticks (Evaluator.used ev))
+    golden
+
+(* The SG88 baselines under two budgets, RNG seed 7: each row is (name,
+   budget, best plan, its cost as %h, ticks used). *)
+let narrow_baselines_golden =
+  [
+    ("RAND", 2000, "5 3 13 2 1 9 8 11 4 10 14 16 12 0 17 6 7 20 15 19 18", "0x1.5de025b33422ap+16", 2016);
+    ("RAND", 50000, "12 9 5 3 4 2 17 8 1 7 11 10 14 13 16 6 20 0 15 19 18", "0x1.c0225d0417b1bp+14", 50001);
+    ("WALK", 2000, "6 15 19 7 0 20 1 8 2 18 3 11 4 14 5 16 13 10 17 9 12", "0x1.af27787c5518dp+16", 2015);
+    ("WALK", 50000, "15 6 19 0 1 2 3 4 17 11 20 7 18 5 16 10 14 9 8 13 12", "0x1.a9ee8d18e4ec3p+16", 50013);
+    ("SDII", 2000, "6 15 19 20 7 8 2 0 1 18 3 4 11 16 5 10 13 14 9 17 12", "0x1.1e0d8e456827dp+15", 2013);
+    ("SDII", 50000, "12 9 5 3 4 11 13 17 14 2 10 8 16 7 1 6 20 15 19 0 18", "0x1.43433d1318472p+14", 50009);
+  ]
+
+let wide_baselines_golden =
+  [
+    ("RAND", 2000, "a700fd489e34a7d6bff91f47a40bec0a", "0x1.c74be73aaf1f2p+16", 2114);
+    ("RAND", 50000, "df5075a8a1b8dc84531b91791922d800", "0x1.ba07b8fbf1b06p+16", 50132);
+    ("WALK", 2000, "7221288495011713910f754dc774e74b", "0x1.8ed33d20788afp+34", 2058);
+    ("WALK", 50000, "d6ea18f95cf4b8d2c69f3fe7124da378", "0x1.8ede22fca7767p+25", 50022);
+    ("SDII", 2000, "7edd8e24697c548d76a102c473309d69", "0x1.8ed33d0421627p+34", 2011);
+    ("SDII", 50000, "1397c04c4c8a20b18dbe489d8a09800d", "0x1.396c2ce6eb17ep+17", 50034);
+  ]
+
+let check_baselines ~label ~plan_key q golden =
+  Ljqo_cost.Plan_cost.set_calibration None;
+  List.iter
+    (fun (name, budget, plan, cost, ticks) ->
+      let b = List.find (fun b -> Baselines.name b = name) Baselines.all in
+      let ev = Evaluator.create ~query:q ~model ~ticks:budget () in
+      Baselines.run b ev (Ljqo_stats.Rng.create 7);
+      let msg what = Printf.sprintf "%s %s %d %s" label name budget what in
+      match Evaluator.best ev with
+      | None -> Alcotest.fail (msg "recorded no plan")
+      | Some (c, p) ->
+        Alcotest.(check string) (msg "plan") plan (plan_key p);
+        Alcotest.(check string) (msg "cost") cost (Printf.sprintf "%h" c);
+        Alcotest.(check int) (msg "ticks") ticks (Evaluator.used ev))
+    golden
+
+let wide_key p = Digest.to_hex (Digest.string (plan_text p))
+
+let test_local () =
+  let narrow = query Qgen.default ~n_joins:20 2024 in
+  let wide = query dense ~n_joins:150 2025 in
+  check_local ~label:"default N=20" ~plan_key:plan_text narrow narrow_local_golden;
+  check_local ~label:"graph-dense N=150" ~plan_key:wide_key wide wide_local_golden;
+  check_auto ~label:"default N=20" ~plan_key:plan_text narrow narrow_auto_golden;
+  check_auto ~label:"graph-dense N=150" ~plan_key:wide_key wide wide_auto_golden
+
+let test_baselines () =
+  check_baselines ~label:"default N=20" ~plan_key:plan_text
+    (query Qgen.default ~n_joins:20 2024)
+    narrow_baselines_golden;
+  check_baselines ~label:"graph-dense N=150" ~plan_key:wide_key
+    (query dense ~n_joins:150 2025)
+    wide_baselines_golden
+
+(* IAL at t = 3, the smallest tested budget at which its local phase
+   changes the result (IAI's cost there is 0x1.530a055dc8cacp+14). *)
+let test_ial_local_phase () =
+  Optimizer.set_adaptive_router None;
+  Ljqo_cost.Plan_cost.set_calibration None;
+  check_row ~label:"default N=20 t=3" ~plan_key:plan_text
+    ("IAL", "3 2 8 4 11 7 14 1 5 9 13 17 12 16 6 20 0 15 19 10 18",
+     "0x1.410249082a779p+14", 72005)
+    (run ~t_factor:3.0 (query Qgen.default ~n_joins:20 2024) Methods.IAL)
+
 let suite =
   [
     Alcotest.test_case "every selectable method, default N=20" `Quick test_narrow;
@@ -190,4 +334,9 @@ let suite =
       test_criteria_narrow;
     Alcotest.test_case "every augmentation criterion, graph-dense N=150" `Quick
       test_criteria_wide;
+    Alcotest.test_case "local improvement, every strategy and auto" `Quick
+      test_local;
+    Alcotest.test_case "SG88 baselines" `Quick test_baselines;
+    Alcotest.test_case "IAL's local phase, default N=20 t=3" `Quick
+      test_ial_local_phase;
   ]

@@ -1,5 +1,6 @@
 open Ljqo_core
 open Ljqo_harness
+module Parallel = Ljqo_stats.Parallel
 
 let mem = Helpers.memory_model
 

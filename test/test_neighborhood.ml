@@ -1,11 +1,14 @@
-(* The fused neighbor kernel's bit-identity contract: for any state and any
-   move, [Neighborhood.consider] must return exactly what
-   [Search_state.try_move] returns, charge the evaluator identically, and an
-   [accept] must leave the state bit-identical to the reference's committed
-   state.  "Bit-identical" is literal: floats are compared with [=], not
+(* The neighbor kernel's bit-identity contract: for any state and any move
+   or window rewrite, [Neighborhood.consider]/[consider_rewrite] must return
+   exactly what the reference protocol's [try_move]/[try_rewrite] returns
+   ([Search_state_reference]: snapshot, mutate, recost to the end,
+   rollback), charge the evaluator identically, and an [accept] must leave
+   the state bit-identical to the reference's committed state.
+   "Bit-identical" is literal: floats are compared with [=], not
    approximately — the kernel reorders no arithmetic. *)
 
 open Ljqo_core
+module Ref = Search_state_reference
 
 let mem = Helpers.memory_model
 
@@ -14,23 +17,19 @@ let make_pair ?(n_joins = 8) ~qseed ~pseed () =
   let plan = Helpers.valid_random_plan q pseed in
   let ev_f = Evaluator.create ~query:q ~model:mem ~ticks:10_000_000 () in
   let ev_r = Evaluator.create ~query:q ~model:mem ~ticks:10_000_000 () in
-  (q, Search_state.init ev_f plan, Search_state.init ev_r plan)
+  (q, Search_state.init ev_f plan, Ref.init ev_r plan)
 
 let same_verdict = function
   | None, None -> true
   | Some (a : float), Some (b, _) -> a = b
   | _ -> false
 
-(* The state's cached arrays agree with a from-scratch costing by the
+(* A state's cached arrays agree with a from-scratch costing by the
    independent oracle, and [psum] is the left-to-right sum of the step costs
    with the plan's cost as its last entry — all bit for bit. *)
-let state_consistent q model st =
-  let perm = Search_state.perm_view st in
+let arrays_consistent q model ~perm ~pos ~cards ~steps ~psum ~cost =
   let n = Array.length perm in
   let e = Plan_cost_reference.eval model q perm in
-  let steps = Search_state.step_costs_view st in
-  let psum = Search_state.psum_view st in
-  let pos = Search_state.pos_view st in
   let ok = ref (Helpers.same_bits psum.(0) 0.0) in
   let acc = ref 0.0 in
   for i = 1 to n - 1 do
@@ -39,10 +38,22 @@ let state_consistent q model st =
   done;
   Array.iteri (fun i r -> if pos.(r) <> i then ok := false) perm;
   !ok
-  && Helpers.same_bits (Search_state.cost st) psum.(n - 1)
-  && Helpers.same_bits (Search_state.cost st) e.total
-  && Array.for_all2 Helpers.same_bits e.cards (Search_state.cards_view st)
+  && Helpers.same_bits cost psum.(n - 1)
+  && Helpers.same_bits cost e.total
+  && Array.for_all2 Helpers.same_bits e.cards cards
   && Array.for_all2 Helpers.same_bits e.step_costs steps
+
+let state_consistent q model st =
+  Search_state.(
+    arrays_consistent q model ~perm:(perm_view st) ~pos:(pos_view st)
+      ~cards:(cards_view st) ~steps:(step_costs_view st) ~psum:(psum_view st)
+      ~cost:(cost st))
+
+let reference_consistent q model st =
+  Ref.(
+    arrays_consistent q model ~perm:(perm_view st) ~pos:(pos_view st)
+      ~cards:(cards_view st) ~steps:(step_costs_view st) ~psum:(psum_view st)
+      ~cost:(cost st))
 
 (* Drive both paths through the same random move sequence with the same
    accept/reject coin; every observable — verdict, tick meter, permutation,
@@ -54,7 +65,7 @@ let prop_fused_matches_reference =
       let q, st_f, st_r = make_pair ~qseed ~pseed:(pseed + 17) () in
       let nb = Neighborhood.create st_f in
       let ev_f = Search_state.evaluator st_f in
-      let ev_r = Search_state.evaluator st_r in
+      let ev_r = Ref.evaluator st_r in
       let rng = Ljqo_stats.Rng.create (qseed + (31 * pseed)) in
       let n = Search_state.n st_f in
       let ok = ref true in
@@ -62,59 +73,89 @@ let prop_fused_matches_reference =
         let m = Move.random rng ~n in
         let keep = Ljqo_stats.Rng.bool rng in
         let vf = Neighborhood.consider nb m in
-        let vr = Search_state.try_move st_r m in
+        let vr = Ref.try_move st_r m in
         if not (same_verdict (vf, vr)) then ok := false;
         (match (vf, vr) with
         | Some _, Some (_, snap) ->
           if keep then begin
             Neighborhood.accept nb;
             Search_state.commit st_f;
-            Search_state.commit st_r
+            Ref.commit st_r
           end
           else begin
             Neighborhood.reject nb;
-            Search_state.rollback st_r snap
+            Ref.rollback st_r snap
           end
         | _ -> ());
         if Evaluator.used ev_f <> Evaluator.used ev_r then ok := false;
-        if Search_state.perm st_f <> Search_state.perm st_r then ok := false;
-        if not (Search_state.cost st_f = Search_state.cost st_r) then ok := false;
-        if not (state_consistent q mem st_f && state_consistent q mem st_r) then
+        if Search_state.perm st_f <> Ref.perm st_r then ok := false;
+        if not (Search_state.cost st_f = Ref.cost st_r) then ok := false;
+        if not (state_consistent q mem st_f && reference_consistent q mem st_r) then
           ok := false
       done;
       !ok
       && Evaluator.best ev_f = Evaluator.best ev_r)
     QCheck.(pair small_int small_int)
 
-(* The batched sweep must agree with one-at-a-time considers: same verdicts
-   in the same order, same total charge, and the state left untouched. *)
-let prop_adjacent_swaps_matches_loop =
-  Helpers.qcheck_case ~count:40
-    ~name:"adjacent_swaps bit-identical to a try_move loop"
-    (fun (qseed, pseed) ->
-      let _, st_f, st_r = make_pair ~qseed ~pseed:(pseed + 3) () in
+(* A random window of the current permutation: [lo], a length in 2..6
+   (capped by the plan), and the window's relations shuffled — the identity
+   arrangement and cross products included. *)
+let random_window rng perm =
+  let n = Array.length perm in
+  let len = min n (2 + Ljqo_stats.Rng.int rng 5) in
+  let lo = Ljqo_stats.Rng.int rng (n - len + 1) in
+  let rels = Array.sub perm lo len in
+  Ljqo_stats.Rng.shuffle_in_place rng rels;
+  (lo, rels)
+
+(* Window rewrites, as local improvement proposes them, on default and
+   graph-dense queries of up to 200 joins: after every step the verdict,
+   the tick meter, the permutation and the cost agree with [try_rewrite]'s,
+   and both states stay consistent with the costing oracle. *)
+let prop_rewrite_matches_reference =
+  Helpers.qcheck_case ~count:30
+    ~name:"consider_rewrite/accept/reject bit-identical to try_rewrite"
+    (fun (dense, size, seed) ->
+      let rng = Ljqo_stats.Rng.create seed in
+      let spec =
+        if dense then Helpers.graph_dense else Ljqo_querygen.Benchmark.default
+      in
+      let q =
+        Ljqo_querygen.Benchmark.generate_query spec ~n_joins:(1 + size) ~rng
+      in
+      let plan = Random_plan.generate rng q in
+      let ev_f = Evaluator.create ~query:q ~model:mem ~ticks:0 () in
+      let ev_r = Evaluator.create ~query:q ~model:mem ~ticks:0 () in
+      let st_f = Search_state.init ev_f plan in
+      let st_r = Ref.init ev_r plan in
       let nb = Neighborhood.create st_f in
-      let ev_f = Search_state.evaluator st_f in
-      let ev_r = Search_state.evaluator st_r in
-      let perm0 = Search_state.perm st_f in
-      let fused = ref [] in
-      Neighborhood.adjacent_swaps nb (fun i v -> fused := (i, v) :: !fused);
-      let reference = ref [] in
-      for i = 0 to Search_state.n st_r - 2 do
-        let v =
-          match Search_state.try_move st_r (Move.Swap (i, i + 1)) with
-          | None -> None
-          | Some (total, snap) ->
-            Search_state.rollback st_r snap;
-            Some total
-        in
-        reference := (i, v) :: !reference
+      let ok = ref true in
+      for _ = 1 to 60 do
+        let lo, rels = random_window rng (Search_state.perm_view st_f) in
+        let keep = Ljqo_stats.Rng.bool rng in
+        let vf = Neighborhood.consider_rewrite nb ~lo ~rels in
+        let vr = Ref.try_rewrite st_r ~lo ~rels in
+        if not (same_verdict (vf, vr)) then ok := false;
+        (match (vf, vr) with
+        | Some _, Some (_, snap) ->
+          if keep then begin
+            Neighborhood.accept nb;
+            Search_state.commit st_f;
+            Ref.commit st_r
+          end
+          else begin
+            Neighborhood.reject nb;
+            Ref.rollback st_r snap
+          end
+        | _ -> ());
+        if Evaluator.used ev_f <> Evaluator.used ev_r then ok := false;
+        if Search_state.perm_view st_f <> Ref.perm_view st_r then ok := false;
+        if not (Search_state.cost st_f = Ref.cost st_r) then ok := false;
+        if not (state_consistent q mem st_f && reference_consistent q mem st_r) then
+          ok := false
       done;
-      List.rev !fused = List.rev !reference
-      && Evaluator.used ev_f = Evaluator.used ev_r
-      && Search_state.perm st_f = perm0
-      && Search_state.cost st_f = Search_state.cost st_r)
-    QCheck.(pair small_int small_int)
+      !ok && Evaluator.best ev_f = Evaluator.best ev_r)
+    QCheck.(triple bool (int_bound 199) int)
 
 (* A 130-relation chain exceeds the two inline bitset words.  Placement is
    read from positions, so the kernel has one path at every width; it must
@@ -137,12 +178,12 @@ let test_wide_fused () =
   let ev_f = Evaluator.create ~query:q ~model:mem ~ticks:10_000_000 () in
   let ev_r = Evaluator.create ~query:q ~model:mem ~ticks:10_000_000 () in
   let st_f = Search_state.init ev_f plan in
-  let st_r = Search_state.init ev_r plan in
+  let st_r = Ref.init ev_r plan in
   let nb = Neighborhood.create st_f in
   for i = 0 to 128 do
     let m = Move.Swap (i, i + 1) in
     let vf = Neighborhood.consider nb m in
-    let vr = Search_state.try_move st_r m in
+    let vr = Ref.try_move st_r m in
     if not (same_verdict (vf, vr)) then
       Alcotest.failf "verdict mismatch at swap %d" i;
     match (vf, vr) with
@@ -150,40 +191,21 @@ let test_wide_fused () =
       if i mod 3 = 0 then begin
         Neighborhood.accept nb;
         Search_state.commit st_f;
-        Search_state.commit st_r
+        Ref.commit st_r
       end
       else begin
         Neighborhood.reject nb;
-        Search_state.rollback st_r snap
+        Ref.rollback st_r snap
       end
     | _ -> ()
   done;
   Alcotest.(check (array int))
-    "permutations agree" (Search_state.perm st_r) (Search_state.perm st_f);
+    "permutations agree" (Ref.perm st_r) (Search_state.perm st_f);
   Alcotest.(check bool)
     "costs bit-equal" true
-    (Search_state.cost st_f = Search_state.cost st_r);
+    (Search_state.cost st_f = Ref.cost st_r);
   Alcotest.(check int)
-    "tick meters agree" (Evaluator.used ev_r) (Evaluator.used ev_f);
-  (* and the wide adjacent-swap sweep matches a try_move loop, ticks included *)
-  let fused = ref [] in
-  Neighborhood.adjacent_swaps nb (fun i v -> fused := (i, v) :: !fused);
-  let reference = ref [] in
-  for i = 0 to Search_state.n st_r - 2 do
-    let v =
-      match Search_state.try_move st_r (Move.Swap (i, i + 1)) with
-      | None -> None
-      | Some (total, snap) ->
-        Search_state.rollback st_r snap;
-        Some total
-    in
-    reference := (i, v) :: !reference
-  done;
-  Alcotest.(check bool)
-    "wide adjacent_swaps bit-identical" true
-    (List.rev !fused = List.rev !reference);
-  Alcotest.(check int)
-    "sweep tick meters agree" (Evaluator.used ev_r) (Evaluator.used ev_f)
+    "tick meters agree" (Evaluator.used ev_r) (Evaluator.used ev_f)
 
 (* Random swaps and inserts on a dense graph of 150 to 200 relations: the
    verdicts, tick meters and states of the kernel and the reference stay
@@ -201,7 +223,7 @@ let prop_wide_random_moves =
       let ev_f = Evaluator.create ~query:q ~model:mem ~ticks:0 () in
       let ev_r = Evaluator.create ~query:q ~model:mem ~ticks:0 () in
       let st_f = Search_state.init ev_f plan in
-      let st_r = Search_state.init ev_r plan in
+      let st_r = Ref.init ev_r plan in
       let nb = Neighborhood.create st_f in
       let n = Search_state.n st_f in
       let ok = ref true in
@@ -209,20 +231,20 @@ let prop_wide_random_moves =
         let m = Move.random rng ~n in
         let keep = Ljqo_stats.Rng.int rng 3 = 0 in
         let vf = Neighborhood.consider nb m in
-        let vr = Search_state.try_move st_r m in
+        let vr = Ref.try_move st_r m in
         if not (same_verdict (vf, vr)) then ok := false;
         (match (vf, vr) with
         | Some _, Some (_, snap) ->
           if keep then Neighborhood.accept nb
           else begin
             Neighborhood.reject nb;
-            Search_state.rollback st_r snap
+            Ref.rollback st_r snap
           end
         | _ -> ());
         if Evaluator.used ev_f <> Evaluator.used ev_r then ok := false;
-        if Search_state.perm_view st_f <> Search_state.perm_view st_r then
+        if Search_state.perm_view st_f <> Ref.perm_view st_r then
           ok := false;
-        if not (state_consistent q mem st_f && state_consistent q mem st_r) then
+        if not (state_consistent q mem st_f && reference_consistent q mem st_r) then
           ok := false
       done;
       !ok)
@@ -230,7 +252,8 @@ let prop_wide_random_moves =
 
 (* A cost model that raises mid-walk must leave the state exactly as it was:
    permutation, positions, cards, step costs, partial sums and cost.  The
-   raising model ([Chaos.wrap_raising]) is armed only after [init]. *)
+   raising model ([Chaos.wrap_raising]) is armed only after [init].  Moves
+   and window rewrites alternate. *)
 let test_raise_leaves_state () =
   let q = Helpers.random_query ~n_joins:30 11 in
   let armed = ref false in
@@ -263,47 +286,66 @@ let test_raise_leaves_state () =
   in
   armed := true;
   let rng = Ljqo_stats.Rng.create 9 in
-  let raised = ref 0 in
-  for _ = 1 to 400 do
+  let raised = ref 0 and raised_rewrites = ref 0 in
+  for k = 1 to 800 do
     let before = snapshot () in
-    let m = Move.random rng ~n:(Search_state.n st) in
-    (match Neighborhood.consider nb m with
+    let what, verdict =
+      if k mod 2 = 0 then
+        let m = Move.random rng ~n:(Search_state.n st) in
+        (Format.asprintf "%a" Move.pp m, fun () -> Neighborhood.consider nb m)
+      else
+        let lo, rels = random_window rng (Search_state.perm_view st) in
+        ( Printf.sprintf "rewrite at %d" lo,
+          fun () -> Neighborhood.consider_rewrite nb ~lo ~rels )
+    in
+    (match verdict () with
     | Some _ -> Neighborhood.reject nb
     | None -> ()
-    | exception Ljqo_cost.Chaos.Injected _ -> incr raised);
-    if snapshot () <> before then
-      Alcotest.failf "state changed by %s" (Format.asprintf "%a" Move.pp m)
+    | exception Ljqo_cost.Chaos.Injected _ ->
+      incr raised;
+      if k mod 2 = 1 then incr raised_rewrites);
+    if snapshot () <> before then Alcotest.failf "state changed by %s" what
   done;
-  Alcotest.(check bool) "some considers raised" true (!raised > 0)
+  Alcotest.(check bool) "some considers raised" true (!raised > !raised_rewrites);
+  Alcotest.(check bool) "some rewrites raised" true (!raised_rewrites > 0)
 
-(* Allocation contract: a [consider] allocates 17 minor words per computed
+(* Allocation contract: a candidate allocates 17 minor words per computed
    step — the cost model's [join_input] record with its four boxed floats
    (15) and the boxed cost it returns (2) — plus the 4 words of a valid
-   candidate's [Some total], and nothing else, at any degree and width.
-   Counted on one domain over a fixed sequence of 20,000 consider/reject
-   calls; the model counts the computed steps.  The stated slack (64 words
-   in all, not per call) covers the measurement's own closure and refs. *)
-let check_consider_allocation label spec ~n_joins =
+   candidate's [Some total], and nothing else, at any degree and width, for
+   a move and for a window rewrite alike.  Counted on one domain over a
+   fixed sequence of 20,000 consider/reject calls; the model counts the
+   computed steps.  The stated slack (64 words in all, not per call) covers
+   the measurement's own closure and refs. *)
+let check_allocation label spec ~n_joins ~rewrites =
   let rng = Ljqo_stats.Rng.create 42 in
   let q = Ljqo_querygen.Benchmark.generate_query spec ~n_joins ~rng in
   let calls = ref 0 in
   let ev = Evaluator.create ~query:q ~model:(Helpers.counting_model calls) ~ticks:0 () in
   let st = Search_state.init ev (Random_plan.generate rng q) in
   let nb = Neighborhood.create st in
+  (* Every candidate is rejected, so windows drawn from the start state stay
+     rearrangements of the state's windows. *)
   let moves =
     Array.init 20_000 (fun _ -> Move.random rng ~n:(Search_state.n st))
   in
+  let windows =
+    Array.init 20_000 (fun _ -> random_window rng (Search_state.perm_view st))
+  in
   let valid = ref 0 in
+  let note = function
+    | Some _ ->
+      incr valid;
+      Neighborhood.reject nb
+    | None -> ()
+  in
   calls := 0;
   let before = Gc.minor_words () in
-  Array.iter
-    (fun m ->
-      match Neighborhood.consider nb m with
-      | Some _ ->
-        incr valid;
-        Neighborhood.reject nb
-      | None -> ())
-    moves;
+  if rewrites then
+    Array.iter
+      (fun (lo, rels) -> note (Neighborhood.consider_rewrite nb ~lo ~rels))
+      windows
+  else Array.iter (fun m -> note (Neighborhood.consider nb m)) moves;
   let words = Gc.minor_words () -. before in
   let extra = words -. float_of_int ((17 * !calls) + (4 * !valid)) in
   if extra < 0.0 || extra > 64.0 then
@@ -315,9 +357,14 @@ let check_consider_allocation label spec ~n_joins =
       extra
 
 let test_consider_allocation () =
-  check_consider_allocation "default N=50" Ljqo_querygen.Benchmark.default
-    ~n_joins:50;
-  check_consider_allocation "graph-dense N=200" Helpers.graph_dense ~n_joins:200
+  List.iter
+    (fun rewrites ->
+      let kind = if rewrites then "rewrites" else "moves" in
+      check_allocation ("default N=50 " ^ kind) Ljqo_querygen.Benchmark.default
+        ~n_joins:50 ~rewrites;
+      check_allocation ("graph-dense N=200 " ^ kind) Helpers.graph_dense
+        ~n_joins:200 ~rewrites)
+    [ false; true ]
 
 let test_pending_protocol_enforced () =
   let q = Helpers.chain3 () in
@@ -330,7 +377,13 @@ let test_pending_protocol_enforced () =
   Alcotest.check_raises "second consider while pending"
     (Invalid_argument "Neighborhood.consider: a considered move is still pending")
     (fun () -> ignore (Neighborhood.consider nb (Move.Swap (0, 1))));
+  Alcotest.check_raises "rewrite while pending"
+    (Invalid_argument "Neighborhood.consider: a considered move is still pending")
+    (fun () -> ignore (Neighborhood.consider_rewrite nb ~lo:0 ~rels:[| 1; 0 |]));
   Neighborhood.reject nb;
+  Alcotest.check_raises "rewrite past the end"
+    (Invalid_argument "Neighborhood.consider_rewrite: window out of range")
+    (fun () -> ignore (Neighborhood.consider_rewrite nb ~lo:2 ~rels:[| 2; 1 |]));
   Alcotest.check_raises "accept with nothing pending"
     (Invalid_argument "Neighborhood.accept: no move under consideration")
     (fun () -> Neighborhood.accept nb)
@@ -338,7 +391,7 @@ let test_pending_protocol_enforced () =
 let suite =
   [
     prop_fused_matches_reference;
-    prop_adjacent_swaps_matches_loop;
+    prop_rewrite_matches_reference;
     Alcotest.test_case "wide fused path (n = 130)" `Quick test_wide_fused;
     Alcotest.test_case "pending protocol enforced" `Quick
       test_pending_protocol_enforced;

@@ -6,6 +6,7 @@
 open Ljqo_core
 open Ljqo_harness
 module Obs = Ljqo_obs.Obs
+module Parallel = Ljqo_stats.Parallel
 
 let mem = Helpers.memory_model
 

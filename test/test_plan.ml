@@ -39,7 +39,7 @@ let prop_is_valid_matches_reference =
       let q = Helpers.random_query ~n_joins:(2 + (qseed mod 10)) (900 + qseed) in
       let n = Ljqo_catalog.Query.n_relations q in
       let rng = Ljqo_stats.Rng.create pseed in
-      let agrees p = Plan.is_valid q p = Plan.is_valid_reference q p in
+      let agrees p = Plan.is_valid q p = Plan_reference.is_valid q p in
       (* valid plans, arbitrary permutations, and corrupted arrays *)
       let valid = Random_plan.generate (Ljqo_stats.Rng.create pseed) q in
       let shuffled = Array.init n Fun.id in
@@ -66,7 +66,7 @@ let prop_is_valid_wide_matches_reference =
       let q = Helpers.random_query ~n_joins (910 + qseed) in
       let n = Ljqo_catalog.Query.n_relations q in
       let rng = Ljqo_stats.Rng.create pseed in
-      let agrees p = Plan.is_valid q p = Plan.is_valid_reference q p in
+      let agrees p = Plan.is_valid q p = Plan_reference.is_valid q p in
       let valid = Random_plan.generate (Ljqo_stats.Rng.create pseed) q in
       let shuffled = Array.init n Fun.id in
       Ljqo_stats.Rng.shuffle_in_place rng shuffled;

@@ -48,7 +48,7 @@ let prop_matches_reference =
     (fun (qseed, pseed) ->
       let q = Helpers.random_query ~n_joins:(2 + (qseed mod 14)) (500 + qseed) in
       Random_plan.generate (Ljqo_stats.Rng.create pseed) q
-      = Random_plan.generate_reference (Ljqo_stats.Rng.create pseed) q)
+      = Random_plan_reference.generate (Ljqo_stats.Rng.create pseed) q)
     QCheck.(pair small_int small_int)
 
 (* Past the inline width the generator switches to the scratch-word form,
@@ -61,7 +61,7 @@ let prop_wide_matches_reference =
       let n_joins = 127 + (qseed mod 30) in
       let q = Helpers.random_query ~n_joins (520 + qseed) in
       let p = Random_plan.generate (Ljqo_stats.Rng.create pseed) q in
-      p = Random_plan.generate_reference (Ljqo_stats.Rng.create pseed) q
+      p = Random_plan_reference.generate (Ljqo_stats.Rng.create pseed) q
       && Plan.is_valid q p)
     QCheck.(pair small_int small_int)
 

@@ -6,6 +6,13 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# One implementation of each job in lib/: an equivalence oracle (a
+# `*_reference` value) belongs under test/, next to the tests that use it.
+if grep -rnE '^[[:space:]]*(let|and|val)(\[@[^]]*\])?[[:space:]]+(rec[[:space:]]+)?[A-Za-z0-9_'"'"']*_reference\b' lib; then
+  echo "lib/ defines a *_reference value; move the oracle to test/" >&2
+  exit 1
+fi
+
 dune build @all
 OCAMLRUNPARAM=b dune runtest
 dune build @chaos
