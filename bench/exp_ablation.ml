@@ -8,8 +8,6 @@ open Ljqo_querygen
 
 let tfactors = [ 0.75; 9.0 ]
 
-let methods = Methods.[ IAI; II ]
-
 let mixes =
   [
     ("adjacent-heavy (default)", Move.default_mix);
@@ -19,8 +17,8 @@ let mixes =
 
 let patience_factors = [ 2; 4; 8 ]
 
-let run ?kappa ?deadline ?checkpoint ~(scale : Ljqo_harness.Driver.scale) ~seed
-    ~csv_dir () =
+let run ?kappa ?deadline ?checkpoint ?(methods = Methods.[ IAI; II ])
+    ~(scale : Ljqo_harness.Driver.scale) ~seed ~csv_dir () =
   let per_n = max 2 (scale.per_n / 2) in
   let workload = Workload.make ~per_n ~seed Benchmark.default in
   (* Each call is its own checkpointable unit — the run_label keeps their

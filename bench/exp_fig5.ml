@@ -5,15 +5,15 @@ open Ljqo_querygen
 
 let tfactors = [ 0.3; 0.75; 1.5; 3.0; 6.0; 9.0 ]
 
-let run ?kappa ?deadline ?checkpoint ~(scale : Ljqo_harness.Driver.scale) ~seed
-    ~csv_dir () =
+let run ?kappa ?deadline ?checkpoint ?(methods = Methods.top_five)
+    ~(scale : Ljqo_harness.Driver.scale) ~seed ~csv_dir () =
   let workload =
     Workload.make ~ns:Workload.large_ns ~per_n:scale.per_n ~seed Benchmark.default
   in
   let model = (module Ljqo_cost.Memory_model : Ljqo_cost.Cost_model.S) in
   let outcome =
     Ljqo_harness.Driver.run_experiment ?kappa ?deadline ?checkpoint
-      ~run_label:"fig5" ~seed ~workload ~methods:Methods.top_five ~model
+      ~run_label:"fig5" ~seed ~workload ~methods ~model
       ~tfactors ~replicates:scale.replicates ()
   in
   let title =

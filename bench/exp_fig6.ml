@@ -6,10 +6,8 @@ open Ljqo_querygen
 
 let tfactors = [ 0.3; 0.6; 0.9; 1.2; 1.5; 1.8 ]
 
-let methods = Methods.[ IAI; AGI; II ]
-
-let run ?kappa ?deadline ?checkpoint ~(scale : Ljqo_harness.Driver.scale) ~seed
-    ~csv_dir () =
+let run ?kappa ?deadline ?checkpoint ?(methods = Methods.[ IAI; AGI; II ])
+    ~(scale : Ljqo_harness.Driver.scale) ~seed ~csv_dir () =
   let workload =
     Workload.make ~ns:Workload.large_ns ~per_n:scale.per_n ~seed Benchmark.default
   in

@@ -4,10 +4,8 @@
 open Ljqo_core
 open Ljqo_querygen
 
-let methods = Methods.[ IAI; IAL; AGI; KBI; II ]
-
-let run ?kappa ?deadline ?checkpoint ~(scale : Ljqo_harness.Driver.scale) ~seed
-    ~csv_dir () =
+let run ?kappa ?deadline ?checkpoint ?(methods = Methods.top_five)
+    ~(scale : Ljqo_harness.Driver.scale) ~seed ~csv_dir () =
   let model = (module Ljqo_cost.Memory_model : Ljqo_cost.Cost_model.S) in
   let queries = scale.per_n * List.length Workload.standard_ns in
   (* The paper reports 9N^2 only.  With modern tick budgets all finalists

@@ -26,8 +26,8 @@ let usage () =
      extension experiments: optgap space bushy ablation sg88 dp cache (or:\n\
     \                        extensions)\n\
      micro-benchmarks:      micro [--micro-quota SECS] [--micro-out FILE]\n\
-     --methods M1,M2,...    override every experiment's method set (II, SA,\n\
-    \                        ..., portfolio)\n\
+     --methods M1,M2,...    run these methods (II, SA, ..., portfolio) instead\n\
+    \                        of the built-in sets of table3, fig4-fig7, ablation\n\
      --deadline SECS        abort any single method run after SECS wall-clock\n\
      --checkpoint-dir DIR   persist per-query results under DIR as they finish\n\
      --resume               skip queries already checkpointed (requires\n\
@@ -46,6 +46,7 @@ type options = {
   mutable scale : Ljqo_harness.Driver.scale;
   mutable seed : int;
   mutable kappa : int option;
+  mutable methods : Ljqo_core.Methods.t list option;
   mutable csv_dir : string option;
   mutable deadline : float option;
   mutable checkpoint_dir : string option;
@@ -80,6 +81,7 @@ let parse_args () =
       scale = Ljqo_harness.Driver.default_scale;
       seed = 42;
       kappa = None;
+      methods = None;
       csv_dir = None;
       deadline = None;
       checkpoint_dir = None;
@@ -183,17 +185,16 @@ let parse_args () =
           ("--methods wants a comma-separated list of methods, got: " ^ v);
         usage ()
       end;
-      let methods =
-        List.map
-          (fun name ->
-            match Ljqo_core.Methods.of_name name with
-            | Some m -> m
-            | None ->
-              prerr_endline ("--methods: unknown method: " ^ name);
-              usage ())
-          names
-      in
-      Ljqo_harness.Driver.set_methods_override (Some methods);
+      o.methods <-
+        Some
+          (List.map
+             (fun name ->
+               match Ljqo_core.Methods.of_name name with
+               | Some m -> m
+               | None ->
+                 prerr_endline ("--methods: unknown method: " ^ name);
+                 usage ())
+             names);
       go rest
     | "all" :: rest ->
       o.experiments <- o.experiments @ all_experiments;
@@ -226,7 +227,7 @@ let () =
     (fun dir -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755)
     o.csv_dir;
   let scale = o.scale and seed = o.seed and csv_dir = o.csv_dir in
-  let kappa = o.kappa and deadline = o.deadline in
+  let kappa = o.kappa and deadline = o.deadline and methods = o.methods in
   let checkpoint =
     Option.map
       (fun dir -> { Ljqo_harness.Checkpoint.dir; resume = o.resume })
@@ -264,13 +265,18 @@ let () =
       (match exp with
       | "table1" -> Exp_table1.run ?kappa ~scale ~seed ~csv_dir ()
       | "table2" -> Exp_table2.run ?kappa ~scale ~seed ~csv_dir ()
-      | "table3" -> Exp_table3.run ?kappa ?deadline ?checkpoint ~scale ~seed ~csv_dir ()
-      | "fig4" -> Exp_fig4.run ?kappa ?deadline ?checkpoint ~scale ~seed ~csv_dir ()
-      | "fig5" -> Exp_fig5.run ?kappa ?deadline ?checkpoint ~scale ~seed ~csv_dir ()
-      | "fig6" -> Exp_fig6.run ?kappa ?deadline ?checkpoint ~scale ~seed ~csv_dir ()
-      | "fig7" -> Exp_fig7.run ?kappa ?deadline ?checkpoint ~scale ~seed ~csv_dir ()
+      | "table3" ->
+        Exp_table3.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
+      | "fig4" ->
+        Exp_fig4.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
+      | "fig5" ->
+        Exp_fig5.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
+      | "fig6" ->
+        Exp_fig6.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
+      | "fig7" ->
+        Exp_fig7.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
       | "ablation" ->
-        Exp_ablation.run ?kappa ?deadline ?checkpoint ~scale ~seed ~csv_dir ()
+        Exp_ablation.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
       | "optgap" -> Exp_optgap.run ?kappa ~scale ~seed ~csv_dir ()
       | "space" -> Exp_space.run ?kappa ~scale ~seed ~csv_dir ()
       | "bushy" -> Exp_bushy.run ?kappa ~scale ~seed ~csv_dir ()

@@ -224,6 +224,15 @@ let check_learn_knobs ~method_ ~learn_model ~learn_epoch =
     if learn_epoch <> None then
       fail_usage "--learn-epoch only applies to --method adaptive"
 
+(* The subcommands without --learn-model have no model to route with, so
+   they refuse adaptive instead of quietly running its portfolio
+   fallback. *)
+let check_no_adaptive method_ =
+  if method_ = Methods.Adaptive then
+    fail_usage
+      "--method adaptive needs --learn-model, which only optimize, serve-file, \
+       serve and loadgen take"
+
 (* The serving subcommands' online-learning state: adaptive serves through
    an [Online.t] seeded with the loaded model (every request records a
    sample; the router refreshes at epoch boundaries); fixed methods serve
@@ -322,12 +331,18 @@ let optimize file method_ model t_factor kappa seed learn_model
     portfolio_width portfolio_legs metrics trace trace_sample =
   check_knobs ~t_factor ~kappa ~trace_sample;
   check_learn_knobs ~method_ ~learn_model ~learn_epoch:None;
-  Learn.Router.install (Option.map load_learn_model learn_model);
+  let learn_model = Option.map load_learn_model learn_model in
   let config = methods_config_for ~portfolio_width ~portfolio_legs in
   with_obs ~metrics ~trace ~trace_sample @@ fun () ->
   let query = load_query file in
   let ticks = ticks_for query t_factor kappa in
-  let r = Optimizer.optimize ~config ~method_ ~model ~ticks ~seed query in
+  let route, route_ticks, resolution =
+    Learn.Router.resolve learn_model method_ query ~ticks
+  in
+  Learn.Router.bump route resolution;
+  let r =
+    Optimizer.optimize ~config ~method_:route ~model ~ticks:route_ticks ~seed query
+  in
   let module M = (val model : Ljqo_cost.Cost_model.S) in
   Printf.printf "method %s, cost model %s, budget %d ticks (%.3gN^2)\n"
     (Methods.name method_) M.name ticks t_factor;
@@ -373,7 +388,10 @@ let explain file plan_str model =
   let query = load_query file in
   let plan =
     match plan_str with
-    | Some s -> parse_plan query s
+    | Some s -> (
+      match parse_plan query s with
+      | [||] -> fail_usage "--plan must name at least one relation"
+      | plan -> plan)
     | None ->
       let ticks = ticks_for query 9.0 None in
       (Optimizer.optimize ~method_:Methods.IAI ~model ~ticks ~seed:42 query).plan
@@ -409,6 +427,7 @@ let explain_cmd =
 let run_query file method_ model t_factor kappa seed max_rows metrics trace
     trace_sample =
   check_knobs ~t_factor ~kappa ~trace_sample;
+  check_no_adaptive method_;
   if max_rows < 1 then
     fail_usage "--max-rows must be a positive integer, got %d" max_rows;
   with_obs ~metrics ~trace ~trace_sample @@ fun () ->
@@ -565,6 +584,7 @@ let compare_cmd =
 (* --- sql --------------------------------------------------------------- *)
 
 let sql file catalog_file method_ model t_factor kappa seed execute =
+  check_no_adaptive method_;
   let catalog =
     try Ljqo_sql.Stats_catalog.parse_file catalog_file with
     | Ljqo_sql.Stats_catalog.Parse_error { line; message } ->
@@ -1434,9 +1454,9 @@ let load_calibration path =
   | Error e -> fail_usage "cannot load calibration %s: %s" path e
 
 (* Every variation through the feedback pipeline.  A calibration entry (if
-   any) keys on the variation name and applies during the sequential
-   measurement phase only — optimization is always uncalibrated, so before
-   and after score the same plans. *)
+   any) keys on the variation name and applies to the measurement only —
+   optimization is always uncalibrated, so before and after score the same
+   plans. *)
 let feedback_run_all ?calibration ~jobs ~max_rows ~model ~method_ ~t_factor ~ns
     ~per_n ~seed () =
   List.map
@@ -1468,6 +1488,7 @@ let print_feedback_summary name (s : Feedback.Summary.t) =
 let feedback_report calibration_file svg ns per_n jobs seed t_factor method_
     model max_rows metrics trace trace_sample =
   check_knobs ~t_factor ~kappa:None ~trace_sample;
+  check_no_adaptive method_;
   let ns = parse_ns ns in
   check_feedback_grid ~per_n ~jobs ~max_rows;
   let calibration = Option.map load_calibration calibration_file in
@@ -1557,6 +1578,7 @@ let feedback_report_cmd =
 let feedback_calibrate ns per_n jobs seed t_factor method_ model max_rows output
     metrics trace trace_sample =
   check_knobs ~t_factor ~kappa:None ~trace_sample;
+  check_no_adaptive method_;
   let ns = parse_ns ns in
   check_feedback_grid ~per_n ~jobs ~max_rows;
   with_obs ~metrics ~trace ~trace_sample (fun () ->

@@ -47,12 +47,13 @@ let starts query =
 
 (* The heuristic consults the same selectivity estimator the cost model
    uses (including the distinct-value clamp at the current intermediate
-   size), as a real optimizer's heuristics would: this is
-   [Plan_cost.edge_selectivity] on unboxed floats, with the same float
-   operations in the same order.  Its [Float.min]/[Float.max] calls become
-   plain compares, and they agree bit for bit even though the heuristic's
-   running size [outer] is not clamped and may reach [inf], then NaN: every
-   compare has a distinct count (at least 1, never NaN; see
+   size and the run's calibration), as a real optimizer's heuristics would:
+   this is [Plan_cost.Stepper]'s effective selectivity, with the float
+   operations of its [Float.min]/[Float.max] form (the test oracle's
+   [edge_selectivity]) in the same order.  Written as plain compares, they
+   agree bit for bit even though the heuristic's running size [outer] is
+   not clamped and may reach [inf], then NaN: every compare has a distinct
+   count (at least 1, never NaN; see
    [Relation.distinct_values]) or the constant 1 on one side, and it is
    written so that a NaN on the other side falls through to that side, as
    [Float.min]/[Float.max] return it.  A [-0.] selectivity passes through
@@ -109,7 +110,7 @@ let[@inline] fold_placed ~min ~calib ~outer ~adjacency ~selectivities ~distincts
 let[@inline] ranks_before ~(key : float) ~(dj : float) ~(j : int) ~best_key ~d_best ~best =
   key < best_key || (key = best_key && (dj > d_best || (dj = d_best && j < best)))
 
-let generate ?(charge = ignore) query criterion ~start =
+let generate ?(charge = ignore) ?calibration:calib query criterion ~start =
   let n = Query.n_relations query in
   if start < 0 || start >= n then invalid_arg "Augmentation.generate: bad start";
   let graph = Query.graph query in
@@ -117,7 +118,6 @@ let generate ?(charge = ignore) query criterion ~start =
   let selectivities = Join_graph.selectivity_table graph in
   let cards = Query.cardinalities query in
   let distincts = Query.distinct_counts query in
-  let calib = Plan_cost.calibration () in
   let perm = Array.make n (-1) in
   let placed = Array.make n false in
   (* The candidates, the unplaced relations joined to the prefix, fill slots
@@ -211,4 +211,6 @@ let make_source ?(criterion = default_criterion) ev =
     | [] -> None
     | start :: rest ->
       remaining := rest;
-      Some (generate ~charge:(Evaluator.charge ev) query criterion ~start)
+      Some
+        (generate ~charge:(Evaluator.charge ev)
+           ?calibration:(Evaluator.calibration ev) query criterion ~start)

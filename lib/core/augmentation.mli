@@ -16,9 +16,10 @@
     + [Min_rank] — smallest KBZ rank
       [(N_i N_j J_ij - 1) / (0.5 N_i (N_j / D_j))].
 
-    Criteria 3–5 read each edge through the cost model's estimator
-    ([Ljqo_cost.Plan_cost.edge_selectivity], with its distinct-value clamp at
-    the current intermediate size and any installed calibration).
+    Criteria 3–5 read each edge through the cost model's estimator (the
+    effective selectivity of {!Ljqo_cost.Plan_cost.Stepper}, with its
+    distinct-value clamp at the current intermediate size and the given
+    calibration, if any).
     Criteria 4 and 5 multiply the effective selectivities of a candidate's
     edges to placed relations in ascending neighbor order; criterion 3 takes
     their minimum, as [Float.min] does (NaN and signed zeros included).  The
@@ -62,6 +63,7 @@ val starts : Ljqo_catalog.Query.t -> int list
 
 val generate :
   ?charge:(int -> unit) ->
+  ?calibration:Ljqo_cost.Plan_cost.calibration ->
   Ljqo_catalog.Query.t ->
   criterion ->
   start:int ->
@@ -73,5 +75,6 @@ val generate :
 val make_source :
   ?criterion:criterion -> Evaluator.t -> unit -> Plan.t option
 (** A stateful start-state source for the combined methods: each call builds
-    the augmentation state for the next start relation (charging its work to
-    the evaluator), returning [None] once all [n] starts are used. *)
+    the augmentation state for the next start relation under the
+    evaluator's calibration (charging its work to the evaluator), returning
+    [None] once all [n] starts are used. *)

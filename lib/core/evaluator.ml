@@ -6,6 +6,7 @@ exception Converged
 type t = {
   query : Query.t;
   model : Cost_model.t;
+  calibration : Plan_cost.calibration option;
   budget : Budget.t;
   lower_bound : float;
   epsilon : float;
@@ -14,13 +15,14 @@ type t = {
   mutable best : (float * Plan.t) option;
 }
 
-let create ?(epsilon = 0.01) ?(checkpoints = []) ?deadline ?clock ~query ~model
-    ~ticks () =
+let create ?(epsilon = 0.01) ?(checkpoints = []) ?deadline ?clock ?calibration
+    ~query ~model ~ticks () =
   let budget = Budget.create ~checkpoints ?deadline ?clock ~ticks () in
   let t =
     {
       query;
       model;
+      calibration;
       budget;
       lower_bound = Plan_cost.lower_bound model query;
       epsilon;
@@ -36,6 +38,7 @@ let create ?(epsilon = 0.01) ?(checkpoints = []) ?deadline ?clock ~query ~model
 
 let query t = t.query
 let model t = t.model
+let calibration t = t.calibration
 let n_relations t = Query.n_relations t.query
 let lower_bound t = t.lower_bound
 let epsilon t = t.epsilon
@@ -68,7 +71,7 @@ let eval t perm =
   Ljqo_obs.Obs.bump Ljqo_obs.Obs.Cost_evals;
   (* Record the result even when this charge crosses the limit: the paper's
      optimizer keeps the last solution computed within the limit. *)
-  let result = Plan_cost.eval t.model t.query perm in
+  let result = Plan_cost.eval ?calibration:t.calibration t.model t.query perm in
   (try Budget.charge t.budget result.est_steps
    with (Budget.Exhausted | Budget.Deadline_exceeded) as stop ->
      record t perm result.total;

@@ -1,11 +1,12 @@
 (** Shared evaluation context for one optimization run.
 
-    The evaluator owns the query, the cost model, the tick budget and the
-    incumbent best plan.  Every method routes plan evaluations through it so
-    that (a) ticks are charged uniformly, (b) the best solution seen anywhere
-    survives budget exhaustion, and (c) checkpoint snapshots of the incumbent
-    cost are taken as the budget is consumed — one run then yields the
-    quality-at-every-time-limit curve the paper plots.
+    The evaluator owns the query, the cost model and its calibration, the
+    tick budget and the incumbent best plan.  Every method routes plan
+    evaluations through it so that (a) ticks are charged uniformly, (b) the
+    best solution seen anywhere survives budget exhaustion, and (c)
+    checkpoint snapshots of the incumbent cost are taken as the budget is
+    consumed — one run then yields the quality-at-every-time-limit curve
+    the paper plots.
 
     [Budget.Exhausted] escapes from any charging operation when time is up;
     [Converged] escapes when the incumbent is within [1 + epsilon] of the
@@ -21,6 +22,7 @@ val create :
   ?checkpoints:int list ->
   ?deadline:float ->
   ?clock:(unit -> float) ->
+  ?calibration:Ljqo_cost.Plan_cost.calibration ->
   query:Ljqo_catalog.Query.t ->
   model:Ljqo_cost.Cost_model.t ->
   ticks:int ->
@@ -29,10 +31,14 @@ val create :
 (** [epsilon] defaults to 0.01; [ticks <= 0] means unlimited.  [deadline] and
     [clock] are forwarded to {!Budget.create}: a run past its wall-clock
     deadline dies with [Budget.Deadline_exceeded] from any charging
-    operation. *)
+    operation.  [calibration] applies to every plan costed in this run:
+    {!eval}, and the search states, neighbor kernels, heuristics and
+    portfolio sub-evaluators built on this evaluator read it back with
+    {!calibration}. *)
 
 val query : t -> Ljqo_catalog.Query.t
 val model : t -> Ljqo_cost.Cost_model.t
+val calibration : t -> Ljqo_cost.Plan_cost.calibration option
 val n_relations : t -> int
 val lower_bound : t -> float
 

@@ -164,10 +164,9 @@ let run_inner config ?start:warm method_ ev rng =
     in
     Two_phase.run ~params ?start:warm ev rng
   | Portfolio | Adaptive ->
-    (* [Adaptive] is resolved to a concrete method upstream (by
-       [Optimizer.optimize] via the installed router, or by the service with
-       its pinned model); reaching here means no resolution happened, and the
-       documented fallback is the portfolio. *)
+    (* [Adaptive] is resolved to a concrete method upstream, by the caller
+       that owns a model; reaching here means no resolution happened, and
+       the documented fallback is the portfolio. *)
     Portfolio.run ~params:config.portfolio_params ~ii_params:config.ii_params
       ~sa_params:config.sa_params ?start:warm ev rng
 

@@ -20,10 +20,10 @@
     - [Portfolio]: races II / SA / two-phase replicates across domains with
       incumbent exchange at round barriers (see {!Portfolio}).
     - [Adaptive]: routes each query to a learned (method, tick-budget)
-      choice.  The routing itself lives upstream — {!Optimizer.optimize}
-      consults the installed router, and the plan-cache service resolves it
-      against its pinned model — so if an unresolved [Adaptive] ever reaches
-      [run] it behaves exactly like [Portfolio] (the documented fallback).
+      choice.  The routing itself lives upstream: the caller that owns a
+      model resolves it ([Ljqo_learn.Router.resolve]) before
+      {!Optimizer.optimize}.  An unresolved [Adaptive] behaves exactly like
+      [Portfolio] (the documented fallback).
 
     [run] drives a method against an evaluator until its budget is exhausted,
     it converges, or the method has no way to spend more time; the result is

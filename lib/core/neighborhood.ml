@@ -51,7 +51,7 @@ let create state =
   let n = Search_state.n state in
   {
     state;
-    stepper = Plan_cost.Stepper.make model query;
+    stepper = Plan_cost.Stepper.make ?calibration:(Evaluator.calibration ev) model query;
     base_cards = Ljqo_catalog.Query.cardinalities query;
     scratch_cards = Array.make (max n 1) 0.0;
     scratch_steps = Array.make (max n 1) 0.0;

@@ -17,43 +17,12 @@ let time_limit_ticks ?ticks_per_unit ~t_factor ~query () =
   let n_joins = max 1 (Query.n_relations query - 1) in
   Budget.ticks_for_limit ?ticks_per_unit ~t_factor ~n_joins ()
 
-(* The learned router, installed by the CLI / harness when a model is loaded
-   (lib/learn cannot be a dependency here — it sits above lib/core).  The
-   hook is consulted once per [optimize] call, before component
-   decomposition, so one routing decision covers the whole query. *)
-let adaptive_router :
-    (Query.t -> ticks:int -> (Methods.t * int) option) option ref =
-  ref None
-
-let set_adaptive_router r = adaptive_router := r
-
-let route_counter = function
-  | Methods.II -> Obs.Learn_route_ii
-  | Methods.SA -> Obs.Learn_route_sa
-  | Methods.Two_phase -> Obs.Learn_route_2po
-  | _ -> Obs.Learn_route_portfolio
-
-let resolve_adaptive ~method_ ~ticks query =
-  match method_ with
-  | Methods.Adaptive -> begin
-    let routed =
-      match !adaptive_router with
-      | None -> None
-      | Some router -> router query ~ticks
-    in
-    match routed with
-    | Some (m, t) ->
-      Obs.bump (route_counter m);
-      (m, max 1 (min ticks t))
-    | None ->
-      Obs.bump Obs.Learn_route_fallback;
-      (Methods.Portfolio, ticks)
-  end
-  | m -> (m, ticks)
-
 let optimize_connected ?config ?(checkpoints = []) ?epsilon ?deadline ?clock
-    ?start ~method_ ~model ~ticks ~seed query =
-  let ev = Evaluator.create ?epsilon ~checkpoints ?deadline ?clock ~query ~model ~ticks () in
+    ?calibration ?start ~method_ ~model ~ticks ~seed query =
+  let ev =
+    Evaluator.create ?epsilon ~checkpoints ?deadline ?clock ?calibration ~query
+      ~model ~ticks ()
+  in
   let rng = Rng.create seed in
   let converged =
     (* Methods.run swallows the stop exceptions; detect convergence from the
@@ -75,7 +44,7 @@ let optimize_connected ?config ?(checkpoints = []) ?epsilon ?deadline ?clock
        plan — one random valid plan drawn from the run's seed, costed once
        (the dead budget cannot take the charge, so it is added here). *)
     let plan = Random_plan.generate (Rng.create seed) query in
-    let e = Plan_cost.eval model query plan in
+    let e = Plan_cost.eval ?calibration model query plan in
     {
       plan;
       cost = e.total;
@@ -96,8 +65,8 @@ let optimize_connected ?config ?(checkpoints = []) ?epsilon ?deadline ?clock
       timed_out = Evaluator.deadline_hit ev;
     }
 
-let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?start ~method_
-    ~model ~ticks ~seed query =
+let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?calibration ?start
+    ~method_ ~model ~ticks ~seed query =
   if ticks <= 0 then invalid_arg "Optimizer.optimize: ticks must be positive";
   let n = Query.n_relations query in
   if n = 0 then invalid_arg "Optimizer.optimize: empty query";
@@ -105,7 +74,11 @@ let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?start ~method_
   | Some plan when not (Plan.is_valid query plan) ->
     invalid_arg "Optimizer.optimize: ?start is not a valid plan for this query"
   | _ -> ());
-  let method_, ticks = resolve_adaptive ~method_ ~ticks query in
+  (* [Adaptive] needs a model, which this call does not take: a caller that
+     owns one resolves it first ([Ljqo_learn.Router.resolve]).  [Methods.run]
+     runs an unresolved one as the documented fallback, the portfolio at
+     the full budget. *)
+  if method_ = Methods.Adaptive then Obs.bump Obs.Learn_route_fallback;
   if n = 1 then
     {
       plan = [| 0 |];
@@ -119,8 +92,8 @@ let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?start ~method_
   else
     match Join_graph.components (Query.graph query) with
     | [ _ ] ->
-      optimize_connected ?config ?checkpoints ?epsilon ?deadline ?clock ?start
-        ~method_ ~model ~ticks ~seed query
+      optimize_connected ?config ?checkpoints ?epsilon ?deadline ?clock
+        ?calibration ?start ~method_ ~model ~ticks ~seed query
     | comps ->
       (* Budget share proportional to squared component size. *)
       let sq c = let k = List.length c in k * k in
@@ -134,8 +107,9 @@ let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?start ~method_
               (Plan_cost.reference_final_cardinality sub, [| back.(0) |], 0, false)
             else begin
               let r =
-                optimize_connected ?config ?epsilon ?deadline ?clock ~method_
-                  ~model ~ticks:share ~seed:(seed + (i * 7919)) sub
+                optimize_connected ?config ?epsilon ?deadline ?clock
+                  ?calibration ~method_ ~model ~ticks:share
+                  ~seed:(seed + (i * 7919)) sub
               in
               let mapped = Array.map (fun id -> back.(id)) r.plan in
               (Plan_cost.reference_final_cardinality sub, mapped, r.ticks_used, r.timed_out)
@@ -146,7 +120,7 @@ let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?start ~method_
         List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) parts
       in
       let plan = Plan.concat (List.map (fun (_, p, _, _) -> p) ordered) in
-      let cost = Plan_cost.total model query plan in
+      let cost = Plan_cost.total ?calibration model query plan in
       {
         plan;
         cost;

@@ -29,6 +29,7 @@ val optimize :
   ?epsilon:float ->
   ?deadline:float ->
   ?clock:(unit -> float) ->
+  ?calibration:Ljqo_cost.Plan_cost.calibration ->
   ?start:Plan.t ->
   method_:Methods.t ->
   model:Ljqo_cost.Cost_model.t ->
@@ -70,24 +71,21 @@ val optimize :
     graph) must check {!Plan.is_valid} first and fall back to a cold start.
     On a single-relation or disconnected query the warm start is ignored:
     the trivial plan is already optimal, and component decomposition
-    re-derives its own sub-plans. *)
+    re-derives its own sub-plans.
+
+    [calibration] scales every effective edge selectivity the run costs
+    (see {!Ljqo_cost.Plan_cost.calibration}); the run's {!Evaluator} holds
+    it, so every method, heuristic and portfolio replicate searches under
+    it, and [cost] is priced with it.  It is an input of this call only:
+    concurrent calls with different calibrations do not interact.
+
+    [Methods.Adaptive] needs a routing model, which this call does not
+    take: a caller that owns one resolves the method and budget first
+    ([Ljqo_learn.Router.resolve]).  Given [Adaptive], [optimize] runs the
+    documented fallback, [Portfolio] at the full budget, and bumps the
+    [learn.route.fallback] counter. *)
 
 val time_limit_ticks :
   ?ticks_per_unit:int -> t_factor:float -> query:Ljqo_catalog.Query.t -> unit -> int
 (** Ticks for the paper's [t_factor * N^2] limit, with [N] the query's join
     count ([n_relations - 1]). *)
-
-val set_adaptive_router :
-  (Ljqo_catalog.Query.t -> ticks:int -> (Methods.t * int) option) option ->
-  unit
-(** Install (or clear) the learned router consulted when [optimize] is
-    called with [~method_:Methods.Adaptive].  The router sees the query and
-    the caller's tick budget and answers [(method, ticks)] — the replacement
-    is clamped to [\[1; ticks\]] — or [None] to decline (features outside
-    the model's training range).  [Adaptive] with no installed router, or a
-    declined query, falls back to [Portfolio] at the full budget and bumps
-    the [learn.route.fallback] counter; routed queries bump their
-    [learn.route.*] counter.  Process-global, read once per [optimize] call:
-    install before a run starts, from the main domain.  The routing happens
-    before component decomposition, so one decision covers the whole
-    query. *)

@@ -40,7 +40,7 @@ let init ev start =
   let perm = Array.copy start in
   let n = Array.length perm in
   Ljqo_obs.Obs.bump Ljqo_obs.Obs.Cost_evals;
-  let e = Plan_cost.eval model query perm in
+  let e = Plan_cost.eval ?calibration:(Evaluator.calibration ev) model query perm in
   Evaluator.record ev perm e.total;
   Evaluator.charge ev e.est_steps;
   let t =

@@ -7,33 +7,12 @@ type eval = {
   est_steps : int;
 }
 
-(* Execution-feedback calibration.  When installed, every effective edge
-   selectivity is multiplied by the per-edge correction factor fitted from
-   observed cardinalities (see Ljqo_feedback.Calibration).  [None] is the
-   default and performs no float operation at all, so uncalibrated costing
-   stays bit-identical to the pre-hook code.  Install only between runs,
-   from the main domain — same discipline as [Optimizer.set_adaptive_router]. *)
+(* Execution-feedback calibration: every effective edge selectivity is
+   multiplied by the per-edge correction factor fitted from observed
+   cardinalities (see Ljqo_feedback.Calibration).  It is an optional
+   argument of the costing entry points, never a global; without it no
+   float operation is added, so uncalibrated costing stays bit-identical. *)
 type calibration = { sel_factor : float }
-
-let calibration_ref : calibration option ref = ref None
-
-let set_calibration c = calibration_ref := c
-
-let calibration () = !calibration_ref
-
-(* Effective selectivity of the edge (k, r) when the intermediate result
-   holding k currently has [outer_card] tuples: the stored selectivity
-   [1 / max (D_k, D_r)] is rescaled by clamping [D_k] to the tuples actually
-   present, [min (D_k, outer_card)] — a small intermediate cannot carry more
-   join values than tuples.  This makes selectivity (and hence cost)
-   order-dependent, as in real systems. *)
-let edge_selectivity query ~outer_card ~k ~r s_base =
-  let dk = Query.distinct_values query k in
-  let dr = Query.distinct_values query r in
-  let clamped = Float.max (Float.min dk outer_card) 1.0 in
-  let s = s_base *. Float.max dk dr /. Float.max clamped dr in
-  let s = match !calibration_ref with None -> s | Some c -> s *. c.sel_factor in
-  Float.min 1.0 s
 
 let joins_before query ~perm ~pos i =
   let r = perm.(i) in
@@ -80,11 +59,16 @@ let[@inline] clamp_cost c =
 
    One pass over [r]'s neighbor arrays yields both the cross-product test
    and the product of the effective selectivities of the placed edges, in
-   ascending neighbor order.  Each factor is [edge_selectivity] inlined on
-   unboxed floats: the same float operations in the same order.  The
-   [Float.min]/[Float.max] calls become plain compares, which agree with
-   them bit for bit here because distinct counts are at least 1 (neither
-   NaN nor a signed zero; see [Relation.distinct_values]) and a constant
+   ascending neighbor order.  Each factor is the effective selectivity of
+   the edge: the stored selectivity [1 / max (D_k, D_r)] rescaled by
+   clamping [D_k] to the tuples actually present, [min (D_k, outer_card)] —
+   a small intermediate cannot carry more join values than tuples, which
+   makes selectivity (and hence cost) order-dependent, as in real systems —
+   then multiplied by the calibration factor, if any, and capped at 1.  It
+   is written with plain compares, which agree bit for bit with the
+   [Float.min]/[Float.max] form of the formula (the test oracle's
+   [edge_selectivity]) because distinct counts are at least 1 (neither NaN
+   nor a signed zero; see [Relation.distinct_values]) and a constant
    non-NaN bound is compared the same way by both forms.
 
    The outer cardinality is read from [cards.(k - 1)] and the results are
@@ -97,9 +81,10 @@ module Stepper = struct
     base_cards : float array;
     distincts : float array;
     join_cost : Cost_model.join_input -> float;
+    calibration : calibration option;
   }
 
-  let make (model : Cost_model.t) query =
+  let make ?calibration (model : Cost_model.t) query =
     let module M = (val model : Cost_model.S) in
     let graph = Query.graph query in
     {
@@ -108,6 +93,7 @@ module Stepper = struct
       base_cards = Query.cardinalities query;
       distincts = Query.distinct_counts query;
       join_cost = M.join_cost;
+      calibration;
     }
 
   let step t ~price_cross ~pos ~cards ~costs ~k ~r =
@@ -119,7 +105,7 @@ module Stepper = struct
     let sels = Array.unsafe_get t.selectivities r in
     let dr = Array.unsafe_get t.distincts r in
     let outer_card = cards.(k - 1) in
-    let calib = !calibration_ref in
+    let calib = t.calibration in
     let sel = ref 1.0 in
     let joined = ref false in
     for j = 0 to Array.length ids - 1 do
@@ -157,7 +143,7 @@ module Stepper = struct
     !joined
 end
 
-let eval model query perm =
+let eval ?calibration model query perm =
   let n = Array.length perm in
   if n = 0 then invalid_arg "Plan_cost.eval: empty permutation";
   let n_relations = Query.n_relations query in
@@ -170,7 +156,7 @@ let eval model query perm =
       invalid_arg "Plan_cost.eval: relation id out of range";
     pos.(r) <- i
   done;
-  let stepper = Stepper.make model query in
+  let stepper = Stepper.make ?calibration model query in
   let cards = Array.make n 0.0 in
   let step_costs = Array.make n 0.0 in
   cards.(0) <- (Query.cardinalities query).(perm.(0));
@@ -183,7 +169,7 @@ let eval model query perm =
   done;
   { cards; step_costs; total = !total; est_steps = n }
 
-let total model query perm = (eval model query perm).total
+let total ?calibration model query perm = (eval ?calibration model query perm).total
 
 (* The standard estimation-error factor (Moerkotte et al.): symmetric in
    est/act and always >= 1.  Both sides are floored at one tuple so an empty

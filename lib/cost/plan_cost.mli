@@ -6,7 +6,7 @@
     clamping*: when the running intermediate result has fewer tuples than a
     join column's distinct count, the column cannot carry more values than
     tuples, so the edge's effective selectivity is rescaled accordingly
-    ([edge_selectivity]).  Clamping makes sizes — and costs — depend on join
+    (see {!Stepper}).  Clamping makes sizes — and costs — depend on join
     *order*, not merely on prefix sets, which is both how real estimators
     behave and what gives the plan space its rugged, order-sensitive
     character.
@@ -28,29 +28,15 @@ type eval = {
   est_steps : int;  (** elementary estimation steps performed (for budgets) *)
 }
 
-val edge_selectivity :
-  Ljqo_catalog.Query.t -> outer_card:float -> k:int -> r:int -> float -> float
-(** [edge_selectivity q ~outer_card ~k ~r s] rescales the catalog selectivity
-    [s] of edge [(k, r)] for an intermediate of [outer_card] tuples holding
-    [k]; capped at 1.  When a {!calibration} is installed the result is
-    additionally multiplied by its per-edge correction factor (before the
-    cap).  {!Stepper.step} applies the same formula inline. *)
-
 type calibration = { sel_factor : float }
 (** A multiplicative per-edge selectivity correction fitted from executed
     plans (least squares of log(actual/estimated) cardinality against join
     depth; see [Ljqo_feedback.Calibration]).  [sel_factor = 1.0] is the
-    identity. *)
-
-val set_calibration : calibration option -> unit
-(** Install (or clear, with [None]) the global calibration applied by
-    {!edge_selectivity} and {!Stepper.step} — and hence by every costing
-    path.  [None] (the default) performs no extra float operation, so
-    uncalibrated costs are bit-identical to a build without the hook.  Flip
-    only between runs, from the main domain. *)
-
-val calibration : unit -> calibration option
-(** The currently installed calibration, if any. *)
+    identity.  The costing entry points ({!Stepper.make}, {!eval},
+    {!total}) take it as an optional argument: each effective edge
+    selectivity is multiplied by [sel_factor] before the cap at 1.  Without
+    it no extra float operation happens, so uncalibrated costs are the
+    plain estimator's, bit for bit. *)
 
 val joins_before : Ljqo_catalog.Query.t -> perm:int array -> pos:int array -> int -> bool
 (** Whether [perm.(i)] is joined to at least one earlier relation.  List-scan
@@ -79,18 +65,24 @@ val clamp_cost : float -> float
 
     {b One unboxed scan.}  A single pass over the joined relation's neighbor
     arrays yields the cross-product test and the product of the effective
-    edge selectivities ({!edge_selectivity}, inlined on unboxed floats).
-    Floats cross the call only through caller-owned arrays, so the kernel
-    allocates nothing but the cost model's [join_input] record and its
-    result.  Every float operation happens in {!edge_selectivity}'s order,
-    so a step's results equal, bit for bit, those computed from the product
-    of {!edge_selectivity} over the placed edges. *)
+    edge selectivities, in ascending neighbor order.  The effective
+    selectivity of edge [(k, r)] under an intermediate of [outer_card]
+    tuples holding [k] is the catalog selectivity [s] rescaled by clamping
+    [k]'s distinct count to [outer_card]:
+    [s * max D_k D_r / max (max (min D_k outer_card) 1) D_r], times the
+    calibration's [sel_factor] if any, capped at 1.  Floats cross the call
+    only through caller-owned arrays, so the kernel allocates nothing but
+    the cost model's [join_input] record and its result.  This is the
+    library's one copy of the formula; the test oracle
+    ([test/plan_cost_reference.ml]) computes it with
+    [Float.min]/[Float.max] on boxed floats, and a step's results equal its
+    own bit for bit. *)
 module Stepper : sig
   type t
 
-  val make : Cost_model.t -> Ljqo_catalog.Query.t -> t
-  (** O(1): holds the query's neighbor and statistics arrays and the cost
-      model's [join_cost]. *)
+  val make : ?calibration:calibration -> Cost_model.t -> Ljqo_catalog.Query.t -> t
+  (** O(1): holds the query's neighbor and statistics arrays, the cost
+      model's [join_cost] and the calibration every step applies. *)
 
   val step :
     t ->
@@ -112,14 +104,17 @@ module Stepper : sig
       ([Invalid_argument] otherwise, and for an out-of-range [r]). *)
 end
 
-val eval : Cost_model.t -> Ljqo_catalog.Query.t -> int array -> eval
+val eval :
+  ?calibration:calibration -> Cost_model.t -> Ljqo_catalog.Query.t -> int array -> eval
 (** Cost a whole permutation through {!Stepper.step}, pricing cross
     products.  Any non-empty array of relation ids is accepted: a repeated
     id counts as placed from its first occurrence.  Raises
     [Invalid_argument] on an empty array or an id outside
     [[0, n_relations)] before costing anything. *)
 
-val total : Cost_model.t -> Ljqo_catalog.Query.t -> int array -> float
+val total :
+  ?calibration:calibration -> Cost_model.t -> Ljqo_catalog.Query.t -> int array -> float
+(** [(eval ?calibration model q perm).total]. *)
 
 val qerror : est:float -> act:float -> float
 (** The estimation-error factor [max (est/act, act/est)] with both sides

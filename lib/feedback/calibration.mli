@@ -6,8 +6,9 @@
     [log est' = log est + x log c].  {!fit_runs} solves the through-origin
     least squares of [log (act/est)] against [x] — [log c = Σxy / Σx²] —
     which by construction minimizes the squared log-q-error on its
-    training samples.  The fitted factor plugs into
-    {!Ljqo_cost.Plan_cost.set_calibration}.
+    training samples.  The fitted factor is a
+    {!Ljqo_cost.Plan_cost.calibration}'s [sel_factor] (see
+    {!Feedback.run_spec}'s [sel_factor]).
 
     Files are checkpoint-strict and versioned, in the style of
     [lib/learn/model.ml] (see DESIGN.md for the format spec): magic line,

@@ -1,21 +1,18 @@
 (* Execution-grounded estimation feedback.
 
-   The pipeline has two halves with deliberately different parallelism
-   rules:
+   The pipeline has two halves:
 
    - [observe] runs a plan through the hash-join executor and keeps the
-     ground truth (per-depth output rows, truncation point).  It depends
-     only on (query, data, plan), so a workload's observations run in
-     parallel; the obs counters it bumps are atomic adds and hence
-     bit-identical across job counts.
+     ground truth (per-depth output rows, truncation point).
 
    - [measure] compares the observation against [Plan_cost.eval]'s
-     estimated intermediate cardinalities and records q-errors into the
-     obs histograms.  Estimation goes through the global calibration hook
-     ([Plan_cost.set_calibration]), a process-wide ref — so [run_spec]
-     performs all measurement sequentially on the calling domain, after
-     the parallel observation phase, never flipping the hook from inside
-     workers.
+     estimated intermediate cardinalities, under the calibration it is
+     given, and records q-errors into the obs histograms.
+
+   Both depend only on their arguments, and the obs counters and histograms
+   they record into are atomic adds, so [run_spec] runs each grid item
+   through optimize, observe and measure in one parallel pass, and its
+   results and totals are bit-identical across job counts.
 
    Q-error sample alignment: [Executor.cardinalities] element [i] and
    [Plan_cost.eval(...).cards.(i)] both describe the intermediate after
@@ -100,8 +97,8 @@ let observe ?max_rows query ~data plan =
     }
 
 (* Cumulative join-edge count inside the placed prefix, per depth: how many
-   times [edge_selectivity] was folded into the estimate at that depth —
-   the regressor the calibration fit uses. *)
+   effective edge selectivities were folded into the estimate at that
+   depth — the regressor the calibration fit uses. *)
 let cumulative_edges query plan =
   let n = Array.length plan in
   let graph = Query.graph query in
@@ -119,8 +116,8 @@ let cumulative_edges query plan =
   done;
   edges
 
-let measure ~model query ~data obs =
-  let est = Plan_cost.eval model query obs.plan in
+let measure ?calibration ~model query ~data obs =
+  let est = Plan_cost.eval ?calibration model query obs.plan in
   let edges = cumulative_edges query obs.plan in
   let n_act = Array.length obs.act_cards in
   let depths = min n_act (Array.length est.cards) in
@@ -197,13 +194,14 @@ let run_spec ?jobs ?max_rows ?sel_factor ~model ~method_ ~t_factor ~ns ~per_n
   List.iter
     (fun n -> if n < 1 then invalid_arg "Feedback.run_spec: ns must be >= 1")
     ns;
+  let calibration = Option.map (fun f -> { Plan_cost.sel_factor = f }) sel_factor in
   let items =
     Array.of_list
       (List.concat_map (fun n -> List.init per_n (fun rep -> (n, rep))) ns)
   in
-  (* Parallel phase: optimize (uncalibrated) and execute.  Pure per item;
-     obs bumps are atomic. *)
-  let observe_one (n, rep) =
+  (* Optimization is uncalibrated, so every [sel_factor] scores the same
+     plans; only the measurement applies the calibration. *)
+  let run_one (n, rep) =
     let qrng = Ljqo_stats.Rng.create (mix seed ~n ~rep ~stream:1) in
     let query = Benchmark.generate_query spec ~n_joins:n ~rng:qrng in
     let ticks = Ljqo_core.Budget.ticks_for_limit ~t_factor ~n_joins:n () in
@@ -216,25 +214,10 @@ let run_spec ?jobs ?max_rows ?sel_factor ~model ~method_ ~t_factor ~ns ~per_n
       Relation_data.generate_all query
         ~rng:(Ljqo_stats.Rng.create (mix seed ~n ~rep ~stream:3))
     in
-    (query, data, observe ?max_rows query ~data r.plan)
+    let obs = observe ?max_rows query ~data r.plan in
+    { n_joins = n; rep; measurement = measure ?calibration ~model query ~data obs }
   in
-  let observations =
-    Ljqo_stats.Parallel.map_array ?jobs observe_one items
-  in
-  (* Sequential phase: estimation under the requested calibration.  The
-     global hook is flipped once, on this domain, around the whole loop. *)
-  let prev = Plan_cost.calibration () in
-  Plan_cost.set_calibration
-    (Option.map (fun f -> { Plan_cost.sel_factor = f }) sel_factor);
-  Fun.protect
-    ~finally:(fun () -> Plan_cost.set_calibration prev)
-    (fun () ->
-      Array.to_list
-        (Array.mapi
-           (fun i (query, data, obs) ->
-             let n, rep = items.(i) in
-             { n_joins = n; rep; measurement = measure ~model query ~data obs })
-           observations))
+  Array.to_list (Ljqo_stats.Parallel.map_array ?jobs run_one items)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation for reports.                                            *)

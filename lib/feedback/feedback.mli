@@ -7,21 +7,20 @@
     into the [feedback.*] obs histograms (per join depth, in
     milli-q-error) and counters.
 
-    The two-phase discipline: {!observe} (run the plan, keep ground truth)
-    is parallel-safe and is what {!run_spec} fans out over jobs;
-    {!measure} (estimate and compare) goes through the process-wide
-    calibration hook and therefore always runs sequentially on the calling
-    domain.  All recording is pure observation — atomic counter/histogram
-    adds — so feedback totals are bit-identical across job counts, and
-    running with instrumentation off changes nothing but the totals'
-    absence. *)
+    {!observe} runs the plan and keeps the ground truth; {!measure}
+    estimates under the calibration it is given and compares.  Both depend
+    only on their arguments, so {!run_spec} fans whole items (optimize,
+    observe, measure) out over jobs in one pass.  All recording is pure
+    observation — atomic counter/histogram adds — so feedback totals are
+    bit-identical across job counts, and running with instrumentation off
+    changes nothing but the totals' absence. *)
 
 type sample = {
   depth : int;  (** join depth ([>= 1]; depth 0 is exact by construction) *)
   edges : int;
       (** join edges inside the placed prefix at this depth — the number of
-          [edge_selectivity] applications folded into [est], the
-          calibration fit's regressor *)
+          effective edge selectivities folded into [est], the calibration
+          fit's regressor *)
   est : float;  (** estimated intermediate cardinality *)
   act : float;  (** observed intermediate cardinality *)
   qerror : float;  (** [Plan_cost.qerror ~est ~act] *)
@@ -71,16 +70,16 @@ val observe :
     exception). *)
 
 val measure :
+  ?calibration:Ljqo_cost.Plan_cost.calibration ->
   model:Ljqo_cost.Cost_model.t ->
   Ljqo_catalog.Query.t ->
   data:Ljqo_exec.Relation_data.t array ->
   observed ->
   measurement
-(** Estimate (under the currently installed {!Ljqo_cost.Plan_cost}
-    calibration, if any) and compare: records one per-depth q-error into
-    the [feedback.qerror.d*] histogram family and — for complete
-    executions — the cost q-ratio into [feedback.cost_ratio].  Call from
-    one domain at a time (it reads the global calibration hook). *)
+(** Estimate (under [calibration], if given) and compare: records one
+    per-depth q-error into the [feedback.qerror.d*] histogram family and —
+    for complete executions — the cost q-ratio into [feedback.cost_ratio].
+    Safe to call from any domain. *)
 
 val execute :
   ?max_rows:int ->
@@ -116,11 +115,12 @@ val run_spec :
     [method_] under the paper's [t_factor * n^2] tick budget, generate
     matching relation data, execute the optimized plan, and measure.  Every
     stream seed derives from [(seed, n, rep)] — never from scheduling — and
-    optimization always runs {e uncalibrated}; [sel_factor] (if given) is
-    installed only around the sequential measurement phase, so before/after
-    calibration comparisons score the {e same} plans.  [jobs] parallelizes
-    the observation phase and is a pure speed knob.  Raises
-    [Invalid_argument] on an empty or non-positive grid. *)
+    optimization always runs {e uncalibrated}; [sel_factor] (if given)
+    calibrates the measurement only, so before/after calibration
+    comparisons score the {e same} plans.  [jobs] spreads the items over
+    domains and is a pure speed knob; concurrent calls with different
+    [sel_factor]s do not interact.  Raises [Invalid_argument] on an empty
+    or non-positive grid. *)
 
 (** {1 Aggregation} *)
 

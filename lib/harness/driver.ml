@@ -42,16 +42,6 @@ let run_seed ~seed ~query_seed ~replicate ~method_index =
   (* Mix the coordinates into a reproducible, well-spread seed. *)
   seed + (query_seed * 1009) + (replicate * 9176867) + (method_index * 277)
 
-(* A process-wide method-set override (the bench's [--methods] flag), like
-   [Ljqo_stats.Parallel.set_jobs]: experiments hard-code the method lists
-   the paper's artifacts call for, and the override lets one rerun any of
-   them on a chosen subset — or on [portfolio] — without forking the
-   experiment definitions.  It participates in the checkpoint fingerprint
-   through the effective method list. *)
-let methods_override : Methods.t list option ref = ref None
-
-let set_methods_override ms = methods_override := ms
-
 (* Configuration fingerprint binding a checkpoint file to one experiment: any
    input that changes the per-query numbers must appear here, so a resume can
    never silently mix results from different runs. *)
@@ -76,7 +66,6 @@ let fingerprint ?kappa ?config ~seed ~deadline ~workload ~methods ~model ~tfacto
 let run_experiment ?kappa ?config ?(seed = 1) ?deadline ?checkpoint
     ?(run_label = "experiment") ~workload ~methods ~model ~tfactors ~replicates ()
     =
-  let methods = Option.value !methods_override ~default:methods in
   let tfactors = List.sort_uniq compare tfactors in
   let n_methods = List.length methods in
   let n_factors = List.length tfactors in

@@ -51,13 +51,6 @@ val trajectory_label :
     under which {!run_experiment} records each run's incumbent trajectory.
     [Ljqo_learn.Dataset.parse_run_label] is its inverse. *)
 
-val set_methods_override : Ljqo_core.Methods.t list option -> unit
-(** Process-wide override of {!run_experiment}'s [methods] argument (the
-    bench's [--methods] flag): when set, every experiment runs the given
-    list instead of its hard-coded one.  [None] restores the defaults.  The
-    override flows into the checkpoint fingerprint through the effective
-    method list, so checkpoints never mix method sets. *)
-
 val run_experiment :
   ?kappa:int ->
   ?config:Ljqo_core.Methods.config ->
@@ -72,7 +65,11 @@ val run_experiment :
   replicates:int ->
   unit ->
   outcome
-(** [deadline] bounds every individual method run in wall-clock seconds (on
+(** Runs exactly [methods], in order: the outcome's [methods] is that list,
+    and [averages.(mi)] is its [mi]-th method's row, so a caller labels
+    columns from either.
+
+    [deadline] bounds every individual method run in wall-clock seconds (on
     top of the deterministic tick budget); see {!Ljqo_core.Optimizer.optimize}.
 
     [checkpoint] enables persistence: completed per-query results are

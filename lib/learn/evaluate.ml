@@ -43,12 +43,12 @@ let run ?jobs ~ns ~per_n ~seed ~t_factor ~cost_model model =
                   .Optimizer.cost
               in
               let fixed_costs = List.map (fun m -> cost_of m base) compared in
-              let route, a_method, a_ticks =
-                match
-                  Option.bind model (fun md -> Router.decide md q ~ticks:base)
-                with
-                | Some (m, t) -> (Methods.name m, m, t)
-                | None -> ("fallback", Methods.Portfolio, base)
+              let a_method, a_ticks, resolution =
+                Router.resolve model Methods.Adaptive q ~ticks:base
+              in
+              let route =
+                if resolution = Router.Fallback then "fallback"
+                else Methods.name a_method
               in
               let a_cost = cost_of a_method a_ticks in
               (Array.of_list (fixed_costs @ [ a_cost ]), route))

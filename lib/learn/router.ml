@@ -1,5 +1,5 @@
 module Methods = Ljqo_core.Methods
-module Optimizer = Ljqo_core.Optimizer
+module Obs = Ljqo_obs.Obs
 
 let fractions = [ 0.25; 0.5; 1.0 ]
 
@@ -59,8 +59,23 @@ let decide model query ~ticks =
       Option.map (fun (_, _, route, t) -> (route, t)) pick
   end
 
-let install = function
-  | None -> Optimizer.set_adaptive_router None
-  | Some model ->
-    Optimizer.set_adaptive_router
-      (Some (fun query ~ticks -> decide model query ~ticks))
+type resolution = Fixed | Routed | Fallback
+
+let resolve model method_ query ~ticks =
+  match method_ with
+  | Methods.Adaptive -> (
+    match Option.bind model (fun md -> decide md query ~ticks) with
+    | Some (m, t) -> (m, max 1 (min t ticks), Routed)
+    | None -> (Methods.Portfolio, ticks, Fallback))
+  | m -> (m, ticks, Fixed)
+
+let route_counter = function
+  | Methods.II -> Obs.Learn_route_ii
+  | Methods.SA -> Obs.Learn_route_sa
+  | Methods.Two_phase -> Obs.Learn_route_2po
+  | _ -> Obs.Learn_route_portfolio
+
+let bump m = function
+  | Routed -> Obs.bump (route_counter m)
+  | Fallback -> Obs.bump Obs.Learn_route_fallback
+  | Fixed -> ()

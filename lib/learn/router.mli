@@ -26,8 +26,30 @@ val decide :
     budget.  Pure: no counters, no state; equal inputs give equal
     outputs. *)
 
-val install : Model.t option -> unit
-(** Install [decide model] as the process-global
-    {!Ljqo_core.Optimizer.set_adaptive_router} hook (or clear it with
-    [None]).  For the one-shot CLI paths; the service routes through its
-    own pinned snapshot instead. *)
+type resolution =
+  | Fixed  (** the method was not [Adaptive]; passed through unchanged *)
+  | Routed  (** the model chose the method and budget *)
+  | Fallback
+      (** no model, or the model declined: the portfolio at full budget *)
+
+val resolve :
+  Model.t option ->
+  Ljqo_core.Methods.t ->
+  Ljqo_catalog.Query.t ->
+  ticks:int ->
+  Ljqo_core.Methods.t * int * resolution
+(** [resolve model method_ q ~ticks] is the concrete [(method, ticks)] to
+    run.  A method other than [Adaptive] passes through with [ticks].
+    [Adaptive] takes {!decide}'s choice, its budget clamped to
+    [\[1; ticks\]], or falls back to [Portfolio] at [ticks] when [model]
+    is [None] or declines.  Pure, like {!decide}: the caller that owns the
+    model (the CLI's [optimize], the plan-cache service with its pinned
+    snapshot, {!Evaluate}) resolves before it calls
+    {!Ljqo_core.Optimizer.optimize}, and counts the route with {!bump}
+    where the optimization actually runs. *)
+
+val bump : Ljqo_core.Methods.t -> resolution -> unit
+(** [bump m r] counts one resolved request: [Routed] bumps [m]'s
+    [learn.route.*] counter ([ii], [sa], [2po], or [portfolio] for any
+    other method), [Fallback] bumps [learn.route.fallback], [Fixed] bumps
+    nothing. *)

@@ -2,6 +2,7 @@ open Ljqo_core
 module Obs = Ljqo_obs.Obs
 module Parallel = Ljqo_stats.Parallel
 module Query = Ljqo_catalog.Query
+module Router = Ljqo_learn.Router
 
 type budget =
   | Time_limit of { t_factor : float; kappa : int option }
@@ -93,38 +94,14 @@ let seed_for t exact =
     exact;
   !h land max_int
 
-(* Adaptive resolution.  The configured method is resolved against a model
-   snapshot *pinned per request* — the batch path snapshots once at batch
-   start, the server path pins by request id via [Online.await] — never
-   against a live mutable model, so concurrent retraining cannot make two
-   identical requests route differently.  Resolution is pure; the counter
-   bump happens only where an optimization actually runs. *)
-
-let route_counter = function
-  | Methods.II -> Obs.Learn_route_ii
-  | Methods.SA -> Obs.Learn_route_sa
-  | Methods.Two_phase -> Obs.Learn_route_2po
-  | _ -> Obs.Learn_route_portfolio
-
-type resolution = Fixed | Routed | Fallback
-
-let resolve t snapshot q ~ticks =
-  match t.config.method_ with
-  | Methods.Adaptive -> (
-    match
-      Option.bind snapshot (fun md -> Ljqo_learn.Router.decide md q ~ticks)
-    with
-    | Some (m, tk) -> (m, max 1 (min tk ticks), Routed)
-    | None -> (Methods.Portfolio, ticks, Fallback))
-  | m -> (m, ticks, Fixed)
-
-let bump_route m = function
-  | Routed -> Obs.bump (route_counter m)
-  | Fallback -> Obs.bump Obs.Learn_route_fallback
-  | Fixed -> ()
-
-(* The model snapshot for paths that are not pinned to a request id: the
-   newest trained model (or the initial one). *)
+(* Adaptive resolution ([Router.resolve]) reads a model snapshot *pinned
+   per request* — the batch path snapshots once at batch start, the server
+   path pins by request id via [Online.await] — never a live mutable model,
+   so concurrent retraining cannot make two identical requests route
+   differently.  Resolution is pure; [Router.bump] counts the route only
+   where an optimization actually runs.  This is the snapshot for paths
+   that are not pinned to a request id: the newest trained model (or the
+   initial one). *)
 let snapshot_now t = Option.join (Option.map Ljqo_learn.Online.model t.learn)
 
 (* One sample per served request: the resolved route and its deterministic
@@ -134,7 +111,7 @@ let snapshot_now t = Option.join (Option.map Ljqo_learn.Online.model t.learn)
    sequence stays dense without poisoning training. *)
 let sample_for t snapshot q ~cost =
   let budget = ticks_for t q in
-  let m, tk, _ = resolve t snapshot q ~ticks:budget in
+  let m, tk, _ = Router.resolve snapshot t.config.method_ q ~ticks:budget in
   let lb = Ljqo_cost.Plan_cost.lower_bound t.config.model q in
   if lb > 0.0 && Float.is_finite lb && Float.is_finite cost && cost >= 0.0 then
     Some
@@ -220,9 +197,9 @@ let serve_batch ?jobs t queries =
       Obs.span "request" ~fields:[ ("index", Obs.I i) ] (fun () ->
           Obs.time Obs.Service_latency_ns (fun () ->
               let method_, ticks, res =
-                resolve t snapshot q ~ticks:(ticks_for t q)
+                Router.resolve snapshot t.config.method_ q ~ticks:(ticks_for t q)
               in
-              bump_route method_ res;
+              Router.bump method_ res;
               Optimizer.optimize ~config:t.config.methods_config ?start
                 ~method_ ~model:t.config.model ~ticks
                 ~seed:(seed_for t (Fingerprint.exact_key fp))
@@ -296,9 +273,10 @@ let serve_batch ?jobs t queries =
                    only across automorphism-like twins): optimize this one
                    cold, still deterministically. *)
                 let method_, ticks, res =
-                  resolve t snapshot q ~ticks:(ticks_for t q)
+                  Router.resolve snapshot t.config.method_ q
+                    ~ticks:(ticks_for t q)
                 in
-                bump_route method_ res;
+                Router.bump method_ res;
                 let r =
                   Optimizer.optimize ~config:t.config.methods_config
                     ~method_ ~model ~ticks ~seed:(seed_for t exact) q
@@ -384,8 +362,10 @@ let serve_direct ?deadline ?learn_id t query =
     }
   in
   let optimize_cold () =
-    let method_, ticks, res = resolve t snapshot query ~ticks:(ticks_for t query) in
-    bump_route method_ res;
+    let method_, ticks, res =
+      Router.resolve snapshot t.config.method_ query ~ticks:(ticks_for t query)
+    in
+    Router.bump method_ res;
     let r =
       Optimizer.optimize ~config:t.config.methods_config ?deadline ~method_
         ~model ~ticks ~seed:(seed_for t exact) query
@@ -473,9 +453,10 @@ let observe_drift ?(threshold = default_drift_threshold) t query ~actual_cards =
             ("threshold", Obs.F threshold);
           ];
         let method_, ticks, res =
-          resolve t (snapshot_now t) query ~ticks:(ticks_for t query)
+          Router.resolve (snapshot_now t) t.config.method_ query
+            ~ticks:(ticks_for t query)
         in
-        bump_route method_ res;
+        Router.bump method_ res;
         let r =
           Optimizer.optimize ~config:t.config.methods_config ~start:stale_plan
             ~method_ ~model ~ticks ~seed:(seed_for t exact) query

@@ -1,16 +1,16 @@
 (* Test oracle for [Ljqo_core.Augmentation.generate]: the original
    chooseNext loop, folding over the join graph's [(neighbor, selectivity)]
-   lists, calling [Plan_cost.edge_selectivity] per placed edge on boxed
-   floats, combining with [Float.min], and ranking candidates as
+   lists, calling [Plan_cost_reference.edge_selectivity] per placed edge on
+   boxed floats, combining with [Float.min], and ranking candidates as
    [(key, -.d_j, j)] tuples under polymorphic [<].  The array kernel must
    return its plan and call [charge] with its sequence of amounts, for every
    query, criterion, start and calibration. *)
 
 open Ljqo_catalog
-open Ljqo_cost
 open Ljqo_core
 
-let generate ?(charge = ignore) query (criterion : Augmentation.criterion) ~start =
+let generate ?(charge = ignore) ?calibration query (criterion : Augmentation.criterion)
+    ~start =
   let n = Query.n_relations query in
   let graph = Query.graph query in
   if start < 0 || start >= n then invalid_arg "Augmentation.generate: bad start";
@@ -41,7 +41,9 @@ let generate ?(charge = ignore) query (criterion : Augmentation.criterion) ~star
     List.fold_left
       (fun acc (i, s) ->
         if placed.(i) then
-          acc *. Plan_cost.edge_selectivity query ~outer_card:!inter_card ~k:i ~r:j s
+          acc
+          *. Plan_cost_reference.edge_selectivity ?calibration query
+               ~outer_card:!inter_card ~k:i ~r:j s
         else acc)
       1.0
       (Join_graph.neighbors graph j)
@@ -51,7 +53,8 @@ let generate ?(charge = ignore) query (criterion : Augmentation.criterion) ~star
       (fun acc (i, s) ->
         if placed.(i) then
           Float.min acc
-            (Plan_cost.edge_selectivity query ~outer_card:!inter_card ~k:i ~r:j s)
+            (Plan_cost_reference.edge_selectivity ?calibration query
+               ~outer_card:!inter_card ~k:i ~r:j s)
         else acc)
       1.0
       (Join_graph.neighbors graph j)

@@ -2,8 +2,9 @@
    placed prefix carried as a growing [Bitset.t], [edge_selectivity] called
    per placed edge on boxed floats, and the [Float.min]/[Float.max] clamps.
    The position-based kernel must reproduce its cards, step costs and total
-   bit for bit — fixed-seed plans depend on every one of those bits.  Only
-   the installed calibration is read from the library. *)
+   bit for bit — fixed-seed plans depend on every one of those bits.
+   [edge_selectivity] is also the formula's reference form for the
+   augmentation oracle and the unit tests. *)
 
 open Ljqo_catalog
 open Ljqo_cost
@@ -18,13 +19,18 @@ let clamp_card c =
 let clamp_cost c =
   if Float.is_nan c then cost_ceiling else Float.min cost_ceiling (Float.max 0.0 c)
 
-let edge_selectivity query ~outer_card ~k ~r s_base =
+(* Effective selectivity of the edge (k, r) when the intermediate result
+   holding k currently has [outer_card] tuples: the stored selectivity
+   [1 / max (D_k, D_r)] is rescaled by clamping [D_k] to the tuples actually
+   present, [min (D_k, outer_card)], then multiplied by the calibration
+   factor, if any, and capped at 1. *)
+let edge_selectivity ?calibration query ~outer_card ~k ~r s_base =
   let dk = Query.distinct_values query k in
   let dr = Query.distinct_values query r in
   let clamped = Float.max (Float.min dk outer_card) 1.0 in
   let s = s_base *. Float.max dk dr /. Float.max clamped dr in
   let s =
-    match Plan_cost.calibration () with
+    match calibration with
     | None -> s
     | Some c -> s *. c.Plan_cost.sel_factor
   in
@@ -33,7 +39,7 @@ let edge_selectivity query ~outer_card ~k ~r s_base =
 let joins_prefix query ~prefix r =
   Bitset.intersects (Join_graph.neighbor_mask (Query.graph query) r) prefix
 
-let selectivity_prefix query ~prefix ~outer_card r =
+let selectivity_prefix ?calibration query ~prefix ~outer_card r =
   let graph = Query.graph query in
   let ids = Join_graph.neighbor_ids graph r in
   let sels = Join_graph.neighbor_sels graph r in
@@ -41,14 +47,15 @@ let selectivity_prefix query ~prefix ~outer_card r =
   for j = 0 to Array.length ids - 1 do
     let k = ids.(j) in
     if Bitset.mem k prefix then
-      acc := !acc *. edge_selectivity query ~outer_card ~k ~r sels.(j)
+      acc := !acc *. edge_selectivity ?calibration query ~outer_card ~k ~r sels.(j)
   done;
   !acc
 
-let step_cost_prefix (model : Cost_model.t) query ~prefix ~r ~is_first ~outer_card =
+let step_cost_prefix ?calibration (model : Cost_model.t) query ~prefix ~r ~is_first
+    ~outer_card =
   let module M = (val model : Cost_model.S) in
   let inner_card = Query.cardinality query r in
-  let sel = selectivity_prefix query ~prefix ~outer_card r in
+  let sel = selectivity_prefix ?calibration query ~prefix ~outer_card r in
   let is_cross = not (joins_prefix query ~prefix r) in
   let output_card = clamp_card (outer_card *. inner_card *. sel) in
   let input : Cost_model.join_input =
@@ -63,7 +70,7 @@ let step_cost_prefix (model : Cost_model.t) query ~prefix ~r ~is_first ~outer_ca
   in
   (clamp_cost (M.join_cost input), output_card)
 
-let eval model query perm : Plan_cost.eval =
+let eval ?calibration model query perm : Plan_cost.eval =
   let n = Array.length perm in
   if n = 0 then invalid_arg "Plan_cost.eval: empty permutation";
   let cards = Array.make n 0.0 in
@@ -73,8 +80,8 @@ let eval model query perm : Plan_cost.eval =
   let prefix = ref (Bitset.singleton perm.(0)) in
   for i = 1 to n - 1 do
     let cost, out =
-      step_cost_prefix model query ~prefix:!prefix ~r:perm.(i) ~is_first:(i = 1)
-        ~outer_card:cards.(i - 1)
+      step_cost_prefix ?calibration model query ~prefix:!prefix ~r:perm.(i)
+        ~is_first:(i = 1) ~outer_card:cards.(i - 1)
     in
     cards.(i) <- out;
     step_costs.(i) <- cost;

@@ -144,13 +144,6 @@ let calibrations =
     Some { Ljqo_cost.Plan_cost.sel_factor = 3.1 };
   ]
 
-let with_calibration calibration f =
-  Fun.protect
-    ~finally:(fun () -> Ljqo_cost.Plan_cost.set_calibration None)
-    (fun () ->
-      Ljqo_cost.Plan_cost.set_calibration calibration;
-      f ())
-
 let trace generate q crit ~start =
   let charges = ref [] in
   let plan =
@@ -160,31 +153,32 @@ let trace generate q crit ~start =
   in
   (plan, List.rev !charges)
 
-let agrees q crit ~start =
-  trace (fun charge -> Augmentation.generate ~charge) q crit ~start
-  = trace (fun charge -> Augmentation_reference.generate ~charge) q crit ~start
+let agrees ?calibration q crit ~start =
+  trace (fun charge -> Augmentation.generate ~charge ?calibration) q crit ~start
+  = trace
+      (fun charge -> Augmentation_reference.generate ~charge ?calibration)
+      q crit ~start
 
-(* The hand-built queries also run under an infinite factor, which the
-   calibration hook accepts: it makes a zero edge's selectivity NaN beside
+(* The hand-built queries also run under an infinite factor, which a
+   calibration accepts: it makes a zero edge's selectivity NaN beside
    capped ones, within one candidate's minimum. *)
 let check_agrees_everywhere label q =
   List.iter
     (fun calibration ->
-      with_calibration calibration (fun () ->
+      List.iter
+        (fun crit ->
           List.iter
-            (fun crit ->
-              List.iter
-                (fun start ->
-                  if not (agrees q crit ~start) then
-                    Alcotest.failf "%s: criterion %d, start %d, %s: differs from the oracle"
-                      label
-                      (Augmentation.criterion_index crit)
-                      start
-                      (match calibration with
-                      | None -> "uncalibrated"
-                      | Some c -> Printf.sprintf "sel_factor %g" c.sel_factor))
-                (Augmentation.starts q))
-            Augmentation.all_criteria))
+            (fun start ->
+              if not (agrees ?calibration q crit ~start) then
+                Alcotest.failf "%s: criterion %d, start %d, %s: differs from the oracle"
+                  label
+                  (Augmentation.criterion_index crit)
+                  start
+                  (match calibration with
+                  | None -> "uncalibrated"
+                  | Some c -> Printf.sprintf "sel_factor %g" c.sel_factor))
+            (Augmentation.starts q))
+        Augmentation.all_criteria)
     (calibrations @ [ Some { Ljqo_cost.Plan_cost.sel_factor = Float.infinity } ])
 
 let prop_matches_oracle =
@@ -198,10 +192,10 @@ let prop_matches_oracle =
       let picks = [ starts.(0); starts.(n - 1); starts.(Ljqo_stats.Rng.int rng n) ] in
       List.for_all
         (fun calibration ->
-          with_calibration calibration (fun () ->
-              List.for_all
-                (fun crit -> List.for_all (fun start -> agrees q crit ~start) picks)
-                Augmentation.all_criteria))
+          List.for_all
+            (fun crit ->
+              List.for_all (fun start -> agrees ?calibration q crit ~start) picks)
+            Augmentation.all_criteria)
         calibrations)
     QCheck.(triple (int_bound 9) (int_bound 199) int)
 
@@ -264,7 +258,7 @@ let running_size q plan =
       List.fold_left
         (fun acc (k, s) ->
           if placed.(k) then
-            acc *. Ljqo_cost.Plan_cost.edge_selectivity q ~outer_card:!size ~k ~r s
+            acc *. Plan_cost_reference.edge_selectivity q ~outer_card:!size ~k ~r s
           else acc)
         1.0
         (Join_graph.neighbors (Query.graph q) r)

@@ -149,12 +149,9 @@ let test_calibration_corrects_known_bias () =
     (Printf.sprintf "fitted factor %.2f near the inverse bias" factor)
     true
     (factor >= 5.0 && factor <= 20.0);
-  let prev = Plan_cost.calibration () in
-  Plan_cost.set_calibration (Some { Plan_cost.sel_factor = factor });
   let after =
-    Fun.protect
-      ~finally:(fun () -> Plan_cost.set_calibration prev)
-      (fun () -> Feedback.measure ~model:mem q ~data obs)
+    Feedback.measure ~calibration:{ Plan_cost.sel_factor = factor } ~model:mem q
+      ~data obs
   in
   Alcotest.(check bool)
     (Printf.sprintf "mean q-error improves (%.2f -> %.2f)" before.mean_qerror
@@ -163,19 +160,17 @@ let test_calibration_corrects_known_bias () =
     (after.mean_qerror < before.mean_qerror)
 
 let test_no_calibration_is_bit_identical () =
-  (* The purity invariant on the hook itself: estimating with no calibration
-     installed is byte-for-byte the pre-hook estimator. *)
+  (* The purity invariant on the argument itself: a calibrated estimate
+     leaves nothing behind, so estimating without a calibration before and
+     after it gives the same bits. *)
   let q = Helpers.random_query ~n_joins:10 11 in
   let plan = Helpers.valid_random_plan q 12 in
   let a = Plan_cost.eval mem q plan in
-  let prev = Plan_cost.calibration () in
-  Plan_cost.set_calibration (Some { Plan_cost.sel_factor = 1.0 +. 1e-12 });
-  let biased = Fun.protect
-      ~finally:(fun () -> Plan_cost.set_calibration prev)
-      (fun () -> Plan_cost.eval mem q plan)
+  let biased =
+    Plan_cost.eval ~calibration:{ Plan_cost.sel_factor = 1.0 +. 1e-12 } mem q plan
   in
   let b = Plan_cost.eval mem q plan in
-  Alcotest.(check bool) "None-hook eval bit-identical" true
+  Alcotest.(check bool) "uncalibrated eval bit-identical" true
     (a.total = b.total && a.cards = b.cards);
   Alcotest.(check bool) "a non-unit factor does perturb" true
     (biased.total <> a.total || biased.cards <> a.cards)
@@ -286,6 +281,26 @@ let test_run_spec_results_job_invariant () =
   Alcotest.(check bool) "measurements bit-identical across jobs" true
     (run 1 = run 4)
 
+(* The calibration is an argument of each call, so two calls with
+   different factors can run at once.  The pair runs a hundred times: a
+   shared setting would corrupt only the rounds in which the two
+   measurements happen to overlap. *)
+let test_run_spec_concurrent_calibrations () =
+  let run sel_factor () =
+    Feedback.run_spec ~jobs:2 ?sel_factor ~model:mem
+      ~method_:Ljqo_core.Methods.IAI ~t_factor:1.0 ~ns:[ 4; 5 ] ~per_n:2 ~seed:17
+      Ljqo_querygen.Benchmark.default
+  in
+  let sequential = (run None (), run (Some 3.1) ()) in
+  Alcotest.(check bool) "the factor changes the measurements" true
+    (fst sequential <> snd sequential);
+  for _ = 1 to 100 do
+    let other = Domain.spawn (run (Some 3.1)) in
+    let first = run None () in
+    Alcotest.(check bool) "concurrent pair = sequential pair" true
+      (sequential = (first, Domain.join other))
+  done
+
 (* --- calibration files --------------------------------------------------- *)
 
 let roundtrip_entries =
@@ -375,6 +390,8 @@ let suite =
       test_jobs_determinism;
     Alcotest.test_case "run_spec results job-invariant" `Quick
       test_run_spec_results_job_invariant;
+    Alcotest.test_case "run_spec calls with different calibrations at once" `Quick
+      test_run_spec_concurrent_calibrations;
     Alcotest.test_case "calibration file roundtrip" `Quick
       test_calibration_roundtrip;
     Alcotest.test_case "calibration file strictness" `Quick

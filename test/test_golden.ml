@@ -4,8 +4,9 @@
    commits.  Each row is (method, plan, cost as %h, ticks_used).  The plans
    of the 151-relation query are pinned by the MD5 of their text (the ids
    joined by single spaces), which keeps the rows short.  The constants were
-   printed by an earlier commit, and this file must still build and pass
-   there, so it uses no newer test helpers. *)
+   printed by earlier commits and must not be regenerated to make a change
+   pass; the file uses no test helpers beyond the model, so it ports to an
+   older commit by changing only how the calibration is passed. *)
 
 open Ljqo_core
 module Qgen = Ljqo_querygen.Benchmark
@@ -20,9 +21,9 @@ let dense =
 
 let plan_text p = String.concat " " (Array.to_list (Array.map string_of_int p))
 
-let run ~t_factor q m =
+let run ?calibration ~t_factor q m =
   let ticks = Optimizer.time_limit_ticks ~t_factor ~query:q () in
-  Optimizer.optimize ~method_:m ~model ~ticks ~seed:7 q
+  Optimizer.optimize ?calibration ~method_:m ~model ~ticks ~seed:7 q
 
 (* default spec, N = 20, t = 1 *)
 let narrow_golden =
@@ -71,16 +72,14 @@ let method_named name =
 
 (* Every selectable method is pinned, and nothing beyond them: a new
    selectable method must get a row. *)
-let check_table ~label ~plan_key ~t_factor q golden =
+let check_table ?calibration ~label ~plan_key ~t_factor q golden =
   Alcotest.(check (list string))
     (label ^ " covers Methods.selectable")
     (List.map Methods.name Methods.selectable)
     (List.map (fun (name, _, _, _) -> name) golden);
-  Optimizer.set_adaptive_router None;
-  Ljqo_cost.Plan_cost.set_calibration None;
   List.iter
     (fun ((name, _, _, _) as row) ->
-      check_row ~label ~plan_key row (run ~t_factor q (method_named name)))
+      check_row ~label ~plan_key row (run ?calibration ~t_factor q (method_named name)))
     golden
 
 let test_narrow () =
@@ -95,19 +94,30 @@ let test_wide () =
     (query dense ~n_joins:150 2025)
     wide_golden
 
+(* default spec, N = 20, t = 1, every effective edge selectivity scaled by
+   1.7: the calibration reaches every method's costing, its heuristics and
+   the portfolio's replicates. *)
+let calibrated_golden =
+  [
+    ("II", "20 6 15 19 7 8 2 1 3 0 4 11 14 17 16 5 10 9 12 18 13", "0x1.a031c4af54622p+18", 24000);
+    ("SA", "6 20 0 15 19 1 2 8 3 4 11 18 17 14 7 16 5 9 12 10 13", "0x1.3fc93d6d6767dp+18", 24006);
+    ("SAA", "8 7 2 3 4 5 1 17 6 20 15 14 9 19 11 0 12 16 13 18 10", "0x1.7e1ae3dac118cp+18", 24005);
+    ("SAK", "15 6 19 7 20 8 2 1 3 5 4 14 10 11 18 17 16 9 12 13 0", "0x1.e0213963aed5ep+17", 24005);
+    ("IAI", "3 2 8 4 17 5 7 11 9 16 6 1 15 14 19 0 20 10 12 18 13", "0x1.07fc9a2b37742p+17", 24004);
+    ("IKI", "20 6 15 19 7 8 2 1 3 5 4 17 18 11 9 14 12 16 0 10 13", "0x1.5e9c51caf7cddp+17", 24015);
+    ("IAL", "3 2 8 4 17 5 7 11 9 16 6 1 15 14 19 0 20 10 12 18 13", "0x1.07fc9a2b37742p+17", 24004);
+    ("AGI", "20 6 15 19 7 8 2 1 3 0 4 11 14 17 16 5 10 9 12 18 13", "0x1.a031c4af54622p+18", 24018);
+    ("KBI", "20 6 15 19 7 8 2 1 3 0 4 11 14 17 16 5 10 9 12 18 13", "0x1.a031c4af54622p+18", 24006);
+    ("2PO", "20 6 15 19 7 8 2 1 3 0 4 11 14 17 16 5 10 9 12 18 13", "0x1.a031c4af54622p+18", 24000);
+    ("portfolio", "12 9 5 3 4 14 2 11 13 1 16 10 8 0 17 6 20 15 19 7 18", "0x1.92b9f92b4cef8p+18", 24083);
+    ("adaptive", "12 9 5 3 4 14 2 11 13 1 16 10 8 0 17 6 20 15 19 7 18", "0x1.92b9f92b4cef8p+18", 24083);
+  ]
+
 let test_calibrated () =
-  let q = query Qgen.default ~n_joins:20 2024 in
-  let r =
-    Fun.protect
-      ~finally:(fun () -> Ljqo_cost.Plan_cost.set_calibration None)
-      (fun () ->
-        Ljqo_cost.Plan_cost.set_calibration (Some { sel_factor = 1.7 });
-        run ~t_factor:1.0 q Methods.IAI)
-  in
-  check_row ~label:"calibrated" ~plan_key:plan_text
-    ("IAI", "3 2 8 4 17 5 7 11 9 16 6 1 15 14 19 0 20 10 12 18 13",
-     "0x1.07fc9a2b37742p+17", 24004)
-    r
+  check_table ~calibration:{ sel_factor = 1.7 } ~label:"calibrated default N=20"
+    ~plan_key:plan_text ~t_factor:1.0
+    (query Qgen.default ~n_joins:20 2024)
+    calibrated_golden
 
 let test_exhaustive () =
   let e = Exhaustive.optimize model (query Qgen.default ~n_joins:8 2026) in
@@ -155,7 +165,6 @@ let check_criteria ~label ~plan_key q golden =
     (label ^ " pins the first and the last start")
     (List.sort compare [ List.hd starts; List.nth starts (List.length starts - 1) ])
     (List.sort_uniq compare (List.map (fun (_, start, _, _) -> start) golden));
-  Ljqo_cost.Plan_cost.set_calibration None;
   List.iter
     (fun (index, start, plan, charge) ->
       let charged = ref 0 in
@@ -207,7 +216,6 @@ let wide_local_golden =
 let local_start q = Random_plan.generate (Ljqo_stats.Rng.create 11) q
 
 let check_local ~label ~plan_key q golden =
-  Ljqo_cost.Plan_cost.set_calibration None;
   List.iter
     (fun (c, o, improved, plan, cost, ticks) ->
       let ev = Evaluator.create ~query:q ~model ~ticks:0 () in
@@ -243,7 +251,6 @@ let wide_auto_golden =
   ]
 
 let check_auto ~label ~plan_key q golden =
-  Ljqo_cost.Plan_cost.set_calibration None;
   List.iter
     (fun (budget, plan, cost, ticks) ->
       let ev = Evaluator.create ~query:q ~model ~ticks:budget () in
@@ -281,7 +288,6 @@ let wide_baselines_golden =
   ]
 
 let check_baselines ~label ~plan_key q golden =
-  Ljqo_cost.Plan_cost.set_calibration None;
   List.iter
     (fun (name, budget, plan, cost, ticks) ->
       let b = List.find (fun b -> Baselines.name b = name) Baselines.all in
@@ -317,8 +323,6 @@ let test_baselines () =
 (* IAL at t = 3, the smallest tested budget at which its local phase
    changes the result (IAI's cost there is 0x1.530a055dc8cacp+14). *)
 let test_ial_local_phase () =
-  Optimizer.set_adaptive_router None;
-  Ljqo_cost.Plan_cost.set_calibration None;
   check_row ~label:"default N=20 t=3" ~plan_key:plan_text
     ("IAL", "3 2 8 4 11 7 14 1 5 9 13 17 12 16 6 20 0 15 19 10 18",
      "0x1.410249082a779p+14", 72005)
@@ -328,7 +332,8 @@ let suite =
   [
     Alcotest.test_case "every selectable method, default N=20" `Quick test_narrow;
     Alcotest.test_case "every selectable method, graph-dense N=150" `Quick test_wide;
-    Alcotest.test_case "IAI under a calibration" `Quick test_calibrated;
+    Alcotest.test_case "every selectable method, calibrated default N=20" `Quick
+      test_calibrated;
     Alcotest.test_case "exhaustive N=8" `Quick test_exhaustive;
     Alcotest.test_case "every augmentation criterion, default N=20" `Quick
       test_criteria_narrow;

@@ -193,10 +193,6 @@ let test_router_decide_deterministic () =
         Alcotest.(check bool) "budget within bounds" true (t >= 1 && t <= 500))
     qs
 
-let with_router m f =
-  Router.install (Some m);
-  Fun.protect ~finally:(fun () -> Router.install None) f
-
 let test_adaptive_optimize_deterministic () =
   let q =
     (List.nth
@@ -206,29 +202,30 @@ let test_adaptive_optimize_deterministic () =
        0)
       .Ljqo_querygen.Workload.query
   in
-  let run () =
-    Optimizer.optimize ~method_:Methods.Adaptive ~model:Helpers.memory_model
-      ~ticks:400 ~seed:21 q
+  let optimize method_ ticks =
+    Optimizer.optimize ~method_ ~model:Helpers.memory_model ~ticks ~seed:21 q
   in
-  (* without a router installed, adaptive is the portfolio at full budget *)
-  let fallback = run () in
-  let portfolio =
-    Optimizer.optimize ~method_:Methods.Portfolio ~model:Helpers.memory_model
-      ~ticks:400 ~seed:21 q
+  let run model =
+    let m, ticks, _ = Router.resolve model Methods.Adaptive q ~ticks:400 in
+    optimize m ticks
   in
-  Alcotest.(check bool) "fallback equals portfolio" true
-    (fallback.Optimizer.plan = portfolio.Optimizer.plan
-    && Int64.bits_of_float fallback.Optimizer.cost
-       = Int64.bits_of_float portfolio.Optimizer.cost);
-  let m = tiny_model () in
-  with_router m (fun () ->
-      let a = run () in
-      let b = run () in
-      Alcotest.(check bool) "routed runs bit-identical" true
-        (a.Optimizer.plan = b.Optimizer.plan
-        && Int64.bits_of_float a.Optimizer.cost
-           = Int64.bits_of_float b.Optimizer.cost
-        && a.Optimizer.ticks_used = b.Optimizer.ticks_used))
+  (* without a model, adaptive is the portfolio at full budget, whether the
+     router resolves it or [optimize] runs its own fallback *)
+  let portfolio = optimize Methods.Portfolio 400 in
+  List.iter
+    (fun (label, (r : Optimizer.result)) ->
+      Alcotest.(check bool) (label ^ " equals portfolio") true
+        (r.plan = portfolio.plan
+        && Int64.bits_of_float r.cost = Int64.bits_of_float portfolio.cost))
+    [ ("router fallback", run None); ("optimize fallback", optimize Methods.Adaptive 400) ];
+  let m = Some (tiny_model ()) in
+  let a = run m in
+  let b = run m in
+  Alcotest.(check bool) "routed runs bit-identical" true
+    (a.Optimizer.plan = b.Optimizer.plan
+    && Int64.bits_of_float a.Optimizer.cost
+       = Int64.bits_of_float b.Optimizer.cost
+    && a.Optimizer.ticks_used = b.Optimizer.ticks_used)
 
 (* --- online epochs ------------------------------------------------------ *)
 

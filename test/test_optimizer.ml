@@ -205,6 +205,39 @@ let prop_tiny_budgets_return_a_plan =
         Methods.selectable)
     QCheck.(triple small_int small_int int)
 
+(* A calibration is an input of one call, not process state: two runs with
+   different calibrations, one of them on a second domain, give the plans,
+   costs and ticks of the same two runs made one after the other. *)
+let prop_concurrent_calibrations =
+  let calibrations =
+    [|
+      None;
+      Some { Ljqo_cost.Plan_cost.sel_factor = 0.37 };
+      Some { Ljqo_cost.Plan_cost.sel_factor = 3.1 };
+    |]
+  in
+  let methods = [| Methods.IAI; Methods.AGI; Methods.SA; Methods.Portfolio |] in
+  Helpers.qcheck_case ~count:20
+    ~name:"concurrent optimize calls with different calibrations = sequential"
+    (fun (qseed, size, (c, shift), (m1, m2)) ->
+      let q = Helpers.random_query ~n_joins:(1 + (abs size mod 49)) qseed in
+      let ticks = Optimizer.time_limit_ticks ~t_factor:0.5 ~query:q () in
+      let call c m () =
+        let r =
+          Optimizer.optimize ?calibration:calibrations.(c) ~method_:methods.(abs m mod 4)
+            ~model:mem ~ticks ~seed:qseed q
+        in
+        (r.plan, Printf.sprintf "%h" r.cost, r.ticks_used)
+      in
+      let c1 = abs c mod 3 in
+      let a = call c1 m1 and b = call ((c1 + 1 + (abs shift mod 2)) mod 3) m2 in
+      let sequential = (a (), b ()) in
+      let other = Domain.spawn b in
+      let first = a () in
+      sequential = (first, Domain.join other))
+    QCheck.(
+      quad small_int small_int (pair small_int small_int) (pair small_int small_int))
+
 let suite =
   [
     Alcotest.test_case "connected query" `Quick test_connected_query;
@@ -220,4 +253,5 @@ let suite =
     prop_adversarial_stats_never_raise;
     prop_valid_plans_all_methods;
     prop_tiny_budgets_return_a_plan;
+    prop_concurrent_calibrations;
   ]

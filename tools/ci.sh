@@ -95,6 +95,16 @@ dune exec tools/perf_gate.exe -- --check-json "$portfolio_tmp/metrics.json"
 grep -q '"portfolio.rounds"' "$portfolio_tmp/metrics.json"
 rm -rf "$portfolio_tmp"
 
+# Method-list smoke: --methods reaches each experiment as an argument, so
+# table3 runs and labels the given list (this used to die with an index out
+# of bounds): it exits 0, and both header rows name II, then IAI.
+methods_tmp=$(mktemp -d)
+dune exec bench/main.exe -- table3 --methods II,IAI --per-n 1 --replicates 1 \
+  > "$methods_tmp/table3.out"
+cat "$methods_tmp/table3.out"
+test "$(grep -cE '^ +II +IAI$' "$methods_tmp/table3.out")" -eq 2
+rm -rf "$methods_tmp"
+
 # Trace smoke: an instrumented optimize run must emit well-formed JSONL
 # trace events and a well-formed metrics snapshot.
 trace_tmp=$(mktemp -d)
