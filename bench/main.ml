@@ -190,6 +190,12 @@ let parse_args () =
           (List.map
              (fun name ->
                match Ljqo_core.Methods.of_name name with
+               | Some Ljqo_core.Methods.Adaptive ->
+                 (* It would quietly run its portfolio fallback. *)
+                 prerr_endline
+                   "--methods: adaptive needs a routing model, which the \
+                    bench does not load";
+                 usage ()
                | Some m -> m
                | None ->
                  prerr_endline ("--methods: unknown method: " ^ name);

@@ -9,11 +9,117 @@
      ljqo exact q.qdl / ljqo dp q.qdl        # exact baselines
      ljqo space q.qdl / ljqo bushy q.qdl     # plan-space studies
      ljqo inspect q.qdl / ljqo workload -o dir/
-     ljqo methods / ljqo benchmarks *)
+     ljqo methods / ljqo benchmarks
+
+   Every flag is declared once, as a term that checks its own value while
+   the command line is read: a bad value exits 2 with [ljqo: --flag ...]
+   before any command body runs.  The subcommands are built from those
+   terms and from the shared groups below (budget, obs, method, grid,
+   server), so a body checks a flag only against what it loads. *)
 
 open Cmdliner
+open Term.Syntax
 open Ljqo_core
 module Qgen = Ljqo_querygen.Benchmark
+module Obs = Ljqo_obs.Obs
+module Learn = Ljqo_learn
+
+let fail_usage fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("ljqo: " ^ msg);
+      exit 2)
+    fmt
+
+(* --- flag kinds --------------------------------------------------------- *)
+
+(* [checked check term] runs [check] on the flag's value as the command line
+   is read. *)
+let checked check term =
+  let+ v = term in
+  check v;
+  v
+
+let positive_int name k =
+  if k < 1 then fail_usage "--%s must be a positive integer, got %d" name k
+
+let positive_number ?(finite = false) name x =
+  if not (x > 0.0 && ((not finite) || Float.is_finite x)) then
+    fail_usage "--%s must be a positive number, got %g" name x
+
+let int_flag ?(aliases = []) name ~docv ~doc default =
+  checked (positive_int name)
+    Arg.(value & opt int default & info (name :: aliases) ~docv ~doc)
+
+let int_flag_opt ?(aliases = []) name ~docv ~doc =
+  checked
+    (Option.iter (positive_int name))
+    Arg.(value & opt (some int) None & info (name :: aliases) ~docv ~doc)
+
+let number_flag name ~docv ~doc default =
+  checked (positive_number name)
+    Arg.(value & opt float default & info [ name ] ~docv ~doc)
+
+let number_flag_opt name ~docv ~doc =
+  checked
+    (Option.iter (positive_number name))
+    Arg.(value & opt (some float) None & info [ name ] ~docv ~doc)
+
+(* An output path is proven writable before any work, so a bad one cannot
+   fail after a long run: its missing parent directories are created, then
+   a file is opened without truncation (or created and removed), and a
+   directory gets a probe file (or is created and removed). *)
+let writable ~dir name path =
+  (try
+     Obs.mkdir_p (Filename.dirname path);
+     match (dir, Sys.file_exists path) with
+     | false, false ->
+       close_out (open_out_gen [ Open_wronly; Open_creat; Open_excl ] 0o644 path);
+       Sys.remove path
+     | false, true -> close_out (open_out_gen [ Open_wronly; Open_append ] 0 path)
+     | true, false ->
+       Sys.mkdir path 0o755;
+       Sys.rmdir path
+     | true, true ->
+       if not (Sys.is_directory path) then
+         raise (Sys_error (path ^ ": Not a directory"));
+       Sys.remove (Filename.temp_file ~temp_dir:path "ljqo" ".probe")
+   with Sys_error e -> fail_usage "--%s: cannot write %s: %s" name path e);
+  path
+
+let output_file ?vopt name ~doc =
+  Term.map
+    (Option.map (writable ~dir:false name))
+    Arg.(value & opt ?vopt (some string) None & info [ name ] ~docv:"FILE" ~doc)
+
+(* [-o FILE]: [output_or_stdout] prints to stdout when it is absent,
+   [output_to] writes a default file. *)
+let output_info ~doc = Arg.info [ "output"; "o" ] ~docv:"FILE" ~doc
+
+let output_or_stdout =
+  Term.map
+    (Option.map (writable ~dir:false "output"))
+    Arg.(
+      value & opt (some string) None
+      & output_info ~doc:"Write to FILE instead of stdout.")
+
+let output_to ~doc default =
+  Term.map
+    (writable ~dir:false "output")
+    Arg.(value & opt string default & output_info ~doc)
+
+(* The trimmed, non-empty items of a comma-separated flag value. *)
+let comma_items s =
+  List.filter (( <> ) "") (List.map String.trim (String.split_on_char ',' s))
+
+let write_output output content =
+  match output with
+  | None -> print_string content
+  | Some path ->
+    Out_channel.with_open_text path (fun oc -> output_string oc content);
+    Printf.printf "wrote %s\n" path
+
+(* --- flags -------------------------------------------------------------- *)
 
 let model_of_string = function
   | "memory" -> Ok (module Ljqo_cost.Memory_model : Ljqo_cost.Cost_model.S)
@@ -48,8 +154,8 @@ let benchmark_conv =
                ^ String.concat ", " (List.map (fun (b : Qgen.spec) -> b.name) all)))),
       fun ppf (b : Qgen.spec) -> Format.pp_print_string ppf b.name )
 
-let seed_arg =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+let seed_arg ?(default = 42) ?(doc = "Random seed.") () =
+  Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let model_arg =
   Arg.(
@@ -57,193 +163,61 @@ let model_arg =
     & opt model_conv (module Ljqo_cost.Memory_model : Ljqo_cost.Cost_model.S)
     & info [ "model" ] ~docv:"MODEL" ~doc:"Cost model: memory or disk.")
 
-let method_arg =
+let benchmark_arg ~doc =
   Arg.(
-    value & opt method_conv Methods.IAI
-    & info [ "method"; "m" ] ~docv:"METHOD"
-        ~doc:
-          "Optimization method (II, SA, SAA, SAK, IAI, IKI, IAL, AGI, KBI, \
-           2PO, portfolio, adaptive).")
+    value & opt benchmark_conv Qgen.default
+    & info [ "benchmark"; "b" ] ~docv:"NAME" ~doc)
 
+let per_n_arg ~default ~docv ~doc = int_flag "per-n" ~docv ~doc default
+
+let jobs_arg ~doc = int_flag_opt "jobs" ~aliases:[ "j" ] ~docv:"J" ~doc
+
+let max_rows_arg ~docv ~doc = int_flag "max-rows" ~docv ~doc 1_000_000
+
+let passes_arg ~doc = int_flag "passes" ~docv:"P" ~doc 1
+
+let cache_capacity_arg =
+  int_flag "cache-capacity" ~docv:"K" ~doc:"Plan cache capacity." 1024
+
+let svg_arg ~doc = output_file "svg" ~doc
+
+let query_file_arg =
+  Arg.(
+    required & pos 0 (some file) None & info [] ~docv:"QUERY.qdl" ~doc:"Query file.")
+
+let workload_dir_arg ~doc =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD_DIR" ~doc)
+
+let load_query path =
+  try Ljqo_qdl.Parser.parse_file path with
+  | Ljqo_qdl.Parser.Error { line; message } ->
+    Printf.eprintf "%s:%d: %s\n" path line message;
+    exit 1
+
+(* --- budget: --t-factor, --kappa ---------------------------------------- *)
+
+type budget = { t_factor : float; kappa : int option }
+
+(* Non-finite limits are refused: t·N²·κ would only saturate the budget. *)
 let t_factor_arg =
-  Arg.(
-    value & opt float 9.0
-    & info [ "t-factor"; "t" ] ~docv:"T"
-        ~doc:"Time limit as a multiple of N^2 (the paper's budgets).")
+  checked
+    (positive_number ~finite:true "t-factor")
+    Arg.(
+      value & opt float 9.0
+      & info [ "t-factor"; "t" ] ~docv:"T"
+          ~doc:"Time limit as a multiple of N^2 (the paper's budgets).")
 
-let kappa_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "kappa" ] ~docv:"K" ~doc:"Ticks per time unit (calibration knob).")
-
-(* --- observability ------------------------------------------------------ *)
-
-module Obs = Ljqo_obs.Obs
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some (Filename.concat "results" "METRICS_ljqo.json"))
-        (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Collect search counters and write them to $(docv) as JSON on exit \
-           (default results/METRICS_ljqo.json when $(docv) is omitted).")
-
-let trace_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:"Stream sampled search trace events to $(docv) as JSON lines.")
-
-let trace_sample_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "trace-sample" ] ~docv:"N"
-        ~doc:"Keep every $(docv)th trace event per event type.")
-
-let fail_usage fmt =
-  Printf.ksprintf
-    (fun msg ->
-      prerr_endline ("ljqo: " ^ msg);
-      exit 2)
-    fmt
-
-(* Knobs shared by the optimizing subcommands, validated before any work:
-   a bad value must exit 2 with a message, not surface later as a confusing
-   Invalid_argument from deep inside the budget. *)
-let check_knobs ~t_factor ~kappa ~trace_sample =
-  if not (t_factor > 0.0) then
-    fail_usage "--t-factor must be a positive number, got %g" t_factor;
-  (match kappa with
-  | Some k when k < 1 -> fail_usage "--kappa must be a positive integer, got %d" k
-  | _ -> ());
-  if trace_sample < 1 then
-    fail_usage "--trace-sample must be a positive integer, got %d" trace_sample
-
-let portfolio_width_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "portfolio-width" ] ~docv:"K"
-        ~doc:
-          "Portfolio replicates per round (method portfolio only; default \
-           4).")
-
-let portfolio_legs_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "portfolio-legs" ] ~docv:"LEGS"
-        ~doc:
-          "Comma-separated portfolio legs — at least two of II, SA, 2PO \
-           (method portfolio only; default II,SA,2PO).")
-
-(* Portfolio knobs, validated fail-fast like the knobs above.  The resulting
-   [Methods.config] is inert for the non-portfolio methods. *)
-let methods_config_for ~portfolio_width ~portfolio_legs =
-  let default = Methods.default_config.Methods.portfolio_params in
-  let width =
-    match portfolio_width with
-    | None -> default.Portfolio.width
-    | Some k when k < 1 ->
-      fail_usage "--portfolio-width must be a positive integer, got %d" k
-    | Some k -> k
+let budget =
+  let+ t_factor = t_factor_arg
+  and+ kappa =
+    int_flag_opt "kappa" ~docv:"K" ~doc:"Ticks per time unit (calibration knob)."
   in
-  let legs =
-    match portfolio_legs with
-    | None -> default.Portfolio.legs
-    | Some s ->
-      let parts =
-        List.filter
-          (fun p -> p <> "")
-          (List.map String.trim (String.split_on_char ',' s))
-      in
-      let legs =
-        List.map
-          (fun p ->
-            match Portfolio.leg_of_name p with
-            | Some l -> l
-            | None ->
-              fail_usage "--portfolio-legs: unknown leg %s (valid: II, SA, 2PO)"
-                p)
-          parts
-      in
-      if List.length (List.sort_uniq compare legs) < 2 then
-        fail_usage
-          "--portfolio-legs needs at least two distinct legs of II, SA, 2PO, \
-           got %s"
-          (if legs = [] then "none" else s);
-      legs
-  in
-  {
-    Methods.default_config with
-    Methods.portfolio_params = { default with Portfolio.width; legs };
-  }
+  { t_factor; kappa }
 
-(* --- learned routing ---------------------------------------------------- *)
+let ticks_for query { t_factor; kappa } =
+  Optimizer.time_limit_ticks ?ticks_per_unit:kappa ~t_factor ~query ()
 
-module Learn = Ljqo_learn
-
-let learn_model_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "learn-model" ] ~docv:"FILE"
-        ~doc:
-          "Trained routing model for --method adaptive (write one with ljqo \
-           learn train).")
-
-let learn_epoch_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "learn-epoch" ] ~docv:"N"
-        ~doc:
-          "Refresh the adaptive routing model every $(docv) served requests \
-           (--method adaptive only; default 32).")
-
-let load_learn_model path =
-  match Learn.Model.load ~path with
-  | Ok m -> m
-  | Error e -> fail_usage "cannot load model %s: %s" path e
-
-(* Learn knobs, validated fail-fast like the others: adaptive without a
-   model must die with a usage error before any work, and a learn flag on a
-   fixed method is a mistake worth flagging rather than silently ignoring. *)
-let check_learn_knobs ~method_ ~learn_model ~learn_epoch =
-  (match learn_epoch with
-  | Some e when e < 1 ->
-    fail_usage "--learn-epoch must be a positive integer, got %d" e
-  | _ -> ());
-  match method_ with
-  | Methods.Adaptive ->
-    if learn_model = None then
-      fail_usage
-        "--method adaptive requires --learn-model FILE (train one with ljqo \
-         learn train)"
-  | _ ->
-    if learn_model <> None then
-      fail_usage "--learn-model only applies to --method adaptive";
-    if learn_epoch <> None then
-      fail_usage "--learn-epoch only applies to --method adaptive"
-
-(* The subcommands without --learn-model have no model to route with, so
-   they refuse adaptive instead of quietly running its portfolio
-   fallback. *)
-let check_no_adaptive method_ =
-  if method_ = Methods.Adaptive then
-    fail_usage
-      "--method adaptive needs --learn-model, which only optimize, serve-file, \
-       serve and loadgen take"
-
-(* The serving subcommands' online-learning state: adaptive serves through
-   an [Online.t] seeded with the loaded model (every request records a
-   sample; the router refreshes at epoch boundaries); fixed methods serve
-   without one. *)
-let learn_state_for ~method_ ~learn_model ~learn_epoch =
-  check_learn_knobs ~method_ ~learn_model ~learn_epoch;
-  match method_ with
-  | Methods.Adaptive ->
-    let initial = Option.map load_learn_model learn_model in
-    Some (Learn.Online.create ?epoch:learn_epoch ?initial ())
-  | _ -> None
+(* --- obs: --metrics, --trace, --trace-sample ---------------------------- *)
 
 (* Run [f] with metrics/tracing/span capture configured, flushing on the way
    out (including on exceptions, so a crashed run still leaves its trace).
@@ -265,87 +239,275 @@ let with_obs ~metrics ~trace ~trace_sample f =
   at_exit flush;
   Fun.protect ~finally:flush f
 
-let query_file_arg =
-  Arg.(
-    required & pos 0 (some file) None & info [] ~docv:"QUERY.qdl" ~doc:"Query file.")
+let obs : ((unit -> unit) -> unit) Term.t =
+  let+ trace_sample =
+    int_flag "trace-sample" ~docv:"N"
+      ~doc:"Keep every $(docv)th trace event per event type." 1
+  and+ metrics =
+    output_file "metrics"
+      ~vopt:(Some (Filename.concat "results" "METRICS_ljqo.json"))
+      ~doc:
+        "Collect search counters and write them to $(docv) as JSON on exit \
+         (default results/METRICS_ljqo.json when $(docv) is omitted)."
+  and+ trace =
+    output_file "trace"
+      ~doc:"Stream sampled search trace events to $(docv) as JSON lines."
+  in
+  fun f -> with_obs ~metrics ~trace ~trace_sample f
 
-let load_query path =
-  try Ljqo_qdl.Parser.parse_file path with
-  | Ljqo_qdl.Parser.Error { line; message } ->
-    Printf.eprintf "%s:%d: %s\n" path line message;
-    exit 1
+(* --- method: --method, and the routed form's portfolio and learn flags --- *)
+
+let method_arg =
+  Arg.(
+    value & opt method_conv Methods.IAI
+    & info [ "method"; "m" ] ~docv:"METHOD"
+        ~doc:
+          "Optimization method (II, SA, SAA, SAK, IAI, IKI, IAL, AGI, KBI, \
+           2PO, portfolio, adaptive).")
+
+(* The subcommands without --learn-model have no model to route with, so
+   they refuse adaptive instead of quietly running its portfolio
+   fallback. *)
+let fixed_method =
+  checked
+    (fun m ->
+      if m = Methods.Adaptive then
+        fail_usage
+          "--method adaptive needs --learn-model, which only optimize, \
+           serve-file, serve and loadgen take")
+    method_arg
+
+let learn_model_arg ~doc =
+  Arg.(value & opt (some string) None & info [ "learn-model" ] ~docv:"FILE" ~doc)
+
+let load_learn_model path =
+  match Learn.Model.load ~path with
+  | Ok m -> m
+  | Error e -> fail_usage "cannot load model %s: %s" path e
+
+(* The portfolio knobs; the resulting [Methods.config] is inert for the
+   non-portfolio methods. *)
+let portfolio_config =
+  let+ width =
+    int_flag_opt "portfolio-width" ~docv:"K"
+      ~doc:"Portfolio replicates per round (method portfolio only; default 4)."
+  and+ legs =
+    Arg.(
+      value & opt (some string) None
+      & info [ "portfolio-legs" ] ~docv:"LEGS"
+          ~doc:
+            "Comma-separated portfolio legs — at least two of II, SA, 2PO \
+             (method portfolio only; default II,SA,2PO).")
+  in
+  let default = Methods.default_config.Methods.portfolio_params in
+  let leg p =
+    match Portfolio.leg_of_name p with
+    | Some l -> l
+    | None -> fail_usage "--portfolio-legs: unknown leg %s (valid: II, SA, 2PO)" p
+  in
+  let legs =
+    match legs with
+    | None -> default.Portfolio.legs
+    | Some s ->
+      let legs = List.map leg (comma_items s) in
+      if List.length (List.sort_uniq compare legs) < 2 then
+        fail_usage
+          "--portfolio-legs needs at least two distinct legs of II, SA, 2PO, got %s"
+          (if legs = [] then "none" else s);
+      legs
+  in
+  let width = Option.value width ~default:default.Portfolio.width in
+  {
+    Methods.default_config with
+    Methods.portfolio_params = { default with Portfolio.width; legs };
+  }
+
+type routed = {
+  method_ : Methods.t;
+  config : Methods.config;
+  routing : Learn.Model.t option;  (** the loaded --learn-model *)
+  learn : unit -> Learn.Online.t option;
+      (** a fresh online-learning state seeded with [routing]: adaptive
+          serves through one, a fixed method through none *)
+}
+
+(* The method of the subcommands that can route adaptively.  Adaptive
+   without a model dies before any work, and a learn flag on a fixed method
+   is flagged rather than ignored; [~serving] adds --learn-epoch, which is
+   checked before the model loads. *)
+let routed_method ~serving =
+  let+ method_ = method_arg
+  and+ model_file =
+    learn_model_arg
+      ~doc:
+        "Trained routing model for --method adaptive (write one with ljqo \
+         learn train)."
+  and+ epoch =
+    if serving then
+      int_flag_opt "learn-epoch" ~docv:"N"
+        ~doc:
+          "Refresh the adaptive routing model every $(docv) served requests \
+           (--method adaptive only; default 32)."
+    else Term.const None
+  and+ config = portfolio_config in
+  (match method_ with
+  | Methods.Adaptive ->
+    if model_file = None then
+      fail_usage
+        "--method adaptive requires --learn-model FILE (train one with ljqo \
+         learn train)"
+  | _ ->
+    if model_file <> None then
+      fail_usage "--learn-model only applies to --method adaptive";
+    if epoch <> None then fail_usage "--learn-epoch only applies to --method adaptive");
+  let routing = Option.map load_learn_model model_file in
+  let learn () =
+    if method_ = Methods.Adaptive then
+      Some (Learn.Online.create ?epoch ?initial:routing ())
+    else None
+  in
+  { method_; config; routing; learn }
+
+(* --- grid: --ns, --per-n, --jobs ---------------------------------------- *)
+
+type grid = { ns : int list; per_n : int; jobs : int option }
+
+let parse_ns s =
+  let join_count p =
+    match int_of_string_opt p with
+    | Some n when n >= 2 -> n
+    | _ -> fail_usage "--ns expects comma-separated join counts >= 2, got %S" p
+  in
+  match List.map join_count (comma_items s) with
+  | [] -> fail_usage "--ns expects at least one join count"
+  | ns -> ns
+
+let grid ~ns ~ns_doc ~per_n_doc =
+  let+ ns =
+    Term.map parse_ns
+      Arg.(value & opt string ns & info [ "ns" ] ~docv:"N1,N2,.." ~doc:ns_doc)
+  and+ per_n = per_n_arg ~default:2 ~docv:"Q" ~doc:per_n_doc
+  and+ jobs = jobs_arg ~doc:"Domains to parallelize over (a pure speed knob)." in
+  { ns; per_n; jobs }
+
+(* --- server: the serving subcommands' service and server knobs --------- *)
+
+module Service = Ljqo_service.Service
+module Server = Ljqo_service.Server
+module Plan_cache = Ljqo_service.Plan_cache
+
+type serving = {
+  config : Service.config;
+  cache_capacity : int;
+  learn : unit -> Learn.Online.t option;
+}
+
+(* What serve-file, serve and loadgen serve with: the method group, the
+   cost model, the budget and the seed, in one [Service.config]. *)
+let serving =
+  let+ budget = budget
+  and+ routed = routed_method ~serving:true
+  and+ model = model_arg
+  and+ seed = seed_arg ()
+  and+ cache_capacity = cache_capacity_arg in
+  let { t_factor; kappa } = budget in
+  {
+    config =
+      {
+        Service.method_ = routed.method_;
+        methods_config = routed.config;
+        model;
+        budget = Service.Time_limit { t_factor; kappa };
+        seed;
+      };
+    cache_capacity;
+    learn = routed.learn;
+  }
+
+let server =
+  let+ serving = serving
+  and+ workers = int_flag "workers" ~docv:"W" ~doc:"Worker domains serving requests." 2
+  and+ queue_capacity =
+    int_flag "queue-capacity" ~docv:"Q"
+      ~doc:"Bounded request-queue depth (the admission-control limit)." 64
+  and+ tenant_slots =
+    int_flag_opt "tenant-slots" ~docv:"K"
+      ~doc:
+        "Per-tenant in-flight request cap (fair-share admission); unlimited \
+         when omitted."
+  and+ request_deadline =
+    number_flag_opt "request-deadline" ~docv:"SEC"
+      ~doc:
+        "Per-request wall-clock deadline in seconds: an overloaded worker \
+         serves its incumbent plan as timed-out instead of blocking the \
+         queue."
+  in
+  ( serving,
+    {
+      Server.service = serving.config;
+      workers;
+      queue_capacity;
+      tenant_slots;
+      request_deadline;
+    }
+  )
+
+(* A drain timeout is a serve-side concept: loadgen always drains to
+   completion, so its report covers every accepted request. *)
+let drain_timeout_arg =
+  Arg.(
+    value & opt (some float) None
+    & info [ "drain-timeout" ] ~docv:"SEC"
+        ~doc:"Give up on the graceful drain after $(docv) seconds (serve only).")
 
 (* --- generate ---------------------------------------------------------- *)
 
 let generate benchmark n_joins seed output =
-  if n_joins < 1 then fail_usage "--n-joins must be a positive integer, got %d" n_joins;
   let rng = Ljqo_stats.Rng.create seed in
   let query = Qgen.generate_query benchmark ~n_joins ~rng in
   let text = Ljqo_qdl.Printer.to_string query in
   match output with
   | None -> print_string text
   | Some path ->
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text);
+    Out_channel.with_open_text path (fun oc -> output_string oc text);
     Printf.printf "wrote %s (%d relations, %d joins)\n" path
       (Ljqo_catalog.Query.n_relations query)
       (Ljqo_catalog.Query.n_joins query)
 
 let generate_cmd =
-  let n_joins =
-    Arg.(
-      value & opt int 30
-      & info [ "n-joins"; "n" ] ~docv:"N" ~doc:"Number of joins (spanning edges).")
-  in
-  let benchmark =
-    Arg.(
-      value & opt benchmark_conv Qgen.default
-      & info [ "benchmark"; "b" ] ~docv:"NAME"
-          ~doc:"Benchmark distribution to draw the query from.")
-  in
-  let output =
-    Arg.(
-      value & opt (some string) None
-      & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Write to FILE instead of stdout.")
-  in
   Cmd.v
     (Cmd.info "generate" ~doc:"Generate a synthetic query in QDL form")
-    Term.(const generate $ benchmark $ n_joins $ seed_arg $ output)
+    Term.(
+      const generate
+      $ benchmark_arg ~doc:"Benchmark distribution to draw the query from."
+      $ int_flag "n-joins" ~aliases:[ "n" ] ~docv:"N"
+          ~doc:"Number of joins (spanning edges)." 30
+      $ seed_arg () $ output_or_stdout)
 
 (* --- optimize ---------------------------------------------------------- *)
 
-let ticks_for query t_factor kappa =
-  let n_joins = max 1 (Ljqo_catalog.Query.n_relations query - 1) in
-  Budget.ticks_for_limit ?ticks_per_unit:kappa ~t_factor ~n_joins ()
+let relation_name query i =
+  (Ljqo_catalog.Query.relation query i).Ljqo_catalog.Relation.name
 
 let print_plan query plan =
-  let names =
-    Array.to_list
-      (Array.map
-         (fun i -> (Ljqo_catalog.Query.relation query i).Ljqo_catalog.Relation.name)
-         plan)
-  in
-  Printf.printf "plan: %s\n" (String.concat " |><| " names)
+  Printf.printf "plan: %s\n"
+    (String.concat " |><| " (Array.to_list (Array.map (relation_name query) plan)))
 
-let optimize file method_ model t_factor kappa seed learn_model
-    portfolio_width portfolio_legs metrics trace trace_sample =
-  check_knobs ~t_factor ~kappa ~trace_sample;
-  check_learn_knobs ~method_ ~learn_model ~learn_epoch:None;
-  let learn_model = Option.map load_learn_model learn_model in
-  let config = methods_config_for ~portfolio_width ~portfolio_legs in
-  with_obs ~metrics ~trace ~trace_sample @@ fun () ->
+let optimize file budget (m : routed) model seed with_obs =
+  with_obs @@ fun () ->
   let query = load_query file in
-  let ticks = ticks_for query t_factor kappa in
+  let ticks = ticks_for query budget in
   let route, route_ticks, resolution =
-    Learn.Router.resolve learn_model method_ query ~ticks
+    Learn.Router.resolve m.routing m.method_ query ~ticks
   in
   Learn.Router.bump route resolution;
   let r =
-    Optimizer.optimize ~config ~method_:route ~model ~ticks:route_ticks ~seed query
+    Optimizer.optimize ~config:m.config ~method_:route ~model ~ticks:route_ticks
+      ~seed query
   in
   let module M = (val model : Ljqo_cost.Cost_model.S) in
   Printf.printf "method %s, cost model %s, budget %d ticks (%.3gN^2)\n"
-    (Methods.name method_) M.name ticks t_factor;
+    (Methods.name m.method_) M.name ticks budget.t_factor;
   print_plan query r.plan;
   Printf.printf "permutation: %s\n" (Plan.to_string r.plan);
   Printf.printf "estimated cost: %.6g (lower bound %.6g)%s\n" r.cost r.lower_bound
@@ -356,44 +518,45 @@ let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize" ~doc:"Choose a join order for a query")
     Term.(
-      const optimize $ query_file_arg $ method_arg $ model_arg $ t_factor_arg
-      $ kappa_arg $ seed_arg $ learn_model_arg $ portfolio_width_arg
-      $ portfolio_legs_arg $ metrics_arg $ trace_arg $ trace_sample_arg)
+      const optimize $ query_file_arg $ budget $ routed_method ~serving:false
+      $ model_arg $ seed_arg () $ obs)
 
 (* --- explain ----------------------------------------------------------- *)
 
+(* A plan names each relation at most once, by id or by name; partial and
+   cross-product plans are kept (with a warning) because studying them is
+   what explain is for. *)
 let parse_plan query s =
-  let parts = String.split_on_char ' ' (String.trim s) in
-  let parts = List.filter (fun p -> p <> "") parts in
   let n = Ljqo_catalog.Query.n_relations query in
+  let name = relation_name query in
   let resolve p =
     match int_of_string_opt p with
     | Some i when i >= 0 && i < n -> i
     | _ -> (
-      (* allow relation names *)
-      let rec find i =
-        if i >= n then (
-          Printf.eprintf "unknown relation %S in plan\n" p;
-          exit 1)
-        else if
-          (Ljqo_catalog.Query.relation query i).Ljqo_catalog.Relation.name = p
-        then i
-        else find (i + 1)
-      in
-      find 0)
+      match List.find_opt (fun i -> name i = p) (List.init n Fun.id) with
+      | Some i -> i
+      | None -> fail_usage "--plan: unknown relation %S" p)
   in
-  Array.of_list (List.map resolve parts)
+  let plan =
+    List.map resolve
+      (List.filter (( <> ) "") (String.split_on_char ' ' (String.trim s)))
+  in
+  if plan = [] then fail_usage "--plan must name at least one relation";
+  let seen = Array.make n false in
+  List.iter
+    (fun i ->
+      if seen.(i) then fail_usage "--plan names relation %s twice" (name i);
+      seen.(i) <- true)
+    plan;
+  Array.of_list plan
 
 let explain file plan_str model =
   let query = load_query file in
   let plan =
     match plan_str with
-    | Some s -> (
-      match parse_plan query s with
-      | [||] -> fail_usage "--plan must name at least one relation"
-      | plan -> plan)
+    | Some s -> parse_plan query s
     | None ->
-      let ticks = ticks_for query 9.0 None in
+      let ticks = Optimizer.time_limit_ticks ~t_factor:9.0 ~query () in
       (Optimizer.optimize ~method_:Methods.IAI ~model ~ticks ~seed:42 query).plan
   in
   if not (Plan.is_valid query plan) then
@@ -404,8 +567,7 @@ let explain file plan_str model =
   Printf.printf "%-4s %-16s %14s %14s\n" "step" "inner" "est. card" "est. cost";
   Array.iteri
     (fun i r ->
-      Printf.printf "%-4d %-16s %14.4g %14.4g\n" i
-        (Ljqo_catalog.Query.relation query r).Ljqo_catalog.Relation.name
+      Printf.printf "%-4d %-16s %14.4g %14.4g\n" i (relation_name query r)
         e.cards.(i)
         e.step_costs.(i))
     plan;
@@ -424,15 +586,10 @@ let explain_cmd =
 
 (* --- run --------------------------------------------------------------- *)
 
-let run_query file method_ model t_factor kappa seed max_rows metrics trace
-    trace_sample =
-  check_knobs ~t_factor ~kappa ~trace_sample;
-  check_no_adaptive method_;
-  if max_rows < 1 then
-    fail_usage "--max-rows must be a positive integer, got %d" max_rows;
-  with_obs ~metrics ~trace ~trace_sample @@ fun () ->
+let run_query file budget method_ model seed max_rows with_obs =
+  with_obs @@ fun () ->
   let query = load_query file in
-  let ticks = ticks_for query t_factor kappa in
+  let ticks = ticks_for query budget in
   let r = Optimizer.optimize ~method_ ~model ~ticks ~seed query in
   print_plan query r.plan;
   Printf.printf "estimated cost: %.6g\n" r.cost;
@@ -451,17 +608,13 @@ let run_query file method_ model t_factor kappa seed max_rows metrics trace
        "execution aborted: intermediate result exceeded %d rows (cap %d)\n" n max_rows)
 
 let run_cmd =
-  let max_rows =
-    Arg.(
-      value & opt int 1_000_000
-      & info [ "max-rows" ] ~docv:"ROWS" ~doc:"Abort execution beyond this size.")
-  in
   Cmd.v
     (Cmd.info "run" ~doc:"Optimize a query, then execute it on synthetic data")
     Term.(
-      const run_query $ query_file_arg $ method_arg $ model_arg $ t_factor_arg
-      $ kappa_arg $ seed_arg $ max_rows $ metrics_arg $ trace_arg
-      $ trace_sample_arg)
+      const run_query $ query_file_arg $ budget $ fixed_method $ model_arg
+      $ seed_arg ()
+      $ max_rows_arg ~docv:"ROWS" ~doc:"Abort execution beyond this size."
+      $ obs)
 
 (* --- exact ------------------------------------------------------------- *)
 
@@ -512,26 +665,22 @@ let dp_cmd =
 (* --- space ------------------------------------------------------------- *)
 
 let space file model seed samples =
-  if samples < 1 then fail_usage "--samples must be a positive integer, got %d" samples;
   let query = load_query file in
   let stats = Space_stats.sample ~n_samples:samples ~seed model query in
   Format.printf "%a@." Space_stats.pp stats
 
 let space_cmd =
-  let samples =
-    Arg.(
-      value & opt int 200
-      & info [ "samples" ] ~docv:"K" ~doc:"Number of random valid plans to cost.")
-  in
   Cmd.v
     (Cmd.info "space" ~doc:"Sample the valid-plan cost distribution of a query")
-    Term.(const space $ query_file_arg $ model_arg $ seed_arg $ samples)
+    Term.(
+      const space $ query_file_arg $ model_arg $ seed_arg ()
+      $ int_flag "samples" ~docv:"K" ~doc:"Number of random valid plans to cost." 200)
 
 (* --- bushy ------------------------------------------------------------- *)
 
-let bushy file model t_factor kappa seed =
+let bushy file model budget seed =
   let query = load_query file in
-  let ticks = ticks_for query t_factor kappa in
+  let ticks = ticks_for query budget in
   let linear = Optimizer.optimize ~method_:Methods.IAI ~model ~ticks ~seed query in
   let tree, bushy_cost = Bushy.optimize model query ~seed:(seed + 1) in
   Printf.printf "best linear (IAI):  cost %.6g  %s\n" linear.cost
@@ -545,15 +694,14 @@ let bushy file model t_factor kappa seed =
 let bushy_cmd =
   Cmd.v
     (Cmd.info "bushy" ~doc:"Compare the linear and bushy plan spaces on a query")
-    Term.(const bushy $ query_file_arg $ model_arg $ t_factor_arg $ kappa_arg $ seed_arg)
+    Term.(const bushy $ query_file_arg $ model_arg $ budget $ seed_arg ())
 
 (* --- compare ----------------------------------------------------------- *)
 
-let compare_methods file model t_factor kappa seed metrics trace trace_sample =
-  check_knobs ~t_factor ~kappa ~trace_sample;
-  with_obs ~metrics ~trace ~trace_sample @@ fun () ->
+let compare_methods file model budget seed with_obs =
+  with_obs @@ fun () ->
   let query = load_query file in
-  let ticks = ticks_for query t_factor kappa in
+  let ticks = ticks_for query budget in
   let results =
     List.map
       (fun m ->
@@ -578,13 +726,12 @@ let compare_cmd =
   Cmd.v
     (Cmd.info "compare" ~doc:"Run all nine methods on one query")
     Term.(
-      const compare_methods $ query_file_arg $ model_arg $ t_factor_arg $ kappa_arg
-      $ seed_arg $ metrics_arg $ trace_arg $ trace_sample_arg)
+      const compare_methods $ query_file_arg $ model_arg $ budget $ seed_arg ()
+      $ obs)
 
 (* --- sql --------------------------------------------------------------- *)
 
-let sql file catalog_file method_ model t_factor kappa seed execute =
-  check_no_adaptive method_;
+let sql file catalog_file budget method_ model seed execute =
   let catalog =
     try Ljqo_sql.Stats_catalog.parse_file catalog_file with
     | Ljqo_sql.Stats_catalog.Parse_error { line; message } ->
@@ -611,7 +758,7 @@ let sql file catalog_file method_ model t_factor kappa seed execute =
     (fun (binder, text, s) ->
       Printf.printf "  selection on %s: %s  (selectivity %.4g)\n" binder text s)
     t.Ljqo_sql.Translate.selection_details;
-  let ticks = ticks_for query t_factor kappa in
+  let ticks = ticks_for query budget in
   let r = Optimizer.optimize ~method_ ~model ~ticks ~seed query in
   Printf.printf "\n%s" (Plan_render.render_plan ~model query r.plan);
   Printf.printf "estimated cost: %.6g (lower bound %.6g)\n" r.cost r.lower_bound;
@@ -645,8 +792,8 @@ let sql_cmd =
   Cmd.v
     (Cmd.info "sql" ~doc:"Optimize a SQL select-project-join block")
     Term.(
-      const sql $ query_file_arg $ catalog_arg $ method_arg $ model_arg
-      $ t_factor_arg $ kappa_arg $ seed_arg $ execute_arg)
+      const sql $ query_file_arg $ catalog_arg $ budget $ fixed_method $ model_arg
+      $ seed_arg () $ execute_arg)
 
 (* --- inspect ----------------------------------------------------------- *)
 
@@ -676,7 +823,6 @@ let inspect_cmd =
 (* --- workload ---------------------------------------------------------- *)
 
 let workload benchmark per_n large seed out =
-  if per_n < 1 then fail_usage "--per-n must be a positive integer, got %d" per_n;
   let ns =
     if large then Ljqo_querygen.Workload.large_ns
     else Ljqo_querygen.Workload.standard_ns
@@ -688,34 +834,26 @@ let workload benchmark per_n large seed out =
     out benchmark.Qgen.name
 
 let workload_cmd =
-  let per_n =
-    Arg.(
-      value & opt int 10
-      & info [ "per-n" ] ~docv:"K" ~doc:"Queries per value of N.")
-  in
   let large =
     Arg.(
       value & flag
       & info [ "large" ] ~doc:"Use N = 10..100 instead of 10..50.")
   in
-  let benchmark =
-    Arg.(
-      value & opt benchmark_conv Qgen.default
-      & info [ "benchmark"; "b" ] ~docv:"NAME" ~doc:"Benchmark distributions.")
-  in
   let out =
-    Arg.(
-      required & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"DIR" ~doc:"Output directory.")
+    Term.map (writable ~dir:true "out")
+      Arg.(
+        required & opt (some string) None
+        & info [ "out"; "o" ] ~docv:"DIR" ~doc:"Output directory.")
   in
   Cmd.v
     (Cmd.info "workload" ~doc:"Generate and save a whole benchmark workload")
-    Term.(const workload $ benchmark $ per_n $ large $ seed_arg $ out)
+    Term.(
+      const workload
+      $ benchmark_arg ~doc:"Benchmark distributions."
+      $ per_n_arg ~default:10 ~docv:"K" ~doc:"Queries per value of N."
+      $ large $ seed_arg () $ out)
 
 (* --- serve-file -------------------------------------------------------- *)
-
-module Service = Ljqo_service.Service
-module Plan_cache = Ljqo_service.Plan_cache
 
 let load_workload_queries dir =
   match Ljqo_querygen.Workload_io.load_result ~dir with
@@ -727,34 +865,17 @@ let load_workload_queries dir =
     fail_usage "cannot load workload %s: %s" dir
       (Ljqo_querygen.Workload_io.error_to_string e)
 
-let serve_file dir method_ model t_factor kappa seed cache_capacity jobs passes
-    learn_model learn_epoch portfolio_width portfolio_legs metrics trace
-    trace_sample =
-  check_knobs ~t_factor ~kappa ~trace_sample;
-  let methods_config = methods_config_for ~portfolio_width ~portfolio_legs in
-  if cache_capacity < 1 then
-    fail_usage "--cache-capacity must be a positive integer, got %d"
-      cache_capacity;
-  (match jobs with
-  | Some j when j < 1 -> fail_usage "--jobs must be a positive integer, got %d" j
-  | _ -> ());
-  if passes < 1 then fail_usage "--passes must be a positive integer, got %d" passes;
-  let learn = learn_state_for ~method_ ~learn_model ~learn_epoch in
-  with_obs ~metrics ~trace ~trace_sample @@ fun () ->
+let serve_file dir (s : serving) jobs passes with_obs =
+  with_obs @@ fun () ->
   let queries = load_workload_queries dir in
   let service =
-    Service.create ~cache_capacity ?learn
-      {
-        Service.method_;
-        methods_config;
-        model;
-        budget = Service.Time_limit { t_factor; kappa };
-        seed;
-      }
+    Service.create ~cache_capacity:s.cache_capacity ?learn:(s.learn ()) s.config
   in
-  let module M = (val model : Ljqo_cost.Cost_model.S) in
+  let module M = (val s.config.model : Ljqo_cost.Cost_model.S) in
   Printf.printf "serving %d queries from %s (method %s, model %s, cache %d)\n"
-    (Array.length queries) dir (Methods.name method_) M.name cache_capacity;
+    (Array.length queries) dir
+    (Methods.name s.config.method_)
+    M.name s.cache_capacity;
   for pass = 1 to passes do
     let served = Service.serve_batch ?jobs service queries in
     let count src =
@@ -778,120 +899,22 @@ let serve_file dir method_ model t_factor kappa seed cache_capacity jobs passes
     (Plan_cache.length cache) (Plan_cache.capacity cache) st.hits st.coarse_hits
     st.misses st.insertions st.evictions
 
+let serving_workload_dir =
+  workload_dir_arg ~doc:"Workload directory (QDL files + MANIFEST, see ljqo workload)."
+
 let serve_file_cmd =
-  let dir =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD_DIR"
-          ~doc:"Workload directory (QDL files + MANIFEST, see ljqo workload).")
-  in
-  let cache_capacity =
-    Arg.(
-      value & opt int 1024
-      & info [ "cache-capacity" ] ~docv:"K" ~doc:"Plan cache capacity.")
-  in
-  let jobs =
-    Arg.(
-      value & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"J"
-          ~doc:"Serving domains (default: all cores); a pure speed knob.")
-  in
-  let passes =
-    Arg.(
-      value & opt int 1
-      & info [ "passes" ] ~docv:"P"
-          ~doc:"Serve the workload $(docv) times through the same cache.")
-  in
   Cmd.v
     (Cmd.info "serve-file"
        ~doc:"Optimize a saved workload through the caching service")
     Term.(
-      const serve_file $ dir $ method_arg $ model_arg $ t_factor_arg $ kappa_arg
-      $ seed_arg $ cache_capacity $ jobs $ passes $ learn_model_arg
-      $ learn_epoch_arg $ portfolio_width_arg $ portfolio_legs_arg
-      $ metrics_arg $ trace_arg $ trace_sample_arg)
+      const serve_file $ serving_workload_dir $ serving
+      $ jobs_arg ~doc:"Serving domains (default: all cores); a pure speed knob."
+      $ passes_arg ~doc:"Serve the workload $(docv) times through the same cache."
+      $ obs)
 
 (* --- serve / loadgen ---------------------------------------------------- *)
 
-module Server = Ljqo_service.Server
 module Hist = Ljqo_obs.Hist
-
-let workers_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "workers" ] ~docv:"W" ~doc:"Worker domains serving requests.")
-
-let queue_capacity_arg =
-  Arg.(
-    value & opt int 64
-    & info [ "queue-capacity" ] ~docv:"Q"
-        ~doc:"Bounded request-queue depth (the admission-control limit).")
-
-let tenant_slots_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "tenant-slots" ] ~docv:"K"
-        ~doc:
-          "Per-tenant in-flight request cap (fair-share admission); \
-           unlimited when omitted.")
-
-let request_deadline_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "request-deadline" ] ~docv:"SEC"
-        ~doc:
-          "Per-request wall-clock deadline in seconds: an overloaded worker \
-           serves its incumbent plan as timed-out instead of blocking the \
-           queue.")
-
-let drain_timeout_arg =
-  Arg.(
-    value & opt (some float) None
-    & info [ "drain-timeout" ] ~docv:"SEC"
-        ~doc:
-          "Give up on the graceful drain after $(docv) seconds (serve \
-           only).")
-
-let server_cache_capacity_arg =
-  Arg.(
-    value & opt int 1024
-    & info [ "cache-capacity" ] ~docv:"K" ~doc:"Plan cache capacity.")
-
-let check_server_knobs ~workers ~queue_capacity ~tenant_slots ~request_deadline
-    ~cache_capacity =
-  if workers < 1 then
-    fail_usage "--workers must be a positive integer, got %d" workers;
-  if queue_capacity < 1 then
-    fail_usage "--queue-capacity must be a positive integer, got %d"
-      queue_capacity;
-  (match tenant_slots with
-  | Some k when k < 1 ->
-    fail_usage "--tenant-slots must be a positive integer, got %d" k
-  | _ -> ());
-  (match request_deadline with
-  | Some d when not (d > 0.0) ->
-    fail_usage "--request-deadline must be a positive number, got %g" d
-  | _ -> ());
-  if cache_capacity < 1 then
-    fail_usage "--cache-capacity must be a positive integer, got %d"
-      cache_capacity
-
-let server_config ~method_ ~methods_config ~model ~t_factor ~kappa ~seed
-    ~workers ~queue_capacity ~tenant_slots ~request_deadline =
-  {
-    Server.service =
-      {
-        Service.method_;
-        methods_config;
-        model;
-        budget = Service.Time_limit { t_factor; kappa };
-        seed;
-      };
-    workers;
-    queue_capacity;
-    tenant_slots;
-    request_deadline;
-  }
 
 let latency_hist responses =
   List.fold_left
@@ -927,35 +950,22 @@ let print_server_stats (st : Server.stats) =
    (with backpressure, so nothing is shed by a slow consumer), drain
    gracefully on SIGTERM/SIGINT or when the workload is exhausted, exit 0
    once every accepted request has its response. *)
-let serve dir method_ model t_factor kappa seed cache_capacity workers
-    queue_capacity tenant_slots request_deadline drain_timeout passes
-    learn_model learn_epoch portfolio_width portfolio_legs metrics trace
-    trace_sample =
-  check_knobs ~t_factor ~kappa ~trace_sample;
-  let methods_config = methods_config_for ~portfolio_width ~portfolio_legs in
-  check_server_knobs ~workers ~queue_capacity ~tenant_slots ~request_deadline
-    ~cache_capacity;
-  (match drain_timeout with
-  | Some d when not (d > 0.0) ->
-    fail_usage "--drain-timeout must be a positive number, got %g" d
-  | _ -> ());
-  if passes < 1 then fail_usage "--passes must be a positive integer, got %d" passes;
-  let learn = learn_state_for ~method_ ~learn_model ~learn_epoch in
-  with_obs ~metrics ~trace ~trace_sample @@ fun () ->
+let serve dir ((s : serving), (config : Server.config)) drain_timeout passes
+    with_obs =
+  with_obs @@ fun () ->
   let queries = load_workload_queries dir in
   let stop = Atomic.make false in
   let handler = Sys.Signal_handle (fun _ -> Atomic.set stop true) in
   Sys.set_signal Sys.sigterm handler;
   Sys.set_signal Sys.sigint handler;
   let server =
-    Server.create ~cache_capacity ?learn
-      (server_config ~method_ ~methods_config ~model ~t_factor ~kappa ~seed
-         ~workers ~queue_capacity ~tenant_slots ~request_deadline)
+    Server.create ~cache_capacity:s.cache_capacity ?learn:(s.learn ()) config
   in
-  let module M = (val model : Ljqo_cost.Cost_model.S) in
+  let module M = (val s.config.model : Ljqo_cost.Cost_model.S) in
   Printf.printf
     "serving %d queries from %s (%d workers, queue %d, method %s, model %s)\n%!"
-    (Array.length queries) dir workers queue_capacity (Methods.name method_)
+    (Array.length queries) dir config.workers config.queue_capacity
+    (Methods.name s.config.method_)
     M.name;
   for _pass = 1 to passes do
     Array.iter
@@ -980,78 +990,33 @@ let serve dir method_ model t_factor kappa seed cache_capacity workers
     exit 1
 
 let serve_cmd =
-  let dir =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD_DIR"
-          ~doc:"Workload directory (QDL files + MANIFEST, see ljqo workload).")
-  in
-  let passes =
-    Arg.(
-      value & opt int 1
-      & info [ "passes" ] ~docv:"P"
-          ~doc:"Submit the workload $(docv) times through the same cache.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Run the concurrent optimizer server over a workload (SIGTERM \
           drains gracefully)")
     Term.(
-      const serve $ dir $ method_arg $ model_arg $ t_factor_arg $ kappa_arg
-      $ seed_arg $ server_cache_capacity_arg $ workers_arg
-      $ queue_capacity_arg $ tenant_slots_arg $ request_deadline_arg
-      $ drain_timeout_arg $ passes $ learn_model_arg $ learn_epoch_arg
-      $ portfolio_width_arg $ portfolio_legs_arg $ metrics_arg $ trace_arg
-      $ trace_sample_arg)
+      const serve $ serving_workload_dir $ server
+      $ checked (Option.iter (positive_number "drain-timeout")) drain_timeout_arg
+      $ passes_arg ~doc:"Submit the workload $(docv) times through the same cache."
+      $ obs)
 
 (* Open-loop load generation: the arrival schedule (exponential gaps), the
    query choices and the tenant assignment are all drawn from one seeded
    stream, so the offered load is reproducible — only the wall-clock
    outcomes (latency, shed counts) vary with the machine. *)
-let loadgen dir method_ model t_factor kappa seed cache_capacity workers
-    queue_capacity tenant_slots tenants request_deadline rate requests sweep
-    svg drain_timeout learn_model learn_epoch portfolio_width portfolio_legs
-    metrics trace trace_sample =
-  check_knobs ~t_factor ~kappa ~trace_sample;
-  let methods_config = methods_config_for ~portfolio_width ~portfolio_legs in
-  check_server_knobs ~workers ~queue_capacity ~tenant_slots ~request_deadline
-    ~cache_capacity;
-  check_learn_knobs ~method_ ~learn_model ~learn_epoch;
-  if not (rate > 0.0) then
-    fail_usage "--rate must be a positive number, got %g" rate;
-  if requests < 1 then
-    fail_usage "--requests must be a positive integer, got %d" requests;
-  if tenants < 1 then
-    fail_usage "--tenants must be a positive integer, got %d" tenants;
-  (match drain_timeout with
-  | Some _ -> fail_usage "--drain-timeout only applies to serve"
-  | None -> ());
-  let rates =
-    match sweep with
-    | None -> [ rate ]
-    | Some s ->
-      List.map
-        (fun tok ->
-          match float_of_string_opt (String.trim tok) with
-          | Some r when r > 0.0 -> r
-          | _ ->
-            fail_usage "--sweep expects comma-separated positive rates, got %S"
-              tok)
-        (String.split_on_char ',' s)
-  in
-  with_obs ~metrics ~trace ~trace_sample @@ fun () ->
+let loadgen dir ((s : serving), (config : Server.config)) rate requests tenants
+    sweep () svg with_obs =
+  let rates = Option.value sweep ~default:[ rate ] in
+  with_obs @@ fun () ->
   let queries = load_workload_queries dir in
   let run_rate rate =
     (* A fresh server per rate gets a fresh learn state: each sweep point
        starts from the same loaded model. *)
-    let learn = learn_state_for ~method_ ~learn_model ~learn_epoch in
     let server =
-      Server.create ~cache_capacity ?learn
-        (server_config ~method_ ~methods_config ~model ~t_factor ~kappa
-           ~seed ~workers ~queue_capacity ~tenant_slots ~request_deadline)
+      Server.create ~cache_capacity:s.cache_capacity ?learn:(s.learn ()) config
     in
-    let rng = Ljqo_stats.Rng.create seed in
+    let rng = Ljqo_stats.Rng.create s.config.seed in
     let t0 = Unix.gettimeofday () in
     let due = ref 0.0 in
     for _ = 1 to requests do
@@ -1090,73 +1055,55 @@ let loadgen dir method_ model t_factor kappa seed cache_capacity workers
     (rate, goodput)
   in
   let curve = List.map run_rate rates in
-  match svg with
-  | None -> ()
-  | Some path ->
-    let series =
-      [
-        { Ljqo_report.Chart.name = "goodput"; points = curve };
-        {
-          Ljqo_report.Chart.name = "offered";
-          points = List.map (fun (r, _) -> (r, r)) curve;
-        };
-      ]
-    in
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc
-          (Ljqo_report.Chart.render_svg
-             ~title:"goodput vs offered load"
-             ~x_label:"offered rate (req/s)" ~y_label:"goodput (req/s)" series));
-    Printf.printf "wrote %s\n" path
+  Option.iter
+    (fun path ->
+      let series =
+        [
+          { Ljqo_report.Chart.name = "goodput"; points = curve };
+          {
+            Ljqo_report.Chart.name = "offered";
+            points = List.map (fun (r, _) -> (r, r)) curve;
+          };
+        ]
+      in
+      write_output (Some path)
+        (Ljqo_report.Chart.render_svg ~title:"goodput vs offered load"
+           ~x_label:"offered rate (req/s)" ~y_label:"goodput (req/s)" series))
+    svg
 
 let loadgen_cmd =
-  let dir =
-    Arg.(
-      required & pos 0 (some string) None
-      & info [] ~docv:"WORKLOAD_DIR"
-          ~doc:"Workload directory to replay (see ljqo workload).")
-  in
-  let rate =
-    Arg.(
-      value & opt float 10.0
-      & info [ "rate" ] ~docv:"R" ~doc:"Target arrival rate, requests/second.")
-  in
-  let requests =
-    Arg.(
-      value & opt int 64
-      & info [ "requests"; "n" ] ~docv:"N" ~doc:"Number of arrivals to offer.")
-  in
-  let tenants =
-    Arg.(
-      value & opt int 1
-      & info [ "tenants" ] ~docv:"T"
-          ~doc:"Spread arrivals round a pool of $(docv) synthetic tenants.")
-  in
   let sweep =
-    Arg.(
-      value & opt (some string) None
-      & info [ "sweep" ] ~docv:"R1,R2,.."
-          ~doc:"Run once per rate and plot the goodput curve across them.")
-  in
-  let svg =
-    Arg.(
-      value & opt (some string) None
-      & info [ "svg" ] ~docv:"FILE"
-          ~doc:"Write a goodput-vs-offered-load SVG chart to $(docv).")
+    let+ rates =
+      Arg.(
+        value & opt (some string) None
+        & info [ "sweep" ] ~docv:"R1,R2,.."
+            ~doc:"Run once per rate and plot the goodput curve across them.")
+    in
+    let rate tok =
+      match float_of_string_opt (String.trim tok) with
+      | Some r when r > 0.0 -> r
+      | _ -> fail_usage "--sweep expects comma-separated positive rates, got %S" tok
+    in
+    Option.map (fun s -> List.map rate (String.split_on_char ',' s)) rates
   in
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:"Replay a workload open-loop at a target arrival rate")
     Term.(
-      const loadgen $ dir $ method_arg $ model_arg $ t_factor_arg $ kappa_arg
-      $ seed_arg $ server_cache_capacity_arg $ workers_arg
-      $ queue_capacity_arg $ tenant_slots_arg $ tenants $ request_deadline_arg
-      $ rate $ requests $ sweep $ svg $ drain_timeout_arg $ learn_model_arg
-      $ learn_epoch_arg $ portfolio_width_arg $ portfolio_legs_arg
-      $ metrics_arg $ trace_arg $ trace_sample_arg)
+      const loadgen
+      $ workload_dir_arg ~doc:"Workload directory to replay (see ljqo workload)."
+      $ server
+      $ number_flag "rate" ~docv:"R" ~doc:"Target arrival rate, requests/second." 10.0
+      $ int_flag "requests" ~aliases:[ "n" ] ~docv:"N"
+          ~doc:"Number of arrivals to offer." 64
+      $ int_flag "tenants" ~docv:"T"
+          ~doc:"Spread arrivals round a pool of $(docv) synthetic tenants." 1
+      $ sweep
+      $ Term.map
+          (Option.iter (fun _ -> fail_usage "--drain-timeout only applies to serve"))
+          drain_timeout_arg
+      $ svg_arg ~doc:"Write a goodput-vs-offered-load SVG chart to $(docv)."
+      $ obs)
 
 (* --- obs ---------------------------------------------------------------- *)
 
@@ -1168,25 +1115,10 @@ let load_events path =
   | Error (lineno, msg) -> fail_usage "%s:%d: %s" path lineno msg
   | exception Sys_error e -> fail_usage "%s" e
 
-let write_output output content =
-  match output with
-  | None -> print_string content
-  | Some path ->
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc content);
-    Printf.printf "wrote %s\n" path
-
 let trace_file_arg =
   Arg.(
     required & pos 0 (some file) None
     & info [] ~docv:"TRACE.jsonl" ~doc:"JSONL trace written with --trace.")
-
-let output_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Write to FILE instead of stdout.")
 
 let obs_summary_cmd =
   Cmd.v
@@ -1199,7 +1131,7 @@ let obs_export_chrome_cmd =
        ~doc:"Convert a trace to Chrome trace_event JSON (Perfetto-loadable)")
     Term.(
       const (fun file output -> write_output output (Export.chrome (load_events file)))
-      $ trace_file_arg $ output_arg)
+      $ trace_file_arg $ output_or_stdout)
 
 let obs_export_flame_cmd =
   Cmd.v
@@ -1207,16 +1139,15 @@ let obs_export_flame_cmd =
        ~doc:"Convert a trace's spans to folded-stack flamegraph text")
     Term.(
       const (fun file output -> write_output output (Export.flame (load_events file)))
-      $ trace_file_arg $ output_arg)
+      $ trace_file_arg $ output_or_stdout)
 
 (* Re-run the paper's core randomized methods on one query with trajectory
    capture on, and render incumbent scaled cost against ticks charged. *)
-let obs_trajectory file model t_factor kappa seed output =
-  check_knobs ~t_factor ~kappa ~trace_sample:1;
+let obs_trajectory file model budget seed output =
   let query = load_query file in
   if not (Ljqo_catalog.Query.is_connected query) then
     fail_usage "trajectory needs a connected query (got a cross-product query)";
-  let ticks = ticks_for query t_factor kappa in
+  let ticks = ticks_for query budget in
   Obs.set_enabled true;
   Obs.reset ();
   List.iter
@@ -1241,7 +1172,7 @@ let obs_trajectory file model t_factor kappa seed output =
   let module M = (val model : Ljqo_cost.Cost_model.S) in
   let title =
     Printf.sprintf "%s: incumbent cost vs ticks (%s, %.3gN^2)"
-      (Filename.basename file) M.name t_factor
+      (Filename.basename file) M.name budget.t_factor
   in
   write_output output
     (Ljqo_report.Chart.render_svg ~title ~x_label:"ticks charged"
@@ -1252,8 +1183,8 @@ let obs_trajectory_cmd =
     (Cmd.info "trajectory"
        ~doc:"Run II, SA and two-phase on a query and plot cost vs ticks as SVG")
     Term.(
-      const obs_trajectory $ query_file_arg $ model_arg $ t_factor_arg
-      $ kappa_arg $ seed_arg $ output_arg)
+      const obs_trajectory $ query_file_arg $ model_arg $ budget $ seed_arg ()
+      $ output_or_stdout)
 
 let obs_cmd =
   Cmd.group
@@ -1262,55 +1193,15 @@ let obs_cmd =
 
 (* --- learn -------------------------------------------------------------- *)
 
-let parse_ns s =
-  let parts =
-    List.filter (fun p -> p <> "") (List.map String.trim (String.split_on_char ',' s))
-  in
-  let ns =
-    List.map
-      (fun p ->
-        match int_of_string_opt p with
-        | Some n when n >= 2 -> n
-        | _ -> fail_usage "--ns expects comma-separated join counts >= 2, got %S" p)
-      parts
-  in
-  if ns = [] then fail_usage "--ns expects at least one join count";
-  ns
-
-let learn_ns_arg =
-  Arg.(
-    value & opt string "10,20"
-    & info [ "ns" ] ~docv:"N1,N2,.."
-        ~doc:"Join counts to cover, one workload ladder rung per value.")
-
-let learn_per_n_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "per-n" ] ~docv:"Q"
-        ~doc:"Queries per join count per benchmark spec.")
-
-let learn_jobs_arg =
-  Arg.(
-    value & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"J"
-        ~doc:"Domains to parallelize over (a pure speed knob).")
-
-let check_learn_grid ~per_n ~jobs =
-  if per_n < 1 then fail_usage "--per-n must be a positive integer, got %d" per_n;
-  match jobs with
-  | Some j when j < 1 -> fail_usage "--jobs must be a positive integer, got %d" j
-  | _ -> ()
+let learn_grid =
+  grid ~ns:"10,20" ~ns_doc:"Join counts to cover, one workload ladder rung per value."
+    ~per_n_doc:"Queries per join count per benchmark spec."
 
 (* Collect the (benchmark x size x route x budget-fraction) sample grid and
    fit the routing model.  Everything downstream of the seeds is
    deterministic, so the written model file is bit-identical across runs
    and job counts. *)
-let learn_train ns per_n seed t_factor lambda jobs model dump_samples output =
-  check_knobs ~t_factor ~kappa:None ~trace_sample:1;
-  let ns = parse_ns ns in
-  check_learn_grid ~per_n ~jobs;
-  if not (lambda > 0.0) then
-    fail_usage "--lambda must be a positive number, got %g" lambda;
+let learn_train t_factor { ns; per_n; jobs } lambda seed model dump_samples output =
   let spec_indices = List.init 10 Fun.id in
   let samples =
     Learn.Dataset.collect ?jobs ~spec_indices ~ns ~per_n ~seed ~t_factor
@@ -1331,38 +1222,22 @@ let learn_train ns per_n seed t_factor lambda jobs model dump_samples output =
       (List.length samples) usable output
 
 let learn_train_cmd =
-  let lambda =
-    Arg.(
-      value & opt float Learn.Model.lambda_default
-      & info [ "lambda" ] ~docv:"L" ~doc:"Ridge regularizer (positive).")
-  in
-  let dump_samples =
-    Arg.(
-      value & opt (some string) None
-      & info [ "dump-samples" ] ~docv:"FILE"
-          ~doc:"Also write the training samples to $(docv) as JSON lines.")
-  in
-  let output =
-    Arg.(
-      value & opt string "learn-model.txt"
-      & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Model file to write.")
-  in
   Cmd.v
     (Cmd.info "train"
        ~doc:"Collect optimizer samples over the benchmark grid and fit a \
              routing model")
     Term.(
-      const learn_train $ learn_ns_arg $ learn_per_n_arg $ seed_arg
-      $ t_factor_arg $ lambda $ learn_jobs_arg $ model_arg $ dump_samples
-      $ output)
+      const learn_train $ t_factor_arg $ learn_grid
+      $ number_flag "lambda" ~docv:"L" ~doc:"Ridge regularizer (positive)."
+          Learn.Model.lambda_default
+      $ seed_arg () $ model_arg
+      $ output_file "dump-samples"
+          ~doc:"Also write the training samples to $(docv) as JSON lines."
+      $ output_to ~doc:"Model file to write." "learn-model.txt")
 
 (* The ROADMAP's evaluation table: mean scaled cost at a fixed budget,
    adaptive vs each fixed method, across the paper's nine variations. *)
-let learn_eval model_file ns per_n seed t_factor jobs cost_model =
-  check_knobs ~t_factor ~kappa:None ~trace_sample:1;
-  let ns = parse_ns ns in
-  check_learn_grid ~per_n ~jobs;
-  let m = Option.map load_learn_model model_file in
+let learn_eval t_factor { ns; per_n; jobs } m seed cost_model =
   let report = Learn.Evaluate.run ?jobs ~ns ~per_n ~seed ~t_factor ~cost_model m in
   let { Learn.Evaluate.methods; rows; overall; route_counts } = report in
   let table =
@@ -1385,27 +1260,20 @@ let learn_eval model_file ns per_n seed t_factor jobs cost_model =
        (List.map (fun (r, c) -> Printf.sprintf "%s %d" r c) route_counts))
 
 let learn_eval_cmd =
-  let model_file =
-    Arg.(
-      value & opt (some string) None
-      & info [ "learn-model" ] ~docv:"FILE"
-          ~doc:
-            "Routing model to evaluate; without it adaptive is the \
-             portfolio-fallback baseline.")
-  in
-  let seed =
-    Arg.(
-      value & opt int 43
-      & info [ "seed" ] ~docv:"SEED"
-          ~doc:"Random seed (default 43: disjoint from train's 42).")
-  in
   Cmd.v
     (Cmd.info "eval"
        ~doc:"Compare adaptive routing against each fixed method across the \
              nine workload variations")
     Term.(
-      const learn_eval $ model_file $ learn_ns_arg $ learn_per_n_arg $ seed
-      $ t_factor_arg $ learn_jobs_arg $ model_arg)
+      const learn_eval $ t_factor_arg $ learn_grid
+      $ Term.map (Option.map load_learn_model)
+          (learn_model_arg
+             ~doc:
+               "Routing model to evaluate; without it adaptive is the \
+                portfolio-fallback baseline.")
+      $ seed_arg ~default:43
+          ~doc:"Random seed (default 43: disjoint from train's 42)." ()
+      $ model_arg)
 
 let learn_cmd =
   Cmd.group
@@ -1421,44 +1289,22 @@ let feedback_specs = Qgen.default :: Qgen.variations
 
 (* Smaller default grid than learn's: these plans actually execute, so the
    ladder stays in join counts whose intermediates fit the row cap. *)
-let feedback_ns_arg =
-  Arg.(
-    value & opt string "6,8"
-    & info [ "ns" ] ~docv:"N1,N2,.."
-        ~doc:"Join counts to execute, one workload rung per value.")
+let feedback_grid =
+  grid ~ns:"6,8" ~ns_doc:"Join counts to execute, one workload rung per value."
+    ~per_n_doc:"Queries per join count per variation."
 
-let feedback_per_n_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "per-n" ] ~docv:"Q" ~doc:"Queries per join count per variation.")
-
-let max_rows_arg =
-  Arg.(
-    value & opt int 1_000_000
-    & info [ "max-rows" ] ~docv:"R"
-        ~doc:
-          "Executor row cap per intermediate; overflowing plans are counted \
-           and truncated, never fatal.")
-
-let check_feedback_grid ~per_n ~jobs ~max_rows =
-  if per_n < 1 then fail_usage "--per-n must be a positive integer, got %d" per_n;
-  if max_rows < 1 then
-    fail_usage "--max-rows must be a positive integer, got %d" max_rows;
-  match jobs with
-  | Some j when j < 1 -> fail_usage "--jobs must be a positive integer, got %d" j
-  | _ -> ()
-
-let load_calibration path =
-  match Calibration.load ~path with
-  | Ok c -> c
-  | Error e -> fail_usage "cannot load calibration %s: %s" path e
+let feedback_max_rows =
+  max_rows_arg ~docv:"R"
+    ~doc:
+      "Executor row cap per intermediate; overflowing plans are counted and \
+       truncated, never fatal."
 
 (* Every variation through the feedback pipeline.  A calibration entry (if
    any) keys on the variation name and applies to the measurement only —
    optimization is always uncalibrated, so before and after score the same
    plans. *)
-let feedback_run_all ?calibration ~jobs ~max_rows ~model ~method_ ~t_factor ~ns
-    ~per_n ~seed () =
+let feedback_run_all ?calibration { ns; per_n; jobs } ~max_rows ~model ~method_
+    ~t_factor ~seed () =
   List.map
     (fun (spec : Qgen.spec) ->
       let sel_factor =
@@ -1485,159 +1331,146 @@ let print_feedback_summary name (s : Feedback.Summary.t) =
         d.count d.p50 d.p95 d.worst)
     s.depths
 
-let feedback_report calibration_file svg ns per_n jobs seed t_factor method_
-    model max_rows metrics trace trace_sample =
-  check_knobs ~t_factor ~kappa:None ~trace_sample;
-  check_no_adaptive method_;
-  let ns = parse_ns ns in
-  check_feedback_grid ~per_n ~jobs ~max_rows;
-  let calibration = Option.map load_calibration calibration_file in
-  with_obs ~metrics ~trace ~trace_sample (fun () ->
-      let results =
-        feedback_run_all ?calibration ~jobs ~max_rows ~model ~method_ ~t_factor
-          ~ns ~per_n ~seed ()
+let feedback_report t_factor method_ grid max_rows calibration seed model svg
+    with_obs =
+  with_obs @@ fun () ->
+  let results =
+    feedback_run_all ?calibration:(Option.map snd calibration) grid ~max_rows
+      ~model ~method_ ~t_factor ~seed ()
+  in
+  let summaries =
+    List.map (fun (spec, runs) -> (spec, Feedback.Summary.of_runs runs)) results
+  in
+  Option.iter (fun (path, _) -> Printf.printf "calibration: %s\n" path) calibration;
+  List.iter
+    (fun ((spec : Qgen.spec), s) -> print_feedback_summary spec.name s)
+    summaries;
+  let total_n =
+    List.fold_left
+      (fun a (_, (s : Feedback.Summary.t)) -> a + s.n_samples)
+      0 summaries
+  in
+  let total_sum =
+    List.fold_left
+      (fun a (_, (s : Feedback.Summary.t)) ->
+        a +. (s.mean *. float_of_int s.n_samples))
+      0.0 summaries
+  in
+  let plans =
+    List.fold_left
+      (fun a (_, (s : Feedback.Summary.t)) -> a + s.plans)
+      0 summaries
+  in
+  Printf.printf "overall: mean q-error %.3f over %d samples (%d plans)\n"
+    (if total_n = 0 then 1.0 else total_sum /. float_of_int total_n)
+    total_n plans;
+  Option.iter
+    (fun path ->
+      let series =
+        List.filter_map
+          (fun ((spec : Qgen.spec), (s : Feedback.Summary.t)) ->
+            match s.depths with
+            | [] -> None
+            | depths ->
+              Some
+                {
+                  Ljqo_report.Chart.name = spec.name;
+                  points =
+                    List.map
+                      (fun (d : Feedback.Summary.depth_stat) ->
+                        (band_x d.label, d.p95))
+                      depths;
+                })
+          summaries
       in
-      let summaries =
-        List.map (fun (spec, runs) -> (spec, Feedback.Summary.of_runs runs)) results
-      in
-      Option.iter (Printf.printf "calibration: %s\n") calibration_file;
-      List.iter
-        (fun ((spec : Qgen.spec), s) -> print_feedback_summary spec.name s)
-        summaries;
-      let total_n =
-        List.fold_left
-          (fun a (_, (s : Feedback.Summary.t)) -> a + s.n_samples)
-          0 summaries
-      in
-      let total_sum =
-        List.fold_left
-          (fun a (_, (s : Feedback.Summary.t)) ->
-            a +. (s.mean *. float_of_int s.n_samples))
-          0.0 summaries
-      in
-      let plans =
-        List.fold_left
-          (fun a (_, (s : Feedback.Summary.t)) -> a + s.plans)
-          0 summaries
-      in
-      Printf.printf "overall: mean q-error %.3f over %d samples (%d plans)\n"
-        (if total_n = 0 then 1.0 else total_sum /. float_of_int total_n)
-        total_n plans;
-      Option.iter
-        (fun path ->
-          let series =
-            List.filter_map
-              (fun ((spec : Qgen.spec), (s : Feedback.Summary.t)) ->
-                match s.depths with
-                | [] -> None
-                | depths ->
-                  Some
-                    {
-                      Ljqo_report.Chart.name = spec.name;
-                      points =
-                        List.map
-                          (fun (d : Feedback.Summary.depth_stat) ->
-                            (band_x d.label, d.p95))
-                          depths;
-                    })
-              summaries
-          in
-          write_output (Some path)
-            (Ljqo_report.Chart.render_svg
-               ~title:"feedback: p95 q-error by join depth"
-               ~x_label:"join depth (4 = depth 4+)" ~y_label:"p95 q-error"
-               series))
-        svg)
-
-let feedback_calibration_arg =
-  Arg.(
-    value & opt (some file) None
-    & info [ "calibration" ] ~docv:"FILE"
-        ~doc:
-          "Apply a calibration file during measurement (write one with ljqo \
-           feedback calibrate).")
-
-let feedback_svg_arg =
-  Arg.(
-    value & opt (some string) None
-    & info [ "svg" ] ~docv:"FILE"
-        ~doc:"Also render per-depth p95 q-error per variation as SVG to $(docv).")
+      write_output (Some path)
+        (Ljqo_report.Chart.render_svg
+           ~title:"feedback: p95 q-error by join depth"
+           ~x_label:"join depth (4 = depth 4+)" ~y_label:"p95 q-error" series))
+    svg
 
 let feedback_report_cmd =
+  let calibration =
+    let+ path =
+      Arg.(
+        value & opt (some file) None
+        & info [ "calibration" ] ~docv:"FILE"
+            ~doc:
+              "Apply a calibration file during measurement (write one with \
+               ljqo feedback calibrate).")
+    in
+    Option.map
+      (fun path ->
+        match Calibration.load ~path with
+        | Ok c -> (path, c)
+        | Error e -> fail_usage "cannot load calibration %s: %s" path e)
+      path
+  in
   Cmd.v
     (Cmd.info "report"
        ~doc:
          "Execute optimized plans across the workload variations and report \
           per-depth q-error quantiles")
     Term.(
-      const feedback_report $ feedback_calibration_arg $ feedback_svg_arg
-      $ feedback_ns_arg $ feedback_per_n_arg $ learn_jobs_arg $ seed_arg
-      $ t_factor_arg $ method_arg $ model_arg $ max_rows_arg $ metrics_arg
-      $ trace_arg $ trace_sample_arg)
+      const feedback_report $ t_factor_arg $ fixed_method $ feedback_grid
+      $ feedback_max_rows $ calibration $ seed_arg () $ model_arg
+      $ svg_arg
+          ~doc:"Also render per-depth p95 q-error per variation as SVG to $(docv)."
+      $ obs)
 
-let feedback_calibrate ns per_n jobs seed t_factor method_ model max_rows output
-    metrics trace trace_sample =
-  check_knobs ~t_factor ~kappa:None ~trace_sample;
-  check_no_adaptive method_;
-  let ns = parse_ns ns in
-  check_feedback_grid ~per_n ~jobs ~max_rows;
-  with_obs ~metrics ~trace ~trace_sample (fun () ->
-      let before =
-        feedback_run_all ~jobs ~max_rows ~model ~method_ ~t_factor ~ns ~per_n
-          ~seed ()
-      in
-      let entries =
-        List.filter_map
-          (fun ((spec : Qgen.spec), runs) ->
-            Option.map (fun f -> (spec.name, f)) (Calibration.fit_runs runs))
-          before
-      in
-      if entries = [] then
-        fail_usage "no calibration entries could be fitted (all runs truncated?)";
-      let cal = { Calibration.entries } in
-      Calibration.save ~path:output cal;
-      (* Same grid, same seeds: the "after" column re-measures the identical
-         plans under the fitted factors. *)
-      let after =
-        feedback_run_all ~calibration:cal ~jobs ~max_rows ~model ~method_
-          ~t_factor ~ns ~per_n ~seed ()
-      in
-      let table =
-        Ljqo_report.Table.create
-          ~title:"mean q-error, uncalibrated vs calibrated"
-          ~columns:[ "factor"; "before"; "after" ]
-      in
-      List.iter2
-        (fun ((spec : Qgen.spec), runs_b) (_, runs_a) ->
-          let sb = Feedback.Summary.of_runs runs_b in
-          let sa = Feedback.Summary.of_runs runs_a in
-          match Calibration.factor cal spec.name with
-          | None ->
-            Ljqo_report.Table.add_row table ~label:spec.name
-              ~cells:[ "-"; Printf.sprintf "%.3f" sb.mean; "-" ]
-          | Some f ->
-            Ljqo_report.Table.add_float_row table ~label:spec.name
-              ~fmt:(Printf.sprintf "%.3f")
-              [ f; sb.mean; sa.mean ])
-        before after;
-      Ljqo_report.Table.print table;
-      Printf.printf "wrote %s (%d catalog entries)\n" output (List.length entries))
+let feedback_calibrate t_factor method_ grid max_rows seed model output with_obs =
+  with_obs @@ fun () ->
+  let before =
+    feedback_run_all grid ~max_rows ~model ~method_ ~t_factor ~seed ()
+  in
+  let entries =
+    List.filter_map
+      (fun ((spec : Qgen.spec), runs) ->
+        Option.map (fun f -> (spec.name, f)) (Calibration.fit_runs runs))
+      before
+  in
+  if entries = [] then
+    fail_usage "no calibration entries could be fitted (all runs truncated?)";
+  let cal = { Calibration.entries } in
+  Calibration.save ~path:output cal;
+  (* Same grid, same seeds: the "after" column re-measures the identical
+     plans under the fitted factors. *)
+  let after =
+    feedback_run_all ~calibration:cal grid ~max_rows ~model ~method_ ~t_factor
+      ~seed ()
+  in
+  let table =
+    Ljqo_report.Table.create
+      ~title:"mean q-error, uncalibrated vs calibrated"
+      ~columns:[ "factor"; "before"; "after" ]
+  in
+  List.iter2
+    (fun ((spec : Qgen.spec), runs_b) (_, runs_a) ->
+      let sb = Feedback.Summary.of_runs runs_b in
+      let sa = Feedback.Summary.of_runs runs_a in
+      match Calibration.factor cal spec.name with
+      | None ->
+        Ljqo_report.Table.add_row table ~label:spec.name
+          ~cells:[ "-"; Printf.sprintf "%.3f" sb.mean; "-" ]
+      | Some f ->
+        Ljqo_report.Table.add_float_row table ~label:spec.name
+          ~fmt:(Printf.sprintf "%.3f")
+          [ f; sb.mean; sa.mean ])
+    before after;
+  Ljqo_report.Table.print table;
+  Printf.printf "wrote %s (%d catalog entries)\n" output (List.length entries)
 
 let feedback_calibrate_cmd =
-  let output =
-    Arg.(
-      value & opt string "feedback-calibration.txt"
-      & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Calibration file to write.")
-  in
   Cmd.v
     (Cmd.info "calibrate"
        ~doc:
          "Fit per-variation selectivity corrections from executed plans and \
           write a calibration file")
     Term.(
-      const feedback_calibrate $ feedback_ns_arg $ feedback_per_n_arg
-      $ learn_jobs_arg $ seed_arg $ t_factor_arg $ method_arg $ model_arg
-      $ max_rows_arg $ output $ metrics_arg $ trace_arg $ trace_sample_arg)
+      const feedback_calibrate $ t_factor_arg $ fixed_method $ feedback_grid
+      $ feedback_max_rows $ seed_arg () $ model_arg
+      $ output_to ~doc:"Calibration file to write." "feedback-calibration.txt"
+      $ obs)
 
 let feedback_cmd =
   Cmd.group

@@ -102,7 +102,9 @@ let deadline_hit t = t.deadline_hit
 
 let default_ticks_per_unit = 60
 
+let max_ticks = 1 lsl 53
+
 let ticks_for_limit ?(ticks_per_unit = default_ticks_per_unit) ~t_factor ~n_joins () =
   let n = float_of_int n_joins in
   let ticks = t_factor *. n *. n *. float_of_int ticks_per_unit in
-  max 1 (int_of_float ticks)
+  if ticks >= float_of_int max_ticks then max_ticks else max 1 (int_of_float ticks)

@@ -78,5 +78,13 @@ val deadline_check_stride : int
 
 val default_ticks_per_unit : int
 
+val max_ticks : int
+(** 2{^53}, the largest budget {!ticks_for_limit} returns.  A float holds
+    every integer up to it exactly, so a budget scaled by a fraction
+    ([int_of_float (f *. float_of_int ticks)], as route budgets are) cannot
+    wrap. *)
+
 val ticks_for_limit : ?ticks_per_unit:int -> t_factor:float -> n_joins:int -> unit -> int
-(** Ticks corresponding to the paper's time limit [t_factor * N^2]. *)
+(** Ticks corresponding to the paper's time limit [t_factor * N^2]: at least
+    1, and saturating at {!max_ticks} when the product is larger (an
+    infinite [t_factor] included) instead of wrapping past [max_int]. *)

@@ -15,11 +15,6 @@ let weighting_of_index = function
   | 5 -> W_rank
   | i -> invalid_arg ("Kbz.weighting_of_index: " ^ string_of_int i)
 
-let weighting_name = function
-  | W_selectivity -> "selectivity"
-  | W_intermediate_size -> "intermediate-size"
-  | W_rank -> "rank"
-
 let default_weighting = W_selectivity
 
 (* Directed edge weight from inside-vertex [i] to frontier vertex [j]. *)

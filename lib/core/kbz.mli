@@ -32,7 +32,6 @@ val weighting_index : weighting -> int
 (** 3, 4 or 5, the paper's criterion numbers. *)
 
 val weighting_of_index : int -> weighting
-val weighting_name : weighting -> string
 
 val default_weighting : weighting
 (** [W_selectivity], the Table 2 winner. *)

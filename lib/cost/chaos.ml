@@ -12,8 +12,6 @@
 
 type fault = Nan_cost | Inf_cost | Zero_cost | Overflow_card
 
-let all_faults = [ Nan_cost; Inf_cost; Zero_cost; Overflow_card ]
-
 let fault_name = function
   | Nan_cost -> "nan-cost"
   | Inf_cost -> "inf-cost"

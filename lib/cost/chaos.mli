@@ -14,8 +14,6 @@
 
 type fault = Nan_cost | Inf_cost | Zero_cost | Overflow_card
 
-val all_faults : fault list
-
 val fault_name : fault -> string
 
 val default_rate : float
@@ -23,7 +21,7 @@ val default_rate : float
 
 val wrap : ?rate:float -> seed:int -> Cost_model.t -> Cost_model.t
 (** [rate] is the per-call fault probability in [[0, 1]]; faults are spread
-    uniformly over {!all_faults}. *)
+    uniformly over the four {!fault} constructors. *)
 
 exception Injected of string
 (** Raised by {!wrap_raising}'s faulted calls; the payload is the

@@ -170,14 +170,8 @@ let record_line index { timeouts; out } =
   let payload = Buffer.contents buf in
   payload ^ " " ^ checksum payload ^ "\n"
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
-  end
-
 let open_store ~path ~fingerprint ~resume () =
-  mkdir_p (Filename.dirname path);
+  Ljqo_obs.Obs.mkdir_p (Filename.dirname path);
   let loaded = Hashtbl.create 64 in
   let usable =
     resume && Sys.file_exists path && load_into loaded ~path ~fingerprint
@@ -209,8 +203,6 @@ let open_store ~path ~fingerprint ~resume () =
 let path t = t.path
 
 let completed t index = Hashtbl.find_opt t.loaded index
-
-let n_completed t = Hashtbl.length t.loaded
 
 let record t ~index r =
   let line = record_line index r in

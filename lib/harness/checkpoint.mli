@@ -45,8 +45,6 @@ val path : t -> string
 val completed : t -> int -> record option
 (** The stored record for a query index, if it was loaded at [open_store]. *)
 
-val n_completed : t -> int
-
 val record : t -> index:int -> record -> unit
 (** Append one completed query's record and flush.  Thread-safe. *)
 

@@ -116,10 +116,8 @@ let load_jsonl ~path =
         go 1 [])
 
 (* Raw trajectory JSONL — the bench harness's --trajectories output, one
-   {"label":..,"points":[[ticks,cost],..]} object per labelled run.  This is
-   the serialized form of [Obs.trajectories ()], i.e. the default producer
-   for [of_trajectories]: save in one process, load and convert in
-   another. *)
+   {"label":..,"points":[[ticks,cost],..]} object per labelled run: the
+   serialized form of [Obs.trajectories ()]. *)
 
 let trajectory_to_json_line (label, points) =
   let b = Buffer.create 256 in
@@ -134,30 +132,6 @@ let trajectory_to_json_line (label, points) =
   Buffer.add_string b "]}";
   Buffer.contents b
 
-let trajectory_of_json_line line =
-  let ( let* ) = Result.bind in
-  let* j = Jsonv.parse line in
-  let* label =
-    match Jsonv.member "label" j with
-    | Some (Jsonv.Str s) -> Ok s
-    | _ -> Error "missing or non-string field \"label\""
-  in
-  let* points =
-    match Jsonv.member "points" j with
-    | Some (Jsonv.List vs) ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Jsonv.List [ Jsonv.Num t; Jsonv.Num c ] :: tl
-          when Float.is_integer t && t >= 0.0 && t <= 1e15 && Float.is_finite c
-          ->
-          go ((int_of_float t, c) :: acc) tl
-        | _ -> Error "field \"points\" entries must be [ticks, cost] pairs"
-      in
-      go [] vs
-    | _ -> Error "missing or non-list field \"points\""
-  in
-  Ok (label, points)
-
 let save_trajectories ~path trajs =
   let oc = open_out path in
   Fun.protect
@@ -168,23 +142,6 @@ let save_trajectories ~path trajs =
           output_string oc (trajectory_to_json_line t);
           output_char oc '\n')
         trajs)
-
-let load_trajectories ~path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go lineno acc =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line -> (
-            match trajectory_of_json_line line with
-            | Ok t -> go (lineno + 1) (t :: acc)
-            | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
-        in
-        go 1 [])
 
 (* "q<index>.<method>.r<replicate>" — Driver.run_label's format.  Strict:
    every segment must parse and nothing may trail. *)

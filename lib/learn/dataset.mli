@@ -5,8 +5,8 @@
     was given, and the final cost alongside the query's cost lower bound
     (the pair from which the training target — log10 scaled cost — is
     derived).  Samples come from three places: fresh in-process runs
-    ({!collect}), the trajectory table a {!Ljqo_obs.Obs}-instrumented
-    harness run leaves behind ({!of_trajectories}), and sample JSONL files
+    ({!collect}), the trajectories a {!Ljqo_obs.Obs}-instrumented harness
+    run records ({!of_trajectories}), and sample JSONL files
     written by an earlier [ljqo learn train --dump-samples]
     ({!load_jsonl}). *)
 
@@ -46,13 +46,7 @@ val save_trajectories :
   path:string -> (string * (int * float) list) list -> unit
 (** Write [Obs.trajectories ()] output as JSONL, one
     [{"label":..,"points":[[ticks,cost],..]}] object per labelled run — the
-    format [ljqo-bench --trajectories] emits, and the on-disk producer for
-    {!of_trajectories}. *)
-
-val load_trajectories :
-  path:string -> ((string * (int * float) list) list, string) result
-(** Strict line-by-line inverse of {!save_trajectories}; the first bad line
-    fails the whole file with its line number. *)
+    format [ljqo-bench --trajectories] emits. *)
 
 (** {1 Extraction} *)
 

@@ -119,8 +119,6 @@ let in_range t features =
     !ok
   end
 
-let weighted_routes t = List.map fst t.weights
-
 let equal a b =
   let bits = Int64.bits_of_float in
   a.lambda = b.lambda

@@ -42,9 +42,6 @@ val in_range : t -> float array -> bool
     [max 1.0 (0.25 * span)] per feature — the router's out-of-distribution
     guard. *)
 
-val weighted_routes : t -> string list
-(** Route names that have weights, in {!routes} order. *)
-
 val equal : t -> t -> bool
 (** Structural equality on the exact float bits — the test suite's
     bit-identical-training check. *)

@@ -525,8 +525,6 @@ let set_spans ?(ring_capacity = default_ring_capacity) on =
         span_ring_next := 0
       end)
 
-let spans_enabled () = !spans_flag
-
 let ring_push rec_ =
   Mutex.lock span_ring_mutex;
   Fun.protect

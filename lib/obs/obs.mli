@@ -195,8 +195,6 @@ val set_spans : ?ring_capacity:int -> bool -> unit
     in-memory ring; when full, new spans overwrite the oldest.  Flip only
     between runs. *)
 
-val spans_enabled : unit -> bool
-
 val span : ?fields:(string * field) list -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f] as a span.  Exceptions pass through and still
     close the span. *)
@@ -277,3 +275,9 @@ val to_json : snapshot -> string
 val write_metrics : path:string -> unit
 (** Serialize {!snapshot} to [path] (creating parent directories), e.g.
     [results/METRICS_bench.json]. *)
+
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents, as {!trace_to} and
+    {!write_metrics} do for their files; also used by the checkpoint store
+    and the CLI's output-path checks.  Raises [Sys_error] when one cannot be
+    made. *)

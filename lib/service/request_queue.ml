@@ -61,8 +61,6 @@ let close t =
         Condition.broadcast t.nonempty
       end)
 
-let is_closed t = with_lock t (fun () -> t.closed)
-
 let length t = with_lock t (fun () -> Queue.length t.items)
 
 let capacity t = t.capacity

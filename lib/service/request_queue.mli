@@ -31,8 +31,6 @@ val close : 'a t -> unit
 (** Stop accepting pushes and wake every blocked consumer.  Items already
     queued are still handed out; idempotent. *)
 
-val is_closed : 'a t -> bool
-
 val length : 'a t -> int
 
 val capacity : 'a t -> int

@@ -61,8 +61,6 @@ let add_histogram t ~table ~column histogram =
               ts.columns;
         })
 
-let table_names t = List.rev_map fst t
-
 (* --- text format -------------------------------------------------------- *)
 
 exception Parse_error of { line : int; message : string }

@@ -42,8 +42,6 @@ val find_table : t -> string -> table_stats option
 
 val find_column : t -> table:string -> column:string -> column_stats option
 
-val table_names : t -> string list
-
 exception Parse_error of { line : int; message : string }
 
 val parse : string -> t

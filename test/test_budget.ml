@@ -142,6 +142,30 @@ let test_ticks_for_limit () =
   Alcotest.(check bool) "at least one tick" true
     (Budget.ticks_for_limit ~ticks_per_unit:1 ~t_factor:0.0001 ~n_joins:1 () >= 1)
 
+(* t·N²·κ past max_int used to wrap through int_of_float, and [max 1] then
+   made the wrap a 1-tick budget. *)
+let test_ticks_for_limit_saturates () =
+  List.iter
+    (fun t_factor ->
+      Alcotest.(check int)
+        (Printf.sprintf "t = %g" t_factor)
+        Budget.max_ticks
+        (Budget.ticks_for_limit ~t_factor ~n_joins:20 ()))
+    [ infinity; 1e300; 1e20 ];
+  Alcotest.(check int) "just below the cap is exact" (Budget.max_ticks - 1)
+    (Budget.ticks_for_limit ~ticks_per_unit:1
+       ~t_factor:(float_of_int (Budget.max_ticks - 1))
+       ~n_joins:1 ());
+  (* The cap survives the fractional scaling of route budgets. *)
+  List.iter
+    (fun f ->
+      let scaled = int_of_float (f *. float_of_int Budget.max_ticks) in
+      Alcotest.(check bool)
+        (Printf.sprintf "scaled by %g" f)
+        true
+        (scaled > 0 && scaled <= Budget.max_ticks))
+    [ 0.1; 0.5; 1.0 ]
+
 let suite =
   [
     Alcotest.test_case "basic charging" `Quick test_basic_charging;
@@ -161,4 +185,6 @@ let suite =
     Alcotest.test_case "deadline elapsed during setup fires immediately" `Quick
       test_deadline_elapsed_during_setup_fires_immediately;
     Alcotest.test_case "ticks_for_limit" `Quick test_ticks_for_limit;
+    Alcotest.test_case "ticks_for_limit saturates" `Quick
+      test_ticks_for_limit_saturates;
   ]

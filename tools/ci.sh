@@ -212,7 +212,7 @@ dune exec bin/ljqo.exe -- feedback report --ns 4 --per-n 1 --t-factor 1 \
 grep -q 'calibration:' "$fb_tmp/cal-report.out"
 rm -rf "$fb_tmp"
 
-# Trajectory-dump smoke: the bench harness must leave a loadable
+# Trajectory-dump smoke: the bench harness must leave a non-empty JSONL
 # trajectory table behind --trajectories (fig4 records incumbent
 # improvements; its lines are label/points records, so validate the first
 # line as plain JSON rather than trace JSONL).
