@@ -74,6 +74,15 @@ let int_arg ~flag ~min v =
     prerr_endline (Printf.sprintf "%s wants an integer, got: %s" flag v);
     usage ()
 
+(* Output paths are proven writable before any experiment runs, so a bad
+   one cannot fail after the work. *)
+let writable ~dir flag path =
+  match Ljqo_obs.Obs.probe_writable ~dir path with
+  | Ok () -> path
+  | Error e ->
+    prerr_endline (Printf.sprintf "%s: cannot write %s: %s" flag path e);
+    usage ()
+
 let parse_args () =
   let o =
     {
@@ -113,7 +122,7 @@ let parse_args () =
       o.kappa <- Some (int_arg ~flag:"--kappa" ~min:1 v);
       go rest
     | "--csv" :: v :: rest ->
-      o.csv_dir <- Some v;
+      o.csv_dir <- Some (writable ~dir:true "--csv" v);
       go rest
     | "--deadline" :: v :: rest ->
       (match float_of_string_opt v with
@@ -123,7 +132,7 @@ let parse_args () =
         usage ());
       go rest
     | "--checkpoint-dir" :: v :: rest ->
-      o.checkpoint_dir <- Some v;
+      o.checkpoint_dir <- Some (writable ~dir:true "--checkpoint-dir" v);
       go rest
     | "--resume" :: rest ->
       o.resume <- true;
@@ -136,7 +145,7 @@ let parse_args () =
         usage ());
       go rest
     | "--micro-out" :: v :: rest ->
-      o.micro_out <- Some v;
+      o.micro_out <- Some (writable ~dir:false "--micro-out" v);
       go rest
     | "--metrics" :: rest ->
       o.metrics <- true;
@@ -146,7 +155,7 @@ let parse_args () =
       o.metrics_out <- v;
       go rest
     | "--trace" :: v :: rest ->
-      o.trace <- Some v;
+      o.trace <- Some (writable ~dir:false "--trace" v);
       go rest
     | "--trace-sample" :: v :: rest ->
       o.trace_sample <- int_arg ~flag:"--trace-sample" ~min:1 v;
@@ -221,6 +230,8 @@ let parse_args () =
     prerr_endline "--resume requires --checkpoint-dir DIR (nothing to resume from)";
     usage ()
   end;
+  if o.metrics then
+    o.metrics_out <- writable ~dir:false "--metrics-out" o.metrics_out;
   if o.experiments = [] then o.experiments <- all_experiments;
   o
 

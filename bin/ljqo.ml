@@ -66,26 +66,11 @@ let number_flag_opt name ~docv ~doc =
     Arg.(value & opt (some float) None & info [ name ] ~docv ~doc)
 
 (* An output path is proven writable before any work, so a bad one cannot
-   fail after a long run: its missing parent directories are created, then
-   a file is opened without truncation (or created and removed), and a
-   directory gets a probe file (or is created and removed). *)
+   fail after a long run. *)
 let writable ~dir name path =
-  (try
-     Obs.mkdir_p (Filename.dirname path);
-     match (dir, Sys.file_exists path) with
-     | false, false ->
-       close_out (open_out_gen [ Open_wronly; Open_creat; Open_excl ] 0o644 path);
-       Sys.remove path
-     | false, true -> close_out (open_out_gen [ Open_wronly; Open_append ] 0 path)
-     | true, false ->
-       Sys.mkdir path 0o755;
-       Sys.rmdir path
-     | true, true ->
-       if not (Sys.is_directory path) then
-         raise (Sys_error (path ^ ": Not a directory"));
-       Sys.remove (Filename.temp_file ~temp_dir:path "ljqo" ".probe")
-   with Sys_error e -> fail_usage "--%s: cannot write %s: %s" name path e);
-  path
+  match Obs.probe_writable ~dir path with
+  | Ok () -> path
+  | Error e -> fail_usage "--%s: cannot write %s: %s" name path e
 
 let output_file ?vopt name ~doc =
   Term.map

@@ -8,13 +8,9 @@
    least squares therefore yields log c = sum(x y) / sum(x^2), the exact
    minimizer of the squared log-q residual on the training samples — which
    is why applying the fitted factor can only improve the mean log error
-   on the data it was fitted to.
+   on the data it was fitted to.  The file schema is in calibration.mli. *)
 
-   The file format follows the checkpoint-v2 discipline of
-   lib/learn/model.ml: a magic line, then sealed lines (payload + MD5),
-   floats as IEEE-754 bit patterns in bare hex, a header declaring the
-   entry count, trailing newline required — a load sees exactly the
-   declared shape or a line-precise error. *)
+module Sealed = Ljqo_obs.Sealed
 
 type t = { entries : (string * float) list }  (* spec name -> sel_factor *)
 
@@ -46,44 +42,7 @@ let fit_runs runs =
 
 let factor t name = List.assoc_opt name t.entries
 
-(* ------------------------------------------------------------------ *)
-(* Serialization (checkpoint-strict, versioned).                       *)
-
 let magic = "# ljqo-feedback-calibration v1"
-
-let float_to_hex v = Printf.sprintf "%Lx" (Int64.bits_of_float v)
-
-let canonical_nat s =
-  let n = String.length s in
-  if n = 0 || n > 18 then None
-  else if n > 1 && s.[0] = '0' then None
-  else begin
-    let ok = ref true in
-    String.iter (fun c -> if c < '0' || c > '9' then ok := false) s;
-    if !ok then int_of_string_opt s else None
-  end
-
-let float_of_hex s =
-  let n = String.length s in
-  if n = 0 || n > 16 then None
-  else if n > 1 && s.[0] = '0' then None
-  else begin
-    let ok = ref true in
-    String.iter
-      (fun c ->
-        if not ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) then
-          ok := false)
-      s;
-    if !ok then
-      match Int64.of_string_opt ("0x" ^ s) with
-      | Some bits -> Some (Int64.float_of_bits bits)
-      | None -> None
-    else None
-  end
-
-let checksum payload = Digest.to_hex (Digest.string payload)
-
-let sealed payload = payload ^ " " ^ checksum payload ^ "\n"
 
 (* Catalog names are single tokens (benchmark spec names); a space would
    shift every token after it and break the seal anyway, but refuse early
@@ -105,82 +64,37 @@ let to_string t =
         invalid_arg
           (Printf.sprintf "Calibration.to_string: bad catalog name %S" name))
     t.entries;
-  let b = Buffer.create 512 in
-  Buffer.add_string b (magic ^ "\n");
-  Buffer.add_string b (sealed (Printf.sprintf "H %d" (List.length t.entries)));
-  List.iter
-    (fun (name, f) ->
-      Buffer.add_string b
-        (sealed (Printf.sprintf "C %s %s" name (float_to_hex f))))
-    t.entries;
-  Buffer.contents b
+  Sealed.to_string ~magic
+    ([ "H"; Sealed.int (List.length t.entries) ]
+    :: List.map (fun (name, f) -> [ "C"; name; Sealed.float f ]) t.entries)
 
-let save ~path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
-
-let unseal line =
-  match String.rindex_opt line ' ' with
-  | None -> None
-  | Some i ->
-    let payload = String.sub line 0 i in
-    let digest = String.sub line (i + 1) (String.length line - i - 1) in
-    if String.length digest = 32 && String.equal digest (checksum payload)
-    then Some (String.split_on_char ' ' payload)
-    else None
-
-let parse_header line =
-  match unseal line with
-  | Some [ "H"; n_s ] -> canonical_nat n_s
-  | _ -> None
-
-let parse_entry line =
-  match unseal line with
-  | Some [ "C"; name; f_s ] when valid_name name -> (
-    match float_of_hex f_s with
-    | Some f when Float.is_finite f && f >= factor_floor && f <= factor_ceiling
-      ->
-      Some (name, f)
+let decode_entry = function
+  | [ "C"; name; f ] when valid_name name -> (
+    match Sealed.float_of_token f with
+    | Some f when f >= factor_floor && f <= factor_ceiling -> Some (name, f)
     | _ -> None)
   | _ -> None
 
-let of_string s =
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let len = String.length s in
-  if len = 0 || s.[len - 1] <> '\n' then err "missing trailing newline"
-  else
-    match String.split_on_char '\n' (String.sub s 0 (len - 1)) with
-    | magic_line :: header :: entry_lines when String.equal magic_line magic
-      -> (
-      match parse_header header with
-      | None -> err "line 2: bad header"
-      | Some n ->
-        if List.length entry_lines <> n then
-          err "expected %d entry lines, found %d" n (List.length entry_lines)
-        else
-          let rec go seen acc lineno = function
-            | [] -> Ok { entries = List.rev acc }
-            | line :: tl -> (
-              match parse_entry line with
-              | Some (name, f) when not (List.mem name seen) ->
-                go (name :: seen) ((name, f) :: acc) (lineno + 1) tl
-              | Some (name, _) -> err "line %d: duplicate catalog %s" lineno name
-              | None -> err "line %d: bad entry line" lineno)
-          in
-          go [] [] 3 entry_lines)
-    | _ -> err "line 1: bad magic or truncated file"
+let decode_header = function [ "H"; n ] -> Sealed.int_of_token n | _ -> None
 
-let load ~path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        match of_string s with
-        | Ok t -> Ok t
-        | Error e -> Error (Printf.sprintf "%s: %s" path e))
+let of_string s =
+  let ( let* ) = Result.bind in
+  let* lines = Sealed.of_string ~magic s in
+  match lines with
+  | [] -> Error "truncated file"
+  | header :: entries -> (
+    match decode_header header with
+    | None -> Sealed.error ~line:2 "bad header"
+    | Some n when n <> List.length entries ->
+      Error
+        (Printf.sprintf "expected %d entry lines, found %d" n
+           (List.length entries))
+    | Some _ ->
+      let* entries =
+        Sealed.entries ~first:3 ~noun:"catalog" decode_entry entries
+      in
+      Ok { entries })
+
+let save ~path t = Sealed.write ~path (to_string t)
+
+let load = Sealed.load of_string

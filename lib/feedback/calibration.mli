@@ -10,10 +10,19 @@
     {!Ljqo_cost.Plan_cost.calibration}'s [sel_factor] (see
     {!Feedback.run_spec}'s [sel_factor]).
 
-    Files are checkpoint-strict and versioned, in the style of
-    [lib/learn/model.ml] (see DESIGN.md for the format spec): magic line,
-    MD5-sealed payload lines, floats as IEEE-754 bit patterns, all-or-
-    nothing loading with line-precise errors. *)
+    A calibration file is a {!Ljqo_obs.Sealed} document (seal, tokens and
+    frame are specified there) with this line schema:
+
+    {v
+    # ljqo-feedback-calibration v1
+    H <n>
+    C <name> <factor> (n lines)
+    v}
+
+    Names are single [[A-Za-z0-9._-]] tokens and none repeats; a factor
+    outside [[factor_floor, factor_ceiling]] refuses to load, so a corrupt
+    or hand-edited file can never push the estimator past what the fit
+    itself could produce. *)
 
 type t = { entries : (string * float) list }
 (** Catalog (benchmark-variation) name -> per-edge selectivity correction
@@ -41,10 +50,9 @@ val to_string : t -> string
     [[A-Za-z0-9._-]] token. *)
 
 val of_string : string -> (t, string) result
-(** All-or-nothing parse with line-precise errors: bad magic, bad seal,
-    wrong entry count, duplicate catalog, out-of-range factor and missing
-    trailing newline are all refused. *)
+(** All-or-nothing parse with line-precise errors. *)
 
 val save : path:string -> t -> unit
 
 val load : path:string -> (t, string) result
+(** {!of_string} of the file; [Error] names the path. *)

@@ -1,20 +1,14 @@
 (* Crash-safe persistence of completed per-query experiment results.
 
    One experiment writes one line-oriented text file: a header binding the
-   file to a configuration fingerprint, then one record per completed query.
-   Records are appended and flushed as each query finishes, so the file is
-   valid after a kill at any instant (a torn final line is ignored on load).
-   Floats are stored as IEEE-754 bit patterns in hex, so a resumed
-   experiment reproduces the uninterrupted outcome bit for bit.
+   file to a configuration fingerprint, then one sealed record per completed
+   query (the line format is in checkpoint.mli, the seal and tokens in
+   Ljqo_obs.Sealed).  Records are appended and flushed as each query
+   finishes, so the file is valid after a kill at any instant (a torn final
+   line is ignored on load).  A resumed record is trusted bit for bit, so
+   loading skips every line the writer could not have produced. *)
 
-   Corruption discipline: a resumed record is trusted bit for bit, so
-   loading must never accept a line the writer could not have produced.
-   Tokens are parsed canonically (plain decimal / bare lowercase hex — no
-   [int_of_string] leniency like underscores or 0x/0o/0b prefixes, which
-   would let a garbled line parse into a plausible bogus record), and every
-   record line carries an MD5 checksum of its payload, so even a mutation
-   that maps one valid digit to another is rejected rather than silently
-   poisoning the resume. *)
+module Sealed = Ljqo_obs.Sealed
 
 let log_src = Logs.Src.create "ljqo.checkpoint" ~doc:"experiment checkpointing"
 
@@ -33,106 +27,45 @@ type t = {
 
 let header_magic = "# ljqo-checkpoint v2"
 
-let float_to_hex v = Printf.sprintf "%Lx" (Int64.bits_of_float v)
-
-(* Canonical nonnegative decimal, exactly as [%d] prints it: digits only, no
-   sign, no leading zero (except "0" itself), no [int_of_string] extras
-   (underscores, 0x/0o/0b prefixes). *)
-let canonical_nat s =
-  let n = String.length s in
-  if n = 0 || n > 18 then None
-  else if n > 1 && s.[0] = '0' then None
-  else begin
-    let ok = ref true in
-    String.iter (fun c -> if c < '0' || c > '9' then ok := false) s;
-    if !ok then int_of_string_opt s else None
-  end
-
-(* Canonical bare hex, exactly as [%Lx] prints it: 1-16 lowercase hex
-   digits, no prefix, no leading zero (except "0" itself). *)
-let float_of_hex s =
-  let n = String.length s in
-  if n = 0 || n > 16 then None
-  else if n > 1 && s.[0] = '0' then None
-  else begin
-    let ok = ref true in
-    String.iter
-      (fun c -> if not ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) then ok := false)
-      s;
-    if !ok then
-      match Int64.of_string_opt ("0x" ^ s) with
-      | Some bits -> Some (Int64.float_of_bits bits)
-      | None -> None
-    else None
-  end
-
-let checksum payload = Digest.to_hex (Digest.string payload)
-
-(* "R <index> <timeouts> <rows> <cols> <hex>* <md5>" — returns None on any
-   malformation: torn writes show up as short lines or a checksum mismatch,
-   and byte-level corruption of an otherwise well-formed line is caught by
-   the checksum even when every token still parses. *)
+(* "R <index> <timeouts> <rows> <cols> <float>*", sealed; None on any
+   malformation, torn lines included. *)
 let parse_record line =
-  let line = String.trim line in
-  match String.rindex_opt line ' ' with
-  | None -> None
-  | Some i ->
-    let payload = String.sub line 0 i in
-    let digest = String.sub line (i + 1) (String.length line - i - 1) in
-    if String.length digest <> 32 || not (String.equal digest (checksum payload))
-    then None
-    else (
-      match String.split_on_char ' ' payload with
-      | "R" :: index :: timeouts :: rows :: cols :: cells -> (
-        match
-          ( canonical_nat index,
-            canonical_nat timeouts,
-            canonical_nat rows,
-            canonical_nat cols )
-        with
-        | Some index, Some timeouts, Some rows, Some cols
-          when rows >= 0 && cols >= 0 && List.length cells = rows * cols -> (
-          match
-            List.map (fun c -> Option.to_list (float_of_hex c)) cells
-            |> List.concat
-          with
-          | floats when List.length floats = rows * cols ->
-            let flat = Array.of_list floats in
-            let out = Array.init rows (fun r -> Array.sub flat (r * cols) cols) in
-            Some (index, { timeouts; out })
-          | _ -> None)
-        | _ -> None)
-      | _ -> None)
+  match Sealed.unseal (String.trim line) with
+  | Some ("R" :: index :: timeouts :: rows :: cols :: cells) -> (
+    match
+      Sealed.
+        ( int_of_token index,
+          int_of_token timeouts,
+          int_of_token rows,
+          int_of_token cols,
+          floats cells )
+    with
+    | Some index, Some timeouts, Some rows, Some cols, Some floats
+      when List.length floats = rows * cols ->
+      let flat = Array.of_list floats in
+      let out = Array.init rows (fun r -> Array.sub flat (r * cols) cols) in
+      Some (index, { timeouts; out })
+    | _ -> None)
+  | _ -> None
 
 let load_into table ~path ~fingerprint =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      match input_line ic with
-      | exception End_of_file -> false
-      | header ->
-        if header <> header_magic ^ " " ^ fingerprint then false
-        else begin
-          let rec go () =
-            match input_line ic with
-            | exception End_of_file -> ()
-            | line ->
-              (match parse_record line with
-              | Some (index, r) ->
-                Ljqo_obs.Obs.bump Ljqo_obs.Obs.Ckpt_records_loaded;
-                Hashtbl.replace table index r
-              | None ->
-                if String.trim line <> "" then begin
-                  Ljqo_obs.Obs.bump Ljqo_obs.Obs.Ckpt_lines_rejected;
-                  Log.warn (fun m ->
-                      m "%s: ignoring malformed checkpoint line %S" path line)
-                end);
-              go ()
-          in
-          go ();
-          true
-        end)
+  match Result.map (String.split_on_char '\n') (Sealed.read path) with
+  | Ok (header :: lines) when header = header_magic ^ " " ^ fingerprint ->
+    List.iter
+      (fun line ->
+        match parse_record line with
+        | Some (index, r) ->
+          Ljqo_obs.Obs.bump Ljqo_obs.Obs.Ckpt_records_loaded;
+          Hashtbl.replace table index r
+        | None ->
+          if String.trim line <> "" then begin
+            Ljqo_obs.Obs.bump Ljqo_obs.Obs.Ckpt_lines_rejected;
+            Log.warn (fun m ->
+                m "%s: ignoring malformed checkpoint line %S" path line)
+          end)
+      lines;
+    true
+  | _ -> false
 
 (* Stores open for writing, flushed by the SIGINT handler / at_exit hook. *)
 let open_stores : t list ref = ref []
@@ -158,17 +91,13 @@ let install_flush_handlers () =
   end
 
 let record_line index { timeouts; out } =
-  let buf = Buffer.create 256 in
   let rows = Array.length out in
   let cols = if rows = 0 then 0 else Array.length out.(0) in
-  Buffer.add_string buf (Printf.sprintf "R %d %d %d %d" index timeouts rows cols);
-  Array.iter
-    (Array.iter (fun v ->
-         Buffer.add_char buf ' ';
-         Buffer.add_string buf (float_to_hex v)))
-    out;
-  let payload = Buffer.contents buf in
-  payload ^ " " ^ checksum payload ^ "\n"
+  Sealed.seal
+    (("R" :: List.map Sealed.int [ index; timeouts; rows; cols ])
+    @ List.concat_map
+        (fun row -> List.map Sealed.float (Array.to_list row))
+        (Array.to_list out))
 
 let open_store ~path ~fingerprint ~resume () =
   Ljqo_obs.Obs.mkdir_p (Filename.dirname path);
@@ -178,7 +107,7 @@ let open_store ~path ~fingerprint ~resume () =
   in
   if resume && Sys.file_exists path && not usable then
     Log.warn (fun m ->
-        m "%s: checkpoint does not match this experiment's configuration; starting fresh"
+        m "%s: checkpoint is unreadable or from another configuration; starting fresh"
           path);
   (* Always rewrite rather than append: a kill can leave a torn final line
      with no trailing newline, and appending after it would weld the next

@@ -2,25 +2,23 @@
 
     A checkpoint file is line-oriented text: a header binding it to a
     configuration fingerprint, then one [R]-record per completed query
-    holding that query's per-method/per-tfactor result matrix as IEEE-754
-    bit patterns in hex.  Records are appended and flushed as each query
-    completes (and on SIGINT / process exit), so interrupting an experiment
-    at any instant leaves a loadable file; resuming skips the stored queries
-    and reproduces the uninterrupted outcome bit for bit.
+    holding that query's per-method/per-tfactor result matrix.  Records are
+    appended and flushed as each query completes (and on SIGINT / process
+    exit), so interrupting an experiment at any instant leaves a loadable
+    file; resuming skips the stored queries and reproduces the
+    uninterrupted outcome bit for bit.
 
-    File format (v2 — each record line ends with the MD5 of everything
-    before the final space, so byte-level corruption is rejected rather
-    than resumed from):
+    Line schema (v2); each record is a {!Ljqo_obs.Sealed} line, whose seal
+    and tokens are specified there:
 
     {v
     # ljqo-checkpoint v2 <fingerprint>
-    R <index> <timeouts> <rows> <cols> <hex64> ... <hex64> <md5>
+    R <index> <timeouts> <rows> <cols> <float>^(rows*cols)
     v}
 
-    Tokens are strictly canonical: decimals as [%d] prints them and bare
-    lowercase hex as [%Lx] prints it.  Leniencies of [int_of_string]
-    (underscores, [0x]/[0o]/[0b] prefixes, signs) are rejected, so a
-    garbled line can never parse into a plausible bogus record. *)
+    Unlike a sealed document, the file is a journal: a torn or corrupt
+    record is skipped (with a warning) and recomputed, never resumed
+    from. *)
 
 type request = { dir : string; resume : bool }
 (** What the CLI hands to the driver: where checkpoint files live and
@@ -59,5 +57,5 @@ val record_line : int -> record -> string
 (** The exact line (newline included) written for a record. *)
 
 val parse_record : string -> (int * record) option
-(** Parse one record line; [None] on any malformation, including a
-    checksum mismatch or a non-canonical token. *)
+(** Parse one record line; [None] on any malformation, including a bad
+    seal or a non-canonical token. *)

@@ -25,8 +25,7 @@ type outcome = {
 }
 
 (* The label keying one (query, method, replicate) run's trajectory in the
-   Obs trajectory table; exposed so trajectory consumers (lib/learn's
-   dataset extraction) can parse it back instead of guessing the format. *)
+   Obs trajectory table, and in the bench's --trajectories dump. *)
 let trajectory_label ~index ~method_ ~replicate =
   Printf.sprintf "q%d.%s.r%d" index (Methods.name method_) replicate
 

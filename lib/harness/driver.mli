@@ -45,12 +45,6 @@ type outcome = {
   crashes : Guard.failure list;  (** details of the dropped queries, in order *)
 }
 
-val trajectory_label :
-  index:int -> method_:Ljqo_core.Methods.t -> replicate:int -> string
-(** ["q<index>.<method>.r<replicate>"] — the {!Ljqo_obs.Obs.with_run} label
-    under which {!run_experiment} records each run's incumbent trajectory.
-    [Ljqo_learn.Dataset.parse_run_label] is its inverse. *)
-
 val run_experiment :
   ?kappa:int ->
   ?config:Ljqo_core.Methods.config ->

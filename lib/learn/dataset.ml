@@ -143,44 +143,6 @@ let save_trajectories ~path trajs =
           output_char oc '\n')
         trajs)
 
-(* "q<index>.<method>.r<replicate>" — Driver.run_label's format.  Strict:
-   every segment must parse and nothing may trail. *)
-let parse_run_label label =
-  match String.split_on_char '.' label with
-  | [ q; m; r ]
-    when String.length q > 1
-         && q.[0] = 'q'
-         && String.length r > 1
-         && r.[0] = 'r' ->
-    let int_of s =
-      match int_of_string_opt s with Some v when v >= 0 -> Some v | _ -> None
-    in
-    let idx = int_of (String.sub q 1 (String.length q - 1)) in
-    let rep = int_of (String.sub r 1 (String.length r - 1)) in
-    (match (idx, Methods.of_name m, rep) with
-    | Some i, Some _, Some rep -> Some (i, m, rep)
-    | _ -> None)
-  | _ -> None
-
-let of_trajectories ~model ~query_of_index trajs =
-  List.filter_map
-    (fun (label, points) ->
-      match (parse_run_label label, List.rev points) with
-      | Some (idx, route, _), (ticks, cost) :: _ -> (
-        match query_of_index idx with
-        | Some q ->
-          Some
-            {
-              features = Features.of_query q;
-              route;
-              ticks;
-              cost;
-              lower_bound = Ljqo_cost.Plan_cost.lower_bound model q;
-            }
-        | None -> None)
-      | _ -> None)
-    trajs
-
 let collect ?jobs ~spec_indices ~ns ~per_n ~seed ~t_factor ~routes ~fractions
     ~model () =
   let cells =

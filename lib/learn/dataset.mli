@@ -4,11 +4,9 @@
     concrete route that ran (a {!Ljqo_core.Methods} name), the tick budget it
     was given, and the final cost alongside the query's cost lower bound
     (the pair from which the training target — log10 scaled cost — is
-    derived).  Samples come from three places: fresh in-process runs
-    ({!collect}), the trajectories a {!Ljqo_obs.Obs}-instrumented harness
-    run records ({!of_trajectories}), and sample JSONL files
-    written by an earlier [ljqo learn train --dump-samples]
-    ({!load_jsonl}). *)
+    derived).  Samples come from fresh in-process runs ({!collect}) or
+    from sample JSONL files written by an earlier
+    [ljqo learn train --dump-samples] ({!load_jsonl}). *)
 
 type sample = {
   features : float array;  (** {!Features.of_query} of the query *)
@@ -47,23 +45,6 @@ val save_trajectories :
 (** Write [Obs.trajectories ()] output as JSONL, one
     [{"label":..,"points":[[ticks,cost],..]}] object per labelled run — the
     format [ljqo-bench --trajectories] emits. *)
-
-(** {1 Extraction} *)
-
-val parse_run_label : string -> (int * string * int) option
-(** Parse a harness run label ["q<index>.<method>.r<replicate>"] (the format
-    [Ljqo_harness.Driver.trajectory_label] produces) into (query index,
-    method name, replicate). *)
-
-val of_trajectories :
-  model:Ljqo_cost.Cost_model.t ->
-  query_of_index:(int -> Ljqo_catalog.Query.t option) ->
-  (string * (int * float) list) list ->
-  sample list
-(** Convert [Obs.trajectories ()] output into samples: each labelled run
-    contributes its final (ticks, cost) point; runs whose label does not
-    parse, whose query index is unknown, or whose trajectory is empty are
-    skipped.  Input order is preserved. *)
 
 val collect :
   ?jobs:int ->

@@ -1,4 +1,5 @@
 module Methods = Ljqo_core.Methods
+module Sealed = Ljqo_obs.Sealed
 
 type t = {
   lambda : float;
@@ -134,167 +135,71 @@ let equal a b =
          && Array.for_all2 (fun x y -> bits x = bits y) w1 w2)
        a.weights b.weights
 
-(* Serialization: the checkpoint-v2 discipline.  Floats travel as IEEE-754
-   bit patterns in bare lowercase hex, integers as canonical decimals, and
-   every line after the magic carries an MD5 of its payload.  The header
-   declares the weight-line count and the file must end in a newline, so a
-   load sees exactly the declared shape or nothing. *)
+(* Persistence: the line schema of model.mli on the sealed-file codec. *)
 
 let magic = "# ljqo-learn-model v1"
 
-let float_to_hex v = Printf.sprintf "%Lx" (Int64.bits_of_float v)
-
-let canonical_nat s =
-  let n = String.length s in
-  if n = 0 || n > 18 then None
-  else if n > 1 && s.[0] = '0' then None
-  else begin
-    let ok = ref true in
-    String.iter (fun c -> if c < '0' || c > '9' then ok := false) s;
-    if !ok then int_of_string_opt s else None
-  end
-
-let float_of_hex s =
-  let n = String.length s in
-  if n = 0 || n > 16 then None
-  else if n > 1 && s.[0] = '0' then None
-  else begin
-    let ok = ref true in
-    String.iter
-      (fun c ->
-        if not ((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) then
-          ok := false)
-      s;
-    if !ok then
-      match Int64.of_string_opt ("0x" ^ s) with
-      | Some bits -> Some (Int64.float_of_bits bits)
-      | None -> None
-    else None
-  end
-
-let checksum payload = Digest.to_hex (Digest.string payload)
-
-let sealed payload = payload ^ " " ^ checksum payload ^ "\n"
-
 let to_string t =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (magic ^ "\n");
-  Buffer.add_string b
-    (sealed
-       (Printf.sprintf "H %d %s %d" Features.dim (float_to_hex t.lambda)
-          (List.length t.weights)));
-  let rb = Buffer.create 256 in
-  Buffer.add_char rb 'R';
-  Array.iter
-    (fun (lo, hi) ->
-      Buffer.add_string rb
-        (Printf.sprintf " %s %s" (float_to_hex lo) (float_to_hex hi)))
-    t.ranges;
-  Buffer.add_string b (sealed (Buffer.contents rb));
-  List.iter
-    (fun (name, w) ->
-      let wb = Buffer.create 256 in
-      Buffer.add_string wb (Printf.sprintf "W %s %d" name (Array.length w));
-      Array.iter
-        (fun v -> Buffer.add_string wb (" " ^ float_to_hex v))
-        w;
-      Buffer.add_string b (sealed (Buffer.contents wb)))
-    t.weights;
-  Buffer.contents b
+  let hex = List.map Sealed.float in
+  let header =
+    Sealed.
+      [ "H"; int Features.dim; float t.lambda; int (List.length t.weights) ]
+  in
+  let ranges =
+    List.concat_map (fun (lo, hi) -> [ lo; hi ]) (Array.to_list t.ranges)
+  in
+  Sealed.to_string ~magic
+    (header
+    :: ("R" :: hex ranges)
+    :: List.map
+         (fun (name, w) ->
+           "W" :: name :: Sealed.int (Array.length w) :: hex (Array.to_list w))
+         t.weights)
 
-let save ~path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string t))
-
-(* Split a sealed line into its payload tokens; None on a bad or missing
-   checksum. *)
-let unseal line =
-  match String.rindex_opt line ' ' with
-  | None -> None
-  | Some i ->
-    let payload = String.sub line 0 i in
-    let digest = String.sub line (i + 1) (String.length line - i - 1) in
-    if String.length digest = 32 && String.equal digest (checksum payload)
-    then Some (String.split_on_char ' ' payload)
-    else None
-
-(* All-or-nothing token list of bit-pattern floats. *)
-let parse_hex_list toks =
-  let cells = List.map (fun c -> Option.to_list (float_of_hex c)) toks in
-  let flat = List.concat cells in
-  if List.length flat = List.length toks then Some flat else None
-
-let parse_header line =
-  match unseal line with
-  | Some [ "H"; dim_s; lambda_s; n_s ] -> (
-    match (canonical_nat dim_s, float_of_hex lambda_s, canonical_nat n_s) with
+let decode_header = function
+  | [ "H"; dim; lambda; n ] -> (
+    match Sealed.(int_of_token dim, float_of_token lambda, int_of_token n) with
     | Some dim, Some lambda, Some n when dim = Features.dim && n >= 1 ->
       Some (lambda, n)
     | _ -> None)
   | _ -> None
 
-let parse_ranges line =
-  match unseal line with
-  | Some ("R" :: toks) when List.length toks = 2 * Features.dim -> (
-    match parse_hex_list toks with
-    | Some vals ->
-      let arr = Array.of_list vals in
-      Some (Array.init Features.dim (fun i -> (arr.(2 * i), arr.((2 * i) + 1))))
-    | None -> None)
+let decode_ranges = function
+  | "R" :: toks when List.length toks = 2 * Features.dim ->
+    Option.map
+      (fun vals ->
+        let a = Array.of_list vals in
+        Array.init Features.dim (fun i -> (a.(2 * i), a.((2 * i) + 1))))
+      (Sealed.floats toks)
   | _ -> None
 
-let parse_weight line =
-  match unseal line with
-  | Some ("W" :: name :: k_s :: toks) -> (
-    match (Methods.of_name name, canonical_nat k_s) with
-    | Some _, Some k when k = coef_dim && List.length toks = k -> (
-      match parse_hex_list toks with
-      | Some vals -> Some (name, Array.of_list vals)
-      | None -> None)
-    | _ -> None)
+let decode_weight = function
+  | "W" :: name :: k :: toks
+    when Methods.of_name name <> None
+         && Sealed.int_of_token k = Some coef_dim
+         && List.length toks = coef_dim ->
+    Option.map (fun w -> (name, Array.of_list w)) (Sealed.floats toks)
   | _ -> None
 
 let of_string s =
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let len = String.length s in
-  if len = 0 || s.[len - 1] <> '\n' then err "missing trailing newline"
-  else
-    match String.split_on_char '\n' (String.sub s 0 (len - 1)) with
-    | magic_line :: header :: ranges_line :: weight_lines
-      when String.equal magic_line magic -> (
-      match parse_header header with
-      | None -> err "line 2: bad header"
-      | Some (lambda, n_weights) ->
-        if List.length weight_lines <> n_weights then
-          err "expected %d weight lines, found %d" n_weights
-            (List.length weight_lines)
-        else (
-          match parse_ranges ranges_line with
-          | None -> err "line 3: bad ranges line"
-          | Some ranges ->
-            let rec go seen acc lineno = function
-              | [] -> Ok { lambda; ranges; weights = List.rev acc }
-              | line :: tl -> (
-                match parse_weight line with
-                | Some (name, w) when not (List.mem name seen) ->
-                  go (name :: seen) ((name, w) :: acc) (lineno + 1) tl
-                | Some (name, _) -> err "line %d: duplicate route %s" lineno name
-                | None -> err "line %d: bad weight line" lineno)
-            in
-            go [] [] 4 weight_lines))
-    | _ -> err "line 1: bad magic or truncated file"
+  let ( let* ) = Result.bind in
+  let* lines = Sealed.of_string ~magic s in
+  match lines with
+  | header :: ranges :: weights -> (
+    match (decode_header header, decode_ranges ranges) with
+    | None, _ -> Sealed.error ~line:2 "bad header"
+    | _, None -> Sealed.error ~line:3 "bad ranges line"
+    | Some (_, n), _ when List.length weights <> n ->
+      Error
+        (Printf.sprintf "expected %d weight lines, found %d" n
+           (List.length weights))
+    | Some (lambda, _), Some ranges ->
+      let* weights =
+        Sealed.entries ~first:4 ~noun:"route" decode_weight weights
+      in
+      Ok { lambda; ranges; weights })
+  | _ -> Error "truncated file"
 
-let load ~path =
-  match open_in_bin path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        match of_string s with
-        | Ok t -> Ok t
-        | Error e -> Error (Printf.sprintf "%s: %s" path e))
+let save ~path t = Sealed.write ~path (to_string t)
+
+let load = Sealed.load of_string

@@ -9,11 +9,19 @@
     samples always yield the bit-identical model, which the online-refresh
     determinism guarantees rest on.
 
-    The serialized form is a versioned text file with the checkpoint-v2
-    discipline: floats as IEEE-754 bit-pattern hex, every line carrying an
-    MD5 checksum of its payload, a declared line count, and a required
-    trailing newline — so truncation (even of the final newline alone) and
-    any byte mutation are rejected loudly rather than half-loaded. *)
+    A model file is a {!Ljqo_obs.Sealed} document (seal, tokens and frame
+    are specified there) with this line schema:
+
+    {v
+    # ljqo-learn-model v1
+    H <feature_dim> <lambda> <n>
+    R <min> <max> ... (one pair per feature)
+    W <route> <k> <coef>^k (n lines, one per route, k = feature_dim + 2)
+    v}
+
+    [feature_dim] must equal {!Features.dim}, [n] is at least 1 and must
+    match the [W] lines that follow, routes are {!Ljqo_core.Methods} names
+    and none repeats. *)
 
 type t
 
@@ -48,17 +56,15 @@ val equal : t -> t -> bool
 
 (** {1 Persistence} *)
 
-val magic : string
-(** First line of every model file: ["# ljqo-learn-model v1"]. *)
-
 val save : path:string -> t -> unit
 
 val to_string : t -> string
 (** The exact file contents {!save} writes. *)
 
 val load : path:string -> (t, string) result
-(** Strict load; [Error] names the offending line.  Guaranteed:
-    [load (save m) = Ok m'] with [equal m m'], and any proper prefix or
-    single-byte mutation of the file is rejected. *)
+(** Strict load; [Error] names the path, and the offending line.
+    [load (save m) = Ok m'] with [equal m m'], no proper prefix of the file
+    loads, and a single-byte mutation is refused or loads a model equal to
+    [m]. *)
 
 val of_string : string -> (t, string) result

@@ -413,6 +413,25 @@ let rec mkdir_p dir =
     try Sys.mkdir dir 0o755 with Sys_error _ when Sys.file_exists dir -> ()
   end
 
+let probe_writable ~dir path =
+  match
+    mkdir_p (Filename.dirname path);
+    match (dir, Sys.file_exists path) with
+    | false, false ->
+      close_out (open_out_gen [ Open_wronly; Open_creat; Open_excl ] 0o644 path);
+      Sys.remove path
+    | false, true -> close_out (open_out_gen [ Open_wronly; Open_append ] 0 path)
+    | true, false ->
+      Sys.mkdir path 0o755;
+      Sys.rmdir path
+    | true, true ->
+      if not (Sys.is_directory path) then
+        raise (Sys_error (path ^ ": Not a directory"));
+      Sys.remove (Filename.temp_file ~temp_dir:path "ljqo" ".probe")
+  with
+  | () -> Ok ()
+  | exception Sys_error e -> Error e
+
 let trace_close () =
   match !sink with
   | None -> ()

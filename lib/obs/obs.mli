@@ -281,3 +281,9 @@ val mkdir_p : string -> unit
     {!write_metrics} do for their files; also used by the checkpoint store
     and the CLI's output-path checks.  Raises [Sys_error] when one cannot be
     made. *)
+
+val probe_writable : dir:bool -> string -> (unit, string) result
+(** Whether an output file (or directory, with [~dir:true]) can be written,
+    for both binaries to check their output flags before any work.  Missing
+    parents are created; nothing else is left behind or truncated.  The
+    [Error] is the [Sys_error] message. *)

@@ -1,6 +1,6 @@
 (* Execution-grounded estimation feedback: q-error algebra, alignment of
    estimated vs observed cardinalities, truncation isolation, calibration
-   fitting and its checkpoint-strict file format, and the obs invariant
+   fitting and its sealed file format, and the obs invariant
    that feedback totals are bit-identical across job counts. *)
 
 open Ljqo_catalog

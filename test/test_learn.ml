@@ -1,7 +1,8 @@
 (* The learned router: feature extraction, sample persistence, the model
-   file's checkpoint-style strictness, deterministic (jobs-independent)
-   training, routing, online epoch pinning, and end-to-end adaptive
-   determinism through the optimizer, the batch service and the server. *)
+   file's roundtrip (its corruption properties are in test_sealed.ml),
+   deterministic (jobs-independent) training, routing, online epoch
+   pinning, and end-to-end adaptive determinism through the optimizer, the
+   batch service and the server. *)
 
 open Ljqo_core
 module Features = Ljqo_learn.Features
@@ -96,23 +97,6 @@ let test_jsonl_roundtrip () =
              in
              has 0)))
 
-let test_parse_run_label_inverse () =
-  List.iter
-    (fun (index, m, replicate) ->
-      let label = Ljqo_harness.Driver.trajectory_label ~index ~method_:m ~replicate in
-      match Dataset.parse_run_label label with
-      | Some (i, name, r) ->
-        Alcotest.(check int) "index" index i;
-        Alcotest.(check string) "method" (Methods.name m) name;
-        Alcotest.(check int) "replicate" replicate r
-      | None -> Alcotest.failf "label %s did not parse" label)
-    [ (0, Methods.II, 0); (17, Methods.Two_phase, 3); (5, Methods.KBI, 1) ];
-  List.iter
-    (fun bad ->
-      if Dataset.parse_run_label bad <> None then
-        Alcotest.failf "garbage label %S parsed" bad)
-    [ ""; "q1.II"; "qx.II.r2"; "q1.NOPE.r2"; "q1.II.r"; "q1.II.r2.x" ]
-
 (* --- training determinism ----------------------------------------------- *)
 
 let test_collect_and_training_jobs_independent () =
@@ -141,39 +125,6 @@ let test_model_roundtrip () =
       match Model.load ~path with
       | Error e -> Alcotest.failf "load rejected its own save: %s" e
       | Ok m' -> Alcotest.(check bool) "bit-identical" true (Model.equal m m'))
-
-(* Torn writes: no proper prefix of a model file may load — including the
-   prefix missing only the final newline. *)
-let test_model_truncation_rejected () =
-  let s = Model.to_string (tiny_model ()) in
-  for k = 0 to String.length s - 1 do
-    match Model.of_string (String.sub s 0 k) with
-    | Error _ -> ()
-    | Ok _ -> Alcotest.failf "truncating at offset %d still loaded" k
-  done
-
-(* Bit rot: flipping any byte to any plausible replacement must be refused
-   or leave the model bit-identical — the per-line checksums are what
-   stand between corruption and a silently poisoned router. *)
-let test_model_mutation_rejected_or_identical () =
-  let m = tiny_model () in
-  let s = Model.to_string m in
-  String.iteri
-    (fun k c ->
-      List.iter
-        (fun c' ->
-          if c' <> c then begin
-            let b = Bytes.of_string s in
-            Bytes.set b k c';
-            match Model.of_string (Bytes.to_string b) with
-            | Error _ -> ()
-            | Ok m' ->
-              if not (Model.equal m m') then
-                Alcotest.failf "mutating offset %d (%C -> %C) changed the model"
-                  k c c'
-          end)
-        [ '0'; '1'; '9'; 'a'; 'f'; 'W'; ' '; '\n' ])
-    s
 
 (* --- routing ------------------------------------------------------------ *)
 
@@ -385,15 +336,9 @@ let suite =
       test_features_shape_and_determinism;
     Alcotest.test_case "dataset: jsonl roundtrip and strictness" `Quick
       test_jsonl_roundtrip;
-    Alcotest.test_case "dataset: run-label inverse" `Quick
-      test_parse_run_label_inverse;
     Alcotest.test_case "training: jobs-independent and repeatable" `Quick
       test_collect_and_training_jobs_independent;
     Alcotest.test_case "model: save/load roundtrip" `Quick test_model_roundtrip;
-    Alcotest.test_case "model: truncation rejected" `Quick
-      test_model_truncation_rejected;
-    Alcotest.test_case "model: mutation rejected or identical" `Quick
-      test_model_mutation_rejected_or_identical;
     Alcotest.test_case "router: decide is deterministic" `Quick
       test_router_decide_deterministic;
     Alcotest.test_case "optimizer: adaptive runs bit-identical" `Quick

@@ -1,4 +1,6 @@
-(* Test runner: one alcotest section per module. *)
+(* Test runner: one alcotest section per module; the model's and the
+   checkpoint record's sealed-file corruption cases run in the sections of
+   the modules that own those formats. *)
 
 let () =
   Alcotest.run "ljqo"
@@ -50,11 +52,12 @@ let () =
       ("report", Test_report.suite);
       ("integration", Test_integration.suite);
       ("stress", Test_stress.suite);
-      ("harness", Test_harness.suite);
+      ("harness", Test_harness.suite @ Test_sealed.harness_cases);
       ("obs", Test_obs.suite);
       ("jsonv", Test_jsonv.suite);
+      ("sealed", Test_sealed.suite);
       ("service", Test_service.suite);
       ("server", Test_server.suite);
-      ("learn", Test_learn.suite);
+      ("learn", Test_learn.suite @ Test_sealed.learn_cases);
       ("feedback", Test_feedback.suite);
     ]

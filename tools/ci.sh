@@ -13,6 +13,13 @@ if grep -rnE '^[[:space:]]*(let|and|val)(\[@[^]]*\])?[[:space:]]+(rec[[:space:]]
   exit 1
 fi
 
+# One codec for sealed files: float bit patterns are spelled and parsed only
+# in lib/obs/sealed.ml, which the checkpoint, model and calibration share.
+if grep -rnE '%Lx|Int64\.float_of_bits' lib | grep -vE '^lib/obs/sealed\.mli?:'; then
+  echo "lib/ encodes float bits outside Ljqo_obs.Sealed; use the codec" >&2
+  exit 1
+fi
+
 dune build @all
 OCAMLRUNPARAM=b dune runtest
 dune build @chaos
