@@ -29,7 +29,7 @@ let run ?kappa ~(scale : Ljqo_harness.Driver.scale) ~seed ~csv_dir () =
   let model = (module Ljqo_cost.Memory_model : Ljqo_cost.Cost_model.S) in
   let averages =
     Ljqo_harness.Driver.heuristic_state_experiment ?kappa ~seed ~workload ~model ~tfactors ~states
-      ~labels ()
+      ()
   in
   let table =
     Ljqo_report.Table.create

@@ -279,28 +279,32 @@ let () =
   List.iter
     (fun exp ->
       let t0 = Sys.time () in
-      (match exp with
-      | "table1" -> Exp_table1.run ?kappa ~scale ~seed ~csv_dir ()
-      | "table2" -> Exp_table2.run ?kappa ~scale ~seed ~csv_dir ()
-      | "table3" ->
-        Exp_table3.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
-      | "fig4" ->
-        Exp_fig4.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
-      | "fig5" ->
-        Exp_fig5.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
-      | "fig6" ->
-        Exp_fig6.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
-      | "fig7" ->
-        Exp_fig7.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
-      | "ablation" ->
-        Exp_ablation.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
-      | "optgap" -> Exp_optgap.run ?kappa ~scale ~seed ~csv_dir ()
-      | "space" -> Exp_space.run ?kappa ~scale ~seed ~csv_dir ()
-      | "bushy" -> Exp_bushy.run ?kappa ~scale ~seed ~csv_dir ()
-      | "sg88" -> Exp_sg88.run ?kappa ~scale ~seed ~csv_dir ()
-      | "dp" -> Exp_dp.run ?kappa ~scale ~seed ~csv_dir ()
-      | "cache" -> Exp_cache.run ?kappa ~scale ~seed ~csv_dir ()
-      | "micro" -> Micro.run ?quota:o.micro_quota ?out:o.micro_out ()
-      | _ -> assert false);
+      (try
+         match exp with
+         | "table1" -> Exp_table1.run ?kappa ~scale ~seed ~csv_dir ()
+         | "table2" -> Exp_table2.run ?kappa ~scale ~seed ~csv_dir ()
+         | "table3" ->
+           Exp_table3.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
+         | "fig4" ->
+           Exp_fig4.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
+         | "fig5" ->
+           Exp_fig5.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
+         | "fig6" ->
+           Exp_fig6.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
+         | "fig7" ->
+           Exp_fig7.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
+         | "ablation" ->
+           Exp_ablation.run ?kappa ?deadline ?checkpoint ?methods ~scale ~seed ~csv_dir ()
+         | "optgap" -> Exp_optgap.run ?kappa ~scale ~seed ~csv_dir ()
+         | "space" -> Exp_space.run ?kappa ~scale ~seed ~csv_dir ()
+         | "bushy" -> Exp_bushy.run ?kappa ~scale ~seed ~csv_dir ()
+         | "sg88" -> Exp_sg88.run ?kappa ~scale ~seed ~csv_dir ()
+         | "dp" -> Exp_dp.run ?kappa ~scale ~seed ~csv_dir ()
+         | "cache" -> Exp_cache.run ?kappa ~scale ~seed ~csv_dir ()
+         | "micro" -> Micro.run ?quota:o.micro_quota ?out:o.micro_out ()
+         | _ -> assert false
+       with Ljqo_harness.Checkpoint.Unwritable e ->
+         prerr_endline ("--checkpoint-dir: cannot write " ^ e);
+         exit 2);
       Printf.printf "[%s done in %.1fs]\n\n%!" exp (Sys.time () -. t0))
     o.experiments

@@ -173,11 +173,15 @@ let query_file_arg =
 let workload_dir_arg ~doc =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD_DIR" ~doc)
 
-let load_query path =
-  try Ljqo_qdl.Parser.parse_file path with
-  | Ljqo_qdl.Parser.Error { line; message } ->
-    Printf.eprintf "%s:%d: %s\n" path line message;
+(* An input file that cannot be read or parsed: its "PATH[:LINE]: reason",
+   exit 1. *)
+let ok_or_exit = function
+  | Ok v -> v
+  | Error e ->
+    prerr_endline e;
     exit 1
+
+let load_query path = ok_or_exit (Ljqo_qdl.Parser.parse_file path)
 
 (* --- budget: --t-factor, --kappa ---------------------------------------- *)
 
@@ -717,18 +721,8 @@ let compare_cmd =
 (* --- sql --------------------------------------------------------------- *)
 
 let sql file catalog_file budget method_ model seed execute =
-  let catalog =
-    try Ljqo_sql.Stats_catalog.parse_file catalog_file with
-    | Ljqo_sql.Stats_catalog.Parse_error { line; message } ->
-      Printf.eprintf "%s:%d: %s\n" catalog_file line message;
-      exit 1
-  in
-  let ast =
-    try Ljqo_sql.Sql_parser.parse_file file with
-    | Ljqo_sql.Sql_parser.Error { line; message } ->
-      Printf.eprintf "%s:%d: %s\n" file line message;
-      exit 1
-  in
+  let catalog = ok_or_exit (Ljqo_sql.Stats_catalog.parse_file catalog_file) in
+  let ast = ok_or_exit (Ljqo_sql.Sql_parser.parse_file file) in
   let t =
     try Ljqo_sql.Translate.translate catalog ast with
     | Ljqo_sql.Translate.Error m ->
@@ -1097,8 +1091,7 @@ module Export = Ljqo_obs.Export
 let load_events path =
   match Export.events_of_file path with
   | Ok events -> events
-  | Error (lineno, msg) -> fail_usage "%s:%d: %s" path lineno msg
-  | exception Sys_error e -> fail_usage "%s" e
+  | Error e -> fail_usage "%s" e
 
 let trace_file_arg =
   Arg.(

@@ -102,24 +102,12 @@ let mem i s =
 
 let is_empty s = s.w0 = 0 && s.w1 = 0 && Array.length s.tail = 0
 
-let of_words ~w0 ~w1 = { w0; w1; tail = no_tail }
-
 let word s k =
   if k = 0 then s.w0
   else if k = 1 then s.w1
   else
     let j = k - inline_words in
     if j < Array.length s.tail then Array.unsafe_get s.tail j else 0
-
-let of_word_array ws =
-  let len = Array.length ws in
-  let w0 = if len > 0 then ws.(0) else 0 in
-  let w1 = if len > 1 then ws.(1) else 0 in
-  let tail =
-    if len <= inline_words then no_tail
-    else trim (Array.sub ws inline_words (len - inline_words))
-  in
-  { w0; w1; tail }
 
 let union a b =
   let la = Array.length a.tail and lb = Array.length b.tail in
@@ -317,7 +305,3 @@ let min_elt s =
 let to_list s = List.rev (fold (fun i acc -> i :: acc) s [])
 
 let of_list l = List.fold_left (fun acc i -> add i acc) empty l
-
-let pp ppf s =
-  Format.fprintf ppf "{%s}"
-    (String.concat " " (List.map string_of_int (to_list s)))

@@ -54,20 +54,6 @@ val mem : int -> t -> bool
 val is_empty : t -> bool
 val cardinal : t -> int
 
-val of_words : w0:int -> w1:int -> t
-(** Reassemble an inline (ids [< inline_size]) set from raw words — the
-    inverse of reading the [w0]/[w1] fields.  Any two machine words form a
-    valid set, so this cannot break the representation.  It exists for hot
-    loops that track a running prefix as two local ints (allocation-free)
-    and only box it up at the point a [t]-taking function is called. *)
-
-val of_word_array : int array -> t
-(** The width-aware analogue of {!of_words}: word [k] of the array is bits
-    [63k .. 63k + 62], i.e. exactly the scratch layout wide hot loops track
-    ([words_needed] words, id [i] at bit [i mod 63] of word [i / 63]).  The
-    array is copied and canonicalized; any length (including [0]) is
-    valid. *)
-
 val word : t -> int -> int
 (** [word s k] is the set's [k]-th 63-bit word ([0] beyond its width) —
     [word s 0 = s.w0], [word s 1 = s.w1], the rest from the tail. *)
@@ -116,5 +102,3 @@ val to_list : t -> int list
 (** Ascending. *)
 
 val of_list : int list -> t
-
-val pp : Format.formatter -> t -> unit

@@ -13,25 +13,6 @@ let of_counts ~lo ~hi ~counts =
     counts;
   { lo; hi; counts; total = Array.fold_left ( + ) 0 counts }
 
-let of_samples ?(bins = 32) samples =
-  let n = Array.length samples in
-  if n = 0 then invalid_arg "Histogram.of_samples: empty sample";
-  if bins < 1 then invalid_arg "Histogram.of_samples: bins < 1";
-  let lo = Array.fold_left Float.min samples.(0) samples in
-  let hi = Array.fold_left Float.max samples.(0) samples in
-  if lo = hi then { lo; hi = lo +. 1.0; counts = [| n |]; total = n }
-  else begin
-    let counts = Array.make bins 0 in
-    let width = (hi -. lo) /. float_of_int bins in
-    Array.iter
-      (fun v ->
-        let b = int_of_float ((v -. lo) /. width) in
-        let b = if b >= bins then bins - 1 else b in
-        counts.(b) <- counts.(b) + 1)
-      samples;
-    { lo; hi; counts; total = n }
-  end
-
 let total t = t.total
 
 let bins t = Array.length t.counts
@@ -58,10 +39,6 @@ let selectivity_lt t c =
 
 let selectivity_ge t c = 1.0 -. selectivity_lt t c
 
-let selectivity_between t lo_c hi_c =
-  if hi_c <= lo_c then 0.0
-  else Float.max 0.0 (selectivity_lt t hi_c -. selectivity_lt t lo_c)
-
 let selectivity_eq t ~distinct c =
   if t.total = 0 || c < t.lo || c >= t.hi then 0.0
   else begin
@@ -74,7 +51,3 @@ let selectivity_eq t ~distinct c =
     in
     bucket_mass /. distinct_per_bucket
   end
-
-let pp ppf t =
-  Format.fprintf ppf "histogram [%g, %g) n=%d:" t.lo t.hi t.total;
-  Array.iter (fun c -> Format.fprintf ppf " %d" c) t.counts

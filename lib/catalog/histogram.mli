@@ -3,16 +3,12 @@
     The paper draws selection selectivities from a fixed list (with
     System R's classic 1/3 ≈ 0.34 dominating); a real optimizer derives
     them from column statistics.  This module provides the standard
-    equi-width histogram: build one from a sample of column values, then
-    estimate the selectivity of comparison predicates with intra-bucket
-    linear interpolation.  Used by the SQL front end when a column declares
+    equi-width histogram: build one from per-bucket counts, then estimate
+    the selectivity of comparison predicates with intra-bucket linear
+    interpolation.  Used by the SQL front end when a column declares
     a histogram, and directly testable against synthetic data. *)
 
 type t
-
-val of_samples : ?bins:int -> float array -> t
-(** Build from a non-empty sample (default 32 bins).  Degenerate samples
-    (all values equal) yield a single-bucket histogram. *)
 
 val of_counts : lo:float -> hi:float -> counts:int array -> t
 (** Explicit construction: [counts.(i)] values in bucket [i] of the
@@ -33,12 +29,7 @@ val selectivity_lt : t -> float -> float
 val selectivity_ge : t -> float -> float
 (** [1 - selectivity_lt]. *)
 
-val selectivity_between : t -> float -> float -> float
-(** Fraction in [lo_c, hi_c); 0 when [hi_c <= lo_c]. *)
-
 val selectivity_eq : t -> distinct:int -> float -> float
 (** Fraction equal to the constant: the containing bucket's mass divided by
     the expected distinct values per bucket ([distinct] spread uniformly);
     0 outside the range. *)
-
-val pp : Format.formatter -> t -> unit

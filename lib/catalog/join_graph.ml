@@ -231,10 +231,3 @@ let spanning_tree g ~weight =
     end
   done;
   make ~n:g.n !chosen
-
-let pp ppf g =
-  Format.fprintf ppf "graph(n=%d) {" g.n;
-  List.iter
-    (fun e -> Format.fprintf ppf " %d-%d:%.2g" e.u e.v e.selectivity)
-    (edges g);
-  Format.fprintf ppf " }"

@@ -88,5 +88,3 @@ val spanning_tree : t -> weight:(edge -> float) -> t
     selectivities. *)
 
 val fold_edges : (edge -> 'a -> 'a) -> t -> 'a -> 'a
-
-val pp : Format.formatter -> t -> unit

@@ -38,17 +38,6 @@ let distinct_counts q = q.distincts
 
 let degree q i = Join_graph.degree q.graph i
 
-let selectivity_product q ~prefix j =
-  List.fold_left
-    (fun acc i ->
-      match Join_graph.selectivity q.graph i j with
-      | Some s -> acc *. s
-      | None -> acc)
-    1.0 prefix
-
-let joins_with_any q ~prefix j =
-  List.exists (fun i -> Join_graph.are_joined q.graph i j) prefix
-
 let is_connected q = Join_graph.is_connected q.graph
 
 let total_base_tuples q = Array.fold_left ( +. ) 0.0 q.cards
@@ -88,10 +77,3 @@ let induced q rels =
       q.graph []
   in
   (make ~relations ~graph:(Join_graph.make ~n:k edges), old_ids)
-
-let pp ppf q =
-  Format.fprintf ppf "@[<v>query with %d relations, %d joins@,%a@,%a@]"
-    (n_relations q) (n_joins q)
-    (Format.pp_print_list Relation.pp)
-    (Array.to_list q.relations)
-    Join_graph.pp q.graph

@@ -39,14 +39,6 @@ val distinct_counts : t -> float array
 val degree : t -> int -> int
 (** Degree in the join graph. *)
 
-val selectivity_product : t -> prefix:int list -> int -> float
-(** [selectivity_product q ~prefix j] is the product of the selectivities of
-    all edges between [j] and the relations of [prefix]; [1.0] when none.
-    This is the effective join selectivity when relation [j] joins the
-    intermediate result over [prefix]. *)
-
-val joins_with_any : t -> prefix:int list -> int -> bool
-
 val is_connected : t -> bool
 
 val total_base_tuples : t -> float
@@ -57,5 +49,3 @@ val induced : t -> int list -> t * int array
     preserved, relations renumbered [0 .. k-1] in the order given) together
     with the map from new ids back to the original ids.  Used to optimize the
     components of a disconnected query separately. *)
-
-val pp : Format.formatter -> t -> unit

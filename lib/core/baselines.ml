@@ -6,7 +6,7 @@ let random_sampling ev rng =
   in
   loop ()
 
-let perturbation_walk ?(mix = Move.default_mix) ev rng =
+let perturbation_walk ev rng =
   let rec one_walk () =
     let start = Random_plan.generate_charged ev rng in
     let state = Search_state.init ev start in
@@ -16,7 +16,7 @@ let perturbation_walk ?(mix = Move.default_mix) ev rng =
       let nb = Neighborhood.create state in
       let steps = 8 * n * n in
       for _ = 1 to steps do
-        let move = Move.random ~mix rng ~n in
+        let move = Move.random rng ~n in
         match Neighborhood.consider nb move with
         | None -> ()
         | Some _ ->
@@ -29,16 +29,10 @@ let perturbation_walk ?(mix = Move.default_mix) ev rng =
   in
   one_walk ()
 
-type steepest_params = {
-  batch : int;
-  patience_batches : int;
-  mix : Move.mix;
-}
-
-let default_steepest_params =
-  { batch = 8; patience_batches = 0 (* resolved per query *); mix = Move.default_mix }
-
-let steepest_descent ?(params = default_steepest_params) ev rng =
+(* Steepest-descent II: each step samples 8 neighbours and takes the best
+   improving one; [n] consecutive batches without an improving neighbour
+   end a descent. *)
+let steepest_descent ev rng =
   let rec one_descent () =
     let start = Random_plan.generate_charged ev rng in
     let state = Search_state.init ev start in
@@ -46,16 +40,13 @@ let steepest_descent ?(params = default_steepest_params) ev rng =
     if n < 2 then ()
     else begin
       let nb = Neighborhood.create state in
-      let patience =
-        if params.patience_batches > 0 then params.patience_batches else n
-      in
       let failures = ref 0 in
-      while !failures < patience do
+      while !failures < n do
         (* Sample a batch of neighbours, remember the best improving one. *)
         let before = Search_state.cost state in
         let best_move = ref None in
-        for _ = 1 to params.batch do
-          let move = Move.random ~mix:params.mix rng ~n in
+        for _ = 1 to 8 do
+          let move = Move.random rng ~n in
           match Neighborhood.consider nb move with
           | None -> ()
           | Some total ->

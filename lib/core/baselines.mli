@@ -10,34 +10,14 @@
       best — the quality floor any search must clear;
     - {b perturbation walk}: a random walk through the move graph that
       accepts every valid move and remembers the best state visited —
-      measures how much II's accept-only-improvements rule actually buys;
-    - {b steepest-descent II}: like II but each step samples a batch of
+      measures how much II's accept-only-improvements rule actually buys.
+      It restarts from a fresh random state every [8 * n^2] steps to avoid
+      drifting forever in a bad region;
+    - {b steepest-descent II}: like II but each step samples a batch of 8
       neighbours and takes the best improving one — a classic variant that
-      trades more evaluations per step for better steps. *)
-
-val random_sampling : Evaluator.t -> Ljqo_stats.Rng.t -> unit
-(** Evaluate fresh random valid states until the budget is exhausted or the
-    evaluator converges. *)
-
-val perturbation_walk :
-  ?mix:Move.mix -> Evaluator.t -> Ljqo_stats.Rng.t -> unit
-(** Random walk from a random start; every valid move is taken; the
-    evaluator's incumbent tracks the best state visited.  Restarts from a
-    fresh random state every [8 * n^2] steps to avoid drifting forever in a
-    bad region. *)
-
-type steepest_params = {
-  batch : int;  (** neighbours sampled per step; default 8 *)
-  patience_batches : int;  (** consecutive improving-free batches before a
-                               local minimum is declared; default [n] *)
-  mix : Move.mix;
-}
-
-val default_steepest_params : steepest_params
-
-val steepest_descent :
-  ?params:steepest_params -> Evaluator.t -> Ljqo_stats.Rng.t -> unit
-(** Multi-start steepest-descent II from random states. *)
+      trades more evaluations per step for better steps.  A descent ends
+      after [n] batches without an improving neighbour, then restarts from
+      a random state. *)
 
 type t = Random_sampling | Perturbation_walk | Steepest_descent
 

@@ -10,12 +10,6 @@ let rec relations = function
 
 let rec n_leaves = function Leaf _ -> 1 | Join (l, r) -> n_leaves l + n_leaves r
 
-let of_permutation perm =
-  match Array.to_list perm with
-  | [] -> invalid_arg "Bushy.of_permutation: empty permutation"
-  | first :: rest ->
-    List.fold_left (fun acc r -> Join (acc, Leaf r)) (Leaf first) rest
-
 let rec is_linear = function
   | Leaf _ -> true
   | Join (l, Leaf _) -> is_linear l
@@ -171,22 +165,20 @@ let random_move rng tree =
     in
     go tree
 
-let improve ?max_steps ?patience model query rng ~start =
-  let n = Query.n_relations query in
-  let patience = match patience with Some p -> p | None -> 8 * n in
-  let max_steps = match max_steps with Some m -> m | None -> max_int in
+(* Iterative improvement over the bushy space from [start]; stops after
+   [8 * n] consecutive non-improving valid samples. *)
+let improve model query rng ~start =
+  let patience = 8 * Query.n_relations query in
   let current = ref start in
   let current_cost = ref (cost model query start) in
   let failures = ref 0 in
-  let steps = ref 0 in
-  while !failures < patience && !steps < max_steps do
+  while !failures < patience do
     let candidate = random_move rng !current in
     if candidate != !current && is_valid query candidate then begin
       let c = cost model query candidate in
       if c < !current_cost then begin
         current := candidate;
         current_cost := c;
-        incr steps;
         failures := 0
       end
       else incr failures
@@ -214,10 +206,3 @@ let to_string query tree =
     | Join (l, r) -> "(" ^ go l ^ " " ^ go r ^ ")"
   in
   go tree
-
-let pp ppf tree =
-  let rec go ppf = function
-    | Leaf r -> Format.fprintf ppf "%d" r
-    | Join (l, r) -> Format.fprintf ppf "(%a %a)" go l go r
-  in
-  go ppf tree

@@ -24,9 +24,6 @@ val relations : t -> int list
 
 val n_leaves : t -> int
 
-val of_permutation : Plan.t -> t
-(** The left-deep tree of a permutation. *)
-
 val is_linear : t -> bool
 (** Every join's right child is a leaf. *)
 
@@ -49,18 +46,6 @@ val random_move : Ljqo_stats.Rng.t -> t -> t
     exchange two subtrees.  The result may be invalid (cross product);
     callers filter with [is_valid]. *)
 
-val improve :
-  ?max_steps:int ->
-  ?patience:int ->
-  Ljqo_cost.Cost_model.t ->
-  Ljqo_catalog.Query.t ->
-  Ljqo_stats.Rng.t ->
-  start:t ->
-  t * float
-(** Iterative improvement over the bushy space from [start]; stops after
-    [patience] consecutive non-improving valid samples (default [8 * n]) or
-    [max_steps] accepted moves. *)
-
 val optimize :
   ?restarts:int ->
   Ljqo_cost.Cost_model.t ->
@@ -68,10 +53,9 @@ val optimize :
   seed:int ->
   t * float
 (** Multi-start bushy II (default 10 restarts); the bushy baseline used by
-    the linear-vs-bushy experiment. *)
+    the linear-vs-bushy experiment.  Each restart improves a {!random} tree
+    drawn from [Rng.create seed] until [8 * n] consecutive valid samples
+    fail to improve it. *)
 
 val to_string : Ljqo_catalog.Query.t -> t -> string
 (** E.g. [((A B) (C D))]. *)
-
-val pp : Format.formatter -> t -> unit
-(** Structure with leaf ids. *)

@@ -38,18 +38,15 @@ type result = {
   subsets_explored : int;
 }
 
-val default_max_relations : int
-(** 25. *)
-
 val optimize :
   ?max_relations:int ->
   ?jobs:int ->
   Ljqo_cost.Cost_model.t ->
   Ljqo_catalog.Query.t ->
   result
-(** Connected queries only; [max_relations] defaults to
-    {!default_max_relations} (beyond that the table may no longer fit in
-    reasonable memory for dense graphs — which is the point; pass a larger
-    cap explicitly to go further, e.g. for sparse chains).  [jobs] defaults
-    to the configured {!Ljqo_stats.Parallel.default_jobs}; the result does
-    not depend on it.  Raises [Too_large] or [Invalid_argument]. *)
+(** Connected queries only; [max_relations] defaults to 25 (beyond that
+    the table may no longer fit in reasonable memory for dense graphs —
+    which is the point; pass a larger cap explicitly to go further, e.g.
+    for sparse chains).  [jobs] defaults to the configured
+    {!Ljqo_stats.Parallel.default_jobs}; the result does not depend on it.
+    Raises [Too_large] or [Invalid_argument]. *)

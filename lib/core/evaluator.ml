@@ -39,7 +39,6 @@ let create ?(epsilon = 0.01) ?(checkpoints = []) ?deadline ?clock ?calibration
 let query t = t.query
 let model t = t.model
 let calibration t = t.calibration
-let n_relations t = Query.n_relations t.query
 let lower_bound t = t.lower_bound
 let epsilon t = t.epsilon
 

@@ -39,7 +39,6 @@ val create :
 val query : t -> Ljqo_catalog.Query.t
 val model : t -> Ljqo_cost.Cost_model.t
 val calibration : t -> Ljqo_cost.Plan_cost.calibration option
-val n_relations : t -> int
 val lower_bound : t -> float
 
 val epsilon : t -> float

@@ -10,9 +10,9 @@ type result = {
   pruned : int;
 }
 
-let default_max_relations = 16
+let max_relations = 16
 
-let optimize ?(max_relations = default_max_relations) ?seed_plan model query =
+let optimize model query =
   let n = Query.n_relations query in
   if n = 0 then invalid_arg "Exhaustive.optimize: empty query";
   if not (Query.is_connected query) then
@@ -20,12 +20,6 @@ let optimize ?(max_relations = default_max_relations) ?seed_plan model query =
   if n > max_relations then raise (Too_large { n; max_relations });
   let best_cost = ref infinity in
   let best_plan = ref None in
-  (match seed_plan with
-  | Some p when Plan.is_valid query p ->
-    best_cost := Plan_cost.total model query p;
-    best_plan := Some (Array.copy p)
-  | Some _ -> invalid_arg "Exhaustive.optimize: invalid seed plan"
-  | None -> ());
   let perm = Array.make n (-1) in
   (* [max_int] marks unplaced relations: the step kernel treats
      [pos.(r) < depth] as "placed before position depth", and refuses (at no

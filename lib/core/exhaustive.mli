@@ -11,21 +11,14 @@
     output cardinality both depend on the order — so this module enumerates
     the valid permutation space directly, depth-first, pruning a branch as
     soon as its partial cost reaches the incumbent (costs are monotone:
-    every join step adds nonnegative cost).  An optional seed plan (e.g.
-    from IAI) provides a strong initial incumbent.
+    every join step adds nonnegative cost).
 
     Worst-case time is factorial; in practice dense pruning handles 10-14
-    relations in well under a second.  [optimize] refuses queries beyond
-    [max_relations] (default {!default_max_relations}) unless explicitly
-    overridden. *)
+    relations in well under a second.  [optimize] refuses queries of more
+    than 16 relations. *)
 
 exception Too_large of { n : int; max_relations : int }
-(** The query has [n] relations, more than the [max_relations] the call was
-    configured with — the payload carries the configured cap so reports can
-    say which limit was in force, not guess at the default. *)
-
-val default_max_relations : int
-(** 16. *)
+(** The query has [n] relations, more than [max_relations] (16). *)
 
 type result = {
   plan : Plan.t;
@@ -35,14 +28,12 @@ type result = {
 }
 
 val optimize :
-  ?max_relations:int ->
-  ?seed_plan:Plan.t ->
   Ljqo_cost.Cost_model.t ->
   Ljqo_catalog.Query.t ->
   result
 (** Exact optimum over valid permutations (connected queries only; raises
-    [Invalid_argument] on a disconnected join graph, [Too_large] past
-    [max_relations], default {!default_max_relations}). *)
+    [Invalid_argument] on a disconnected join graph, [Too_large] past 16
+    relations). *)
 
 val count_valid_plans : ?limit:int -> Ljqo_catalog.Query.t -> int
 (** Number of valid permutations, counting up to [limit] (default

@@ -9,12 +9,6 @@ let weighting_index = function
   | W_intermediate_size -> 4
   | W_rank -> 5
 
-let weighting_of_index = function
-  | 3 -> W_selectivity
-  | 4 -> W_intermediate_size
-  | 5 -> W_rank
-  | i -> invalid_arg ("Kbz.weighting_of_index: " ^ string_of_int i)
-
 let default_weighting = W_selectivity
 
 (* Directed edge weight from inside-vertex [i] to frontier vertex [j]. *)

@@ -31,8 +31,6 @@ val all_weightings : weighting list
 val weighting_index : weighting -> int
 (** 3, 4 or 5, the paper's criterion numbers. *)
 
-val weighting_of_index : int -> weighting
-
 val default_weighting : weighting
 (** [W_selectivity], the Table 2 winner. *)
 

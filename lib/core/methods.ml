@@ -181,5 +181,3 @@ let run ?(config = default_config) ?start method_ ev rng =
      harness can record the run as timed-out. *)
   try run_inner config ?start method_ ev rng with
   | Budget.Exhausted | Evaluator.Converged | Budget.Deadline_exceeded -> ()
-
-let pp ppf m = Format.pp_print_string ppf (name m)

@@ -76,5 +76,3 @@ val run :
     any other start state, the SA methods anneal from it, and AGI/KBI record
     it as the incumbent before their heuristic sweep.  Must be valid for the
     evaluator's query; [Invalid_argument] otherwise (checked eagerly). *)
-
-val pp : Format.formatter -> t -> unit

@@ -81,7 +81,6 @@ let inverse perm =
   Array.iteri (fun i r -> pos.(r) <- i) perm;
   pos
 
-let identity n = Array.init n (fun i -> i)
 
 let concat perms = Array.concat perms
 
@@ -91,5 +90,3 @@ let to_string perm =
   "("
   ^ String.concat " " (Array.to_list (Array.map string_of_int perm))
   ^ ")"
-
-let pp ppf perm = Format.pp_print_string ppf (to_string perm)

@@ -22,8 +22,6 @@ val is_valid : Ljqo_catalog.Query.t -> t -> bool
 val inverse : t -> int array
 (** [pos] array with [pos.(perm.(i)) = i]. *)
 
-val identity : int -> t
-
 val concat : t list -> t
 (** Concatenate component permutations (already expressed in the full query's
     relation ids) into one plan; later components are joined by cross
@@ -33,5 +31,3 @@ val equal : t -> t -> bool
 
 val to_string : t -> string
 (** E.g. ["(3 0 2 1)"], the paper's permutation notation. *)
-
-val pp : Format.formatter -> t -> unit

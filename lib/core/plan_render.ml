@@ -72,21 +72,3 @@ let render_plan ?(model = default_model) query plan =
   match root with
   | Some n -> to_string n
   | None -> invalid_arg "Plan_render.render_plan: empty plan"
-
-let render_bushy ?(model = default_model) query tree =
-  let rec go t =
-    match t with
-    | Bushy.Leaf r -> (leaf query r, 0.0)
-    | Bushy.Join (_, _) ->
-      let e = Bushy.eval model query t in
-      (match t with
-      | Bushy.Join (l, r) ->
-        let ln, _ = go l and rn, _ = go r in
-        ( {
-            label = join_label ~card:e.Bushy.card ~cost:e.Bushy.cost;
-            children = [ ln; rn ];
-          },
-          e.Bushy.cost )
-      | Bushy.Leaf _ -> assert false)
-  in
-  to_string (fst (go tree))

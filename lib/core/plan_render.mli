@@ -21,9 +21,3 @@ val render_plan :
     per-step sizes (and costs when [model] is given; sizes alone use the
     memory model). *)
 
-val render_bushy :
-  ?model:Ljqo_cost.Cost_model.t ->
-  Ljqo_catalog.Query.t ->
-  Bushy.t ->
-  string
-(** Same for a general join tree. *)

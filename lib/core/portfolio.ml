@@ -18,8 +18,6 @@ module Obs = Ljqo_obs.Obs
 
 type leg = II | SA | Two_phase
 
-let leg_name = function II -> "II" | SA -> "SA" | Two_phase -> "2PO"
-
 let leg_of_name s =
   match String.uppercase_ascii s with
   | "II" -> Some II

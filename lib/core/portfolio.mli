@@ -24,11 +24,8 @@
 
 type leg = II | SA | Two_phase
 
-val leg_name : leg -> string
-(** ["II"], ["SA"], ["2PO"]. *)
-
 val leg_of_name : string -> leg option
-(** Case-insensitive inverse of {!leg_name}. *)
+(** ["II"], ["SA"] or ["2PO"], case-insensitive. *)
 
 type params = { width : int; rounds : int; legs : leg list }
 (** [width] replicates per round, [rounds] barrier-synchronized rounds,

@@ -7,8 +7,7 @@ type t = {
   minima_costs : float array;
 }
 
-let sample ?(n_samples = 200) ?(n_descents = 20) ?(descent_ticks = 200_000) ~seed
-    model query =
+let sample ?(n_samples = 200) ?(n_descents = 20) ~seed model query =
   if n_samples < 1 then invalid_arg "Space_stats.sample: n_samples < 1";
   let rng = Rng.create seed in
   let plans =
@@ -17,7 +16,7 @@ let sample ?(n_samples = 200) ?(n_descents = 20) ?(descent_ticks = 200_000) ~see
   let random_costs = Array.map (fun p -> Plan_cost.total model query p) plans in
   let minima = ref [] in
   for k = 0 to min n_descents n_samples - 1 do
-    let ev = Evaluator.create ~query ~model ~ticks:descent_ticks () in
+    let ev = Evaluator.create ~query ~model ~ticks:200_000 () in
     (try
        let st = Search_state.init ev plans.(k) in
        Iterative_improvement.descend st (Rng.split rng)

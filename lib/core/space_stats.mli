@@ -18,14 +18,13 @@ type t = {
 val sample :
   ?n_samples:int ->
   ?n_descents:int ->
-  ?descent_ticks:int ->
   seed:int ->
   Ljqo_cost.Cost_model.t ->
   Ljqo_catalog.Query.t ->
   t
 (** [n_samples] random valid plans (default 200) and [n_descents] II
-    descents from the first samples (default 20, each budgeted
-    [descent_ticks], default 200_000).  Connected queries only. *)
+    descents from the first samples (default 20, each budgeted 200_000
+    ticks).  Connected queries only. *)
 
 type summary = {
   minimum : float;

@@ -43,11 +43,6 @@ end) : Cost_model.S = struct
   let output_cost ~card = p.io_cost *. pages p card
 end
 
-let make params : Cost_model.t =
-  (module Make (struct
-    let params = params
-  end))
-
 include Make (struct
   let params = default_params
 end)

@@ -28,7 +28,5 @@ val pages : params -> float -> float
 (** [pages p card] is the page count of a relation with [card] tuples,
     at least 1. *)
 
-val make : params -> Cost_model.t
-
 include Cost_model.S
 (** The model with [default_params]. *)

@@ -33,8 +33,6 @@ type params = {
   c_output : float;
 }
 
-val default_params : params
-
 val cost : ?params:params -> t -> Cost_model.join_input -> float
 (** Cost of executing the step with the given method.  Nested loops accepts
     any input; hash and sort-merge require an equality predicate and return
@@ -46,8 +44,6 @@ val cheapest : ?params:params -> Cost_model.join_input -> t * float
 (** The cheapest applicable method for this step. *)
 
 module Adaptive_memory : Cost_model.S
-
-val make_adaptive : params -> Cost_model.t
 
 val annotate :
   ?params:params ->

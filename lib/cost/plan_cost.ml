@@ -32,7 +32,7 @@ let card_ceiling = 1e120
    values).  A NaN or infinite step cost is pessimized to the ceiling, a
    negative one floored at zero, so every search method always sees finite,
    totally ordered costs and terminates with a valid plan even under fault
-   injection (see Chaos). *)
+   injection (the chaos suite wraps models to check this). *)
 let cost_ceiling = 1e150
 
 (* Both clamps are written as plain compares: for a constant, non-NaN bound

@@ -13,24 +13,6 @@ let guard x = Float.min raw_ceiling (Float.max raw_floor x)
 
 let displayed raw = Float.min raw_ceiling (Float.max 1.0 raw)
 
-let raw_set_cardinality query members =
-  let in_set = Hashtbl.create 16 in
-  List.iter (fun r -> Hashtbl.replace in_set r ()) members;
-  let cards =
-    List.fold_left (fun acc r -> acc *. Query.cardinality query r) 1.0 members
-  in
-  let sels =
-    Join_graph.fold_edges
-      (fun e acc ->
-        if Hashtbl.mem in_set e.Join_graph.u && Hashtbl.mem in_set e.Join_graph.v
-        then acc *. e.Join_graph.selectivity
-        else acc)
-      (Query.graph query) 1.0
-  in
-  guard (cards *. sels)
-
-let set_cardinality query members = displayed (raw_set_cardinality query members)
-
 let raw_extend query ~raw ~members r =
   let sel =
     List.fold_left
@@ -39,9 +21,6 @@ let raw_extend query ~raw ~members r =
       (Join_graph.neighbors (Query.graph query) r)
   in
   guard (raw *. Query.cardinality query r *. sel)
-
-let extend_cardinality query ~card ~members r =
-  displayed (raw_extend query ~raw:card ~members r)
 
 (* Mask twins of [raw_extend]/[step_cost]: membership is a bitset test
    instead of [List.mem], and neighbors come from the cached parallel

@@ -11,22 +11,6 @@
     exists as the DP substrate and as the comparison point for measuring
     what clamping changes. *)
 
-val set_cardinality : Ljqo_catalog.Query.t -> int list -> float
-(** Estimated size of the join of a set of relations (1 at minimum, capped
-    like {!Plan_cost}). *)
-
-val extend_cardinality :
-  Ljqo_catalog.Query.t -> card:float -> members:int list -> int -> float
-(** [extend_cardinality q ~card ~members r]: the size after joining
-    relation [r] into an intermediate of (raw) size [card] over set
-    [members] (only edges between [r] and [members] apply).
-
-    Sizes are propagated as *raw* products, without the one-tuple floor the
-    clamped estimator applies per step: flooring mid-plan would make the
-    running value depend on where the product dips below one, destroying
-    the set-determinism DP needs.  Floors apply only where a size feeds a
-    cost formula or is displayed. *)
-
 val step_cost :
   Cost_model.t ->
   Ljqo_catalog.Query.t ->
@@ -36,12 +20,6 @@ val step_cost :
   float * float
 (** [(cost, raw_output_card)] of joining relation [r] next, under the given
     cost model; [outer_card] is the raw running product. *)
-
-val raw_extend_mask :
-  Ljqo_catalog.Query.t -> raw:float -> mask:Ljqo_catalog.Bitset.t -> int -> float
-(** [raw_extend] with the member set as a bitset; bit-identical result
-    (same ascending edge-visit order).  The neighbor masks backing it are
-    always present. *)
 
 val step_cost_mask :
   Cost_model.t ->

@@ -35,8 +35,3 @@ let relation t = t.relation
 let cardinality t = t.card
 
 let column t ~other = List.assoc other t.columns
-
-let distinct_count t ~other =
-  let seen = Hashtbl.create 64 in
-  Array.iter (fun v -> Hashtbl.replace seen v ()) (column t ~other);
-  Hashtbl.length seen

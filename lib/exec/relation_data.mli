@@ -13,9 +13,6 @@
 
 type t
 
-val generate : Ljqo_catalog.Query.t -> rel:int -> rng:Ljqo_stats.Rng.t -> t
-(** Tuple count is the effective (post-selection) cardinality, rounded. *)
-
 val of_columns : relation:int -> card:int -> columns:(int * int array) list -> t
 (** Build from explicit per-edge columns (each of length [card >= 1]);
     used by {!Pipeline} after executing selections for real.  Raises
@@ -31,6 +28,3 @@ val cardinality : t -> int
 val column : t -> other:int -> int array
 (** [column data ~other] is the column of values for the edge joining this
     relation with relation [other].  Raises [Not_found] if no such edge. *)
-
-val distinct_count : t -> other:int -> int
-(** Distinct values actually present in that column. *)

@@ -20,7 +20,7 @@
     v}
 
     Names are single [[A-Za-z0-9._-]] tokens and none repeats; a factor
-    outside [[factor_floor, factor_ceiling]] refuses to load, so a corrupt
+    outside [[1e-3, factor_ceiling]] refuses to load, so a corrupt
     or hand-edited file can never push the estimator past what the fit
     itself could produce. *)
 
@@ -28,12 +28,9 @@ type t = { entries : (string * float) list }
 (** Catalog (benchmark-variation) name -> per-edge selectivity correction
     factor, in file order. *)
 
-val factor_floor : float
-(** [1e-3] — fitted factors are clamped into [[factor_floor,
-    factor_ceiling]]; anything outside means a degenerate fit. *)
-
 val factor_ceiling : float
-(** [1e3]. *)
+(** [1e3] — fitted factors are clamped into [[1e-3, factor_ceiling]];
+    anything outside means a degenerate fit. *)
 
 val fit_samples : Feedback.sample list -> float option
 (** The through-origin least-squares factor over samples with at least one

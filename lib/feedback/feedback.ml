@@ -165,9 +165,6 @@ let measure ?calibration ~model query ~data obs =
     m_truncated_at = obs.truncated_at;
   }
 
-let execute ?max_rows ~model query ~data plan =
-  measure ~model query ~data (observe ?max_rows query ~data plan)
-
 (* ------------------------------------------------------------------ *)
 (* Workload runs: one benchmark variation end to end.                  *)
 

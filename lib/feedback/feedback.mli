@@ -46,9 +46,6 @@ type measurement = {
   m_truncated_at : int option;  (** copied from the observation *)
 }
 
-val qerror : est:float -> act:float -> float
-(** {!Ljqo_cost.Plan_cost.qerror}, re-exported. *)
-
 val milli : float -> int
 (** The histogram encoding: [q * 1000], truncated ([q = 1] records as
     1000), saturating far above any meaningful q-error. *)
@@ -80,19 +77,6 @@ val measure :
     per-depth q-error into the [feedback.qerror.d*] histogram family and —
     for complete executions — the cost q-ratio into [feedback.cost_ratio].
     Safe to call from any domain. *)
-
-val execute :
-  ?max_rows:int ->
-  model:Ljqo_cost.Cost_model.t ->
-  Ljqo_catalog.Query.t ->
-  data:Ljqo_exec.Relation_data.t array ->
-  Ljqo_core.Plan.t ->
-  measurement
-(** [observe] then [measure]. *)
-
-val cumulative_edges : Ljqo_catalog.Query.t -> Ljqo_core.Plan.t -> int array
-(** [cumulative_edges q plan].(i)] is the number of join-graph edges with
-    both endpoints inside [plan]'s length-[i+1] prefix; index 0 is 0. *)
 
 (** {1 Workload runs} *)
 
@@ -140,9 +124,6 @@ module Summary : sig
     mean : float;  (** arithmetic mean q-error over all samples *)
     depths : depth_stat list;  (** non-empty bands only, in depth order *)
   }
-
-  val quantile : float array -> float -> float
-  (** Nearest-rank quantile of a sorted array; NaN when empty. *)
 
   val of_runs : run list -> t
 end

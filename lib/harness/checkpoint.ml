@@ -99,8 +99,13 @@ let record_line index { timeouts; out } =
         (fun row -> List.map Sealed.float (Array.to_list row))
         (Array.to_list out))
 
+exception Unwritable of string
+
 let open_store ~path ~fingerprint ~resume () =
-  Ljqo_obs.Obs.mkdir_p (Filename.dirname path);
+  (* Proven writable before anything is loaded or truncated. *)
+  (match Ljqo_obs.Obs.probe_writable ~dir:false path with
+  | Ok () -> ()
+  | Error e -> raise (Unwritable e));
   let loaded = Hashtbl.create 64 in
   let usable =
     resume && Sys.file_exists path && load_into loaded ~path ~fingerprint
@@ -128,8 +133,6 @@ let open_store ~path ~fingerprint ~resume () =
   install_flush_handlers ();
   open_stores := t :: !open_stores;
   t
-
-let path t = t.path
 
 let completed t index = Hashtbl.find_opt t.loaded index
 

@@ -31,14 +31,17 @@ type record = {
 
 type t
 
-val open_store : path:string -> fingerprint:string -> resume:bool -> unit -> t
-(** Creates parent directories as needed.  With [resume], an existing file
-    whose header matches [fingerprint] has its records loaded (malformed —
-    e.g. torn — lines are skipped with a warning) and is appended to;
-    otherwise the file is started fresh.  Also installs (once) a SIGINT
-    handler and [at_exit] hook flushing all open stores. *)
+exception Unwritable of string
+(** Raised by {!open_store} when the file cannot be written; the payload is
+    the [Sys_error] message, which names the path. *)
 
-val path : t -> string
+val open_store : path:string -> fingerprint:string -> resume:bool -> unit -> t
+(** Creates parent directories as needed, and raises {!Unwritable} before
+    reading anything if the file cannot be written.  With [resume], an
+    existing file whose header matches [fingerprint] has its records loaded
+    (malformed — e.g. torn — lines are skipped with a warning) and is
+    appended to; otherwise the file is started fresh.  Also installs (once)
+    a SIGINT handler and [at_exit] hook flushing all open stores. *)
 
 val completed : t -> int -> record option
 (** The stored record for a query index, if it was loaded at [open_store]. *)
@@ -47,9 +50,6 @@ val record : t -> index:int -> record -> unit
 (** Append one completed query's record and flush.  Thread-safe. *)
 
 val close : t -> unit
-
-val flush_all : unit -> unit
-(** Flush every open store (what the SIGINT handler runs). *)
 
 (** {1 Wire format} — exposed for corruption tests. *)
 

@@ -230,8 +230,7 @@ let reference_best ?kappa ~model ~seed (entry : Workload.entry) =
     [ (100, Methods.II); (101, Methods.IAI); (102, Methods.AGI) ]
 
 let heuristic_state_experiment ?kappa ?(seed = 1) ~workload ~model ~tfactors ~states
-    ~labels () =
-  ignore labels;
+    () =
   let tfactors = List.sort_uniq compare tfactors in
   let n_factors = List.length tfactors in
   let n_sources = List.length states in
@@ -319,7 +318,7 @@ let outcome_table ~title outcome =
     outcome.methods;
   table
 
-let outcome_chart ~title ?(x_label = "time limit (multiples of N^2)") outcome =
+let outcome_chart ~title outcome =
   let series =
     List.mapi
       (fun mi m ->
@@ -332,4 +331,4 @@ let outcome_chart ~title ?(x_label = "time limit (multiples of N^2)") outcome =
   in
   Ljqo_report.Chart.render
     ~title:(outcome_title ~title outcome)
-    ~x_label ~y_label:"avg scaled cost" series
+    ~x_label:"time limit (multiples of N^2)" ~y_label:"avg scaled cost" series

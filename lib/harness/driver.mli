@@ -80,7 +80,6 @@ val heuristic_state_experiment :
   model:Ljqo_cost.Cost_model.t ->
   tfactors:float list ->
   states:(Ljqo_catalog.Query.t -> charge:(int -> unit) -> Plan_source.t) list ->
-  labels:string list ->
   unit ->
   float array array
 (** For Tables 1 and 2: each "method" is a pure heuristic described as a
@@ -94,5 +93,4 @@ val outcome_table :
 (** When queries were dropped, the title is annotated with the crash and
     timeout counts. *)
 
-val outcome_chart :
-  title:string -> ?x_label:string -> outcome -> string
+val outcome_chart : title:string -> outcome -> string

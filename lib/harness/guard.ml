@@ -29,8 +29,6 @@ let run ~query_id f =
     Log.err (fun m -> m "query %d crashed: %s" query_id exn);
     Crashed { query_id; exn; backtrace }
 
-let completed = function Completed v -> Some v | Crashed _ | Timed_out _ -> None
-
 let pp_failure ppf { query_id; exn; backtrace } =
   Format.fprintf ppf "query %d: %s" query_id exn;
   if backtrace <> "" then Format.fprintf ppf "@,%s" (String.trim backtrace)

@@ -18,8 +18,6 @@ val run : query_id:int -> (unit -> 'a) -> 'a t
 (** Never raises (short of asynchronous exceptions re-raised by the captured
     function's cleanup). *)
 
-val completed : 'a t -> 'a option
-
 val pp_failure : Format.formatter -> failure -> unit
 
 val describe : 'a t -> string

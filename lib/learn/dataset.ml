@@ -38,55 +38,6 @@ let to_json_line s =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let of_json_line line =
-  let ( let* ) = Result.bind in
-  let* j = Jsonv.parse line in
-  let field name =
-    match Jsonv.member name j with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let num name =
-    let* v = field name in
-    match v with
-    | Jsonv.Num f when Float.is_finite f -> Ok f
-    | _ -> Error (Printf.sprintf "field %S is not a finite number" name)
-  in
-  let* features = field "features" in
-  let* features =
-    match features with
-    | Jsonv.List vs ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | Jsonv.Num f :: tl when Float.is_finite f -> go (f :: acc) tl
-        | _ -> Error "field \"features\" has a non-numeric entry"
-      in
-      let* fs = go [] vs in
-      let arr = Array.of_list fs in
-      if Array.length arr <> Features.dim then
-        Error
-          (Printf.sprintf "feature width %d, expected %d" (Array.length arr)
-             Features.dim)
-      else Ok arr
-    | _ -> Error "field \"features\" is not a list"
-  in
-  let* route = field "route" in
-  let* route =
-    match route with
-    | Jsonv.Str s when Methods.of_name s <> None -> Ok s
-    | Jsonv.Str s -> Error (Printf.sprintf "unknown route %S" s)
-    | _ -> Error "field \"route\" is not a string"
-  in
-  let* ticks = num "ticks" in
-  let* ticks =
-    if Float.is_integer ticks && ticks >= 1.0 && ticks <= 1e15 then
-      Ok (int_of_float ticks)
-    else Error "field \"ticks\" is not a positive integer"
-  in
-  let* cost = num "cost" in
-  let* lower_bound = num "lb" in
-  Ok { features; route; ticks; cost; lower_bound }
-
 let save_jsonl ~path samples =
   let oc = open_out path in
   Fun.protect
@@ -97,23 +48,6 @@ let save_jsonl ~path samples =
           output_string oc (to_json_line s);
           output_char oc '\n')
         samples)
-
-let load_jsonl ~path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go lineno acc =
-          match input_line ic with
-          | exception End_of_file -> Ok (List.rev acc)
-          | line -> (
-            match of_json_line line with
-            | Ok s -> go (lineno + 1) (s :: acc)
-            | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
-        in
-        go 1 [])
 
 (* Raw trajectory JSONL — the bench harness's --trajectories output, one
    {"label":..,"points":[[ticks,cost],..]} object per labelled run: the

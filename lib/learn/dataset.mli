@@ -4,9 +4,9 @@
     concrete route that ran (a {!Ljqo_core.Methods} name), the tick budget it
     was given, and the final cost alongside the query's cost lower bound
     (the pair from which the training target — log10 scaled cost — is
-    derived).  Samples come from fresh in-process runs ({!collect}) or
-    from sample JSONL files written by an earlier
-    [ljqo learn train --dump-samples] ({!load_jsonl}). *)
+    derived).  Samples come only from fresh in-process runs ({!collect}).
+    [ljqo learn train --dump-samples] writes them as JSONL ({!save_jsonl});
+    nothing in the repository reads those files back. *)
 
 type sample = {
   features : float array;  (** {!Features.of_query} of the query *)
@@ -30,15 +30,7 @@ val to_json_line : sample -> string
 (** One JSON object, no trailing newline.  Floats use round-trippable
     [%.17g]. *)
 
-val of_json_line : string -> (sample, string) result
-(** Strict: rejects malformed JSON, missing or mistyped fields, and feature
-    vectors whose width differs from {!Features.dim}. *)
-
 val save_jsonl : path:string -> sample list -> unit
-
-val load_jsonl : path:string -> (sample list, string) result
-(** Loads every line; the first bad line fails the whole file (with its
-    line number), matching the strict checkpoint discipline. *)
 
 val save_trajectories :
   path:string -> (string * (int * float) list) list -> unit

@@ -22,10 +22,6 @@ type report = {
       (** how often adaptive chose each route (["fallback"] = declined) *)
 }
 
-val compared : Ljqo_core.Methods.t list
-(** The fixed methods adaptive is compared against:
-    [II; SA; Two_phase; Portfolio] (= {!Model.routes}). *)
-
 val run :
   ?jobs:int ->
   ns:int list ->

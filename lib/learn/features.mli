@@ -15,11 +15,6 @@ val dim : int
 val names : string array
 (** [dim] feature names, for diagnostics and the model-file spec. *)
 
-val coarse_hash : Ljqo_catalog.Query.t -> int
-(** A non-negative structural hash of (relation count, edge count, degree
-    histogram, log-bucketed cardinalities) — deterministic for a fixed
-    compiler, insensitive to relation order within a bucket. *)
-
 val of_query : Ljqo_catalog.Query.t -> float array
 (** The feature vector; every entry is finite.  Raises [Invalid_argument]
     on an empty query (no relations). *)

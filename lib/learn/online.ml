@@ -26,8 +26,6 @@ let create ?(epoch = 32) ?initial () =
 
 let epoch_size t = t.epoch
 
-let initial t = t.initial
-
 let locked t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f

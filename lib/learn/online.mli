@@ -28,8 +28,6 @@ val create : ?epoch:int -> ?initial:Model.t -> unit -> t
 
 val epoch_size : t -> int
 
-val initial : t -> Model.t option
-
 val model : t -> Model.t option
 (** The newest model: the highest trained boundary's, else [initial].  The
     batch service snapshots this at batch start; the server must use

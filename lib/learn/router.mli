@@ -3,17 +3,13 @@
 
     The router evaluates every weighted route at a few budget fractions of
     the caller's tick limit and picks the cheapest predicted log-scaled
-    cost.  Ties (within a small margin) resolve conservatively: prefer the
+    cost.  Ties (within 0.05 log10 units) resolve conservatively: prefer the
     larger budget, then the portfolio — so when the model cannot separate
     the candidates, adaptive degrades to roughly the portfolio at full
     budget rather than gambling on a thin prediction. *)
 
 val fractions : float list
 (** The candidate budget fractions, [\[0.25; 0.5; 1.0\]]. *)
-
-val margin : float
-(** Predictions within [margin] (log10 units, 0.05) of the best are
-    considered tied. *)
 
 val decide :
   Model.t ->

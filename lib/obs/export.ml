@@ -61,13 +61,10 @@ let events_of_string content =
   go 1 [] lines
 
 let events_of_file path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  events_of_string content
+  Result.bind (Sealed.read path) (fun content ->
+      Result.map_error
+        (fun (lineno, msg) -> Printf.sprintf "%s:%d: %s" path lineno msg)
+        (events_of_string content))
 
 let num fields k =
   match List.assoc_opt k fields with Some (Jsonv.Num f) -> Some f | _ -> None

@@ -14,7 +14,9 @@ val events_of_string : string -> (event list, int * string) result
 (** Parse a whole JSONL trace; [Error (lineno, msg)] on the first bad
     line. *)
 
-val events_of_file : string -> (event list, int * string) result
+val events_of_file : string -> (event list, string) result
+(** Read and parse a trace file.  The error is ["PATH: reason"] when the
+    file cannot be read and ["PATH:LINE: message"] on a bad line. *)
 
 val chrome : event list -> string
 (** Chrome trace_event JSON: spans as complete ("X") slices (start derived

@@ -43,9 +43,6 @@ let bucket_lo i =
     let e = (i / sub) - 1 in
     (i mod sub + sub) lsl e
 
-(* Exclusive upper bound of bucket [i]. *)
-let bucket_hi i = if i < sub then i + 1 else bucket_lo (i + 1)
-
 type t = { counts : int array; count : int; sum : int }
 
 let empty = { counts = [||]; count = 0; sum = 0 }
@@ -145,10 +142,3 @@ let nonzero h =
     done;
     !out
   end
-
-let pp ppf h =
-  if h.count = 0 then Format.fprintf ppf "(empty)"
-  else
-    Format.fprintf ppf "n=%d sum=%d mean=%.1f p50=%d p90=%d p99=%d max=%d"
-      h.count h.sum (mean h) (quantile h 0.5) (quantile h 0.9)
-      (quantile h 0.99) (max_value h)

@@ -60,13 +60,9 @@ val index : int -> int
 (** Bucket index of a value (negatives clamp to 0). *)
 
 val bucket_lo : int -> int
-(** Inclusive lower bound of a bucket. *)
-
-val bucket_hi : int -> int
-(** Exclusive upper bound of a bucket. *)
+(** Inclusive lower bound of a bucket; [bucket_lo (i + 1)] is bucket [i]'s
+    exclusive upper bound. *)
 
 val of_cells : counts:int array -> count:int -> sum:int -> t
 (** Build from a dense cell array of length {!n_buckets} (copied); used by
     the snapshot path.  Raises [Invalid_argument] on a wrong length. *)
-
-val pp : Format.formatter -> t -> unit

@@ -34,8 +34,6 @@ let enabled_flag = ref false
 
 let set_enabled b = enabled_flag := b
 
-let enabled () = !enabled_flag
-
 (* ------------------------------------------------------------------ *)
 (* Cell layout.                                                        *)
 
@@ -81,8 +79,6 @@ type counter =
   | Exec_probe_comparisons
   | Feedback_plans_executed
   | Feedback_result_too_large
-  | Service_drift_invalidations
-  | Service_reoptimized
 
 let counter_index = function
   | Cost_evals -> 0
@@ -126,8 +122,6 @@ let counter_index = function
   | Exec_probe_comparisons -> 38
   | Feedback_plans_executed -> 39
   | Feedback_result_too_large -> 40
-  | Service_drift_invalidations -> 41
-  | Service_reoptimized -> 42
 
 let counter_names =
   [|
@@ -172,8 +166,6 @@ let counter_names =
     "exec.probe_comparisons";
     "feedback.plans_executed";
     "feedback.result_too_large";
-    "service.drift_invalidations";
-    "service.reoptimized";
   |]
 
 let n_counters = Array.length counter_names

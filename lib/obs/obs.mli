@@ -28,8 +28,6 @@ val set_enabled : bool -> unit
 (** Turn counter/histogram/timer collection on or off.  Flip only between
     runs. *)
 
-val enabled : unit -> bool
-
 val reset : unit -> unit
 (** Zero all counters, histograms, phase accumulators, trajectories and the
     span ring (trace sampling state too).  Call only when no instrumented
@@ -90,12 +88,6 @@ type counter =
   | Feedback_plans_executed  (** plans executed by the feedback pipeline *)
   | Feedback_result_too_large
       (** feedback executions truncated by the executor's row cap *)
-  | Service_drift_invalidations
-      (** cached plans invalidated because observed cardinalities drifted
-          past the q-error threshold *)
-  | Service_reoptimized
-      (** drift-invalidated queries re-optimized (warm-started from the
-          stale plan) *)
 
 val bump : counter -> unit
 (** Add one.  A no-op (one boolean load) when disabled. *)
@@ -275,12 +267,6 @@ val to_json : snapshot -> string
 val write_metrics : path:string -> unit
 (** Serialize {!snapshot} to [path] (creating parent directories), e.g.
     [results/METRICS_bench.json]. *)
-
-val mkdir_p : string -> unit
-(** Create a directory and its missing parents, as {!trace_to} and
-    {!write_metrics} do for their files; also used by the checkpoint store
-    and the CLI's output-path checks.  Raises [Sys_error] when one cannot be
-    made. *)
 
 val probe_writable : dir:bool -> string -> (unit, string) result
 (** Whether an output file (or directory, with [~dir:true]) can be written,

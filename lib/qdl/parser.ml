@@ -147,14 +147,8 @@ let parse input =
   Query.make ~relations ~graph:(Join_graph.make ~n:(Array.length relations) edges)
 
 let parse_file path =
-  let ic = open_in path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse contents
-
-let relation_names input =
-  let rels, _ = parse_decls input in
-  List.map (fun (r : rel_decl) -> r.name) rels
+  Result.bind (Ljqo_obs.Sealed.read path) (fun contents ->
+      match parse contents with
+      | q -> Ok q
+      | exception Error { line; message } ->
+        Result.error (Printf.sprintf "%s:%d: %s" path line message))

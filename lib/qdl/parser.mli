@@ -30,7 +30,6 @@ val parse : string -> Ljqo_catalog.Query.t
 (** Raises [Error] on syntax or semantic problems (unknown relation,
     duplicate relation names, out-of-range statistics, no relations). *)
 
-val parse_file : string -> Ljqo_catalog.Query.t
-
-val relation_names : string -> string list
-(** The declared relation names in order (parses the input). *)
+val parse_file : string -> (Ljqo_catalog.Query.t, string) result
+(** Read and {!parse} a file.  The error is ["PATH: reason"] when the file
+    cannot be read and ["PATH:LINE: message"] when it does not parse. *)

@@ -24,36 +24,30 @@ type loaded_entry = {
 
 type error = { file : string; line : int; reason : string }
 
-exception Error of error
-
 let error_to_string { file; line; reason } =
   if line > 0 then Printf.sprintf "%s:%d: %s" file line reason
   else Printf.sprintf "%s: %s" file reason
 
-let () =
-  Printexc.register_printer (function
-    | Error e -> Some ("Workload_io.Error: " ^ error_to_string e)
-    | _ -> None)
+(* [Sealed.read]'s error is "PATH: reason"; the record keeps PATH in [file]
+   and only the reason in [reason]. *)
+let read_error path e =
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix e then
+      String.sub e (String.length prefix) (String.length e - String.length prefix)
+    else e
+  in
+  { file = path; line = 0; reason }
 
 let load_result ~dir =
   let path = manifest_path dir in
   let fail ~line reason = Result.error { file = path; line; reason } in
   if not (Sys.file_exists path) then fail ~line:0 "no manifest file"
   else
-    match open_in path with
-    | exception Sys_error msg -> fail ~line:0 msg
-    | ic ->
-      let lines =
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let rec go acc =
-              match input_line ic with
-              | line -> go (line :: acc)
-              | exception End_of_file -> List.rev acc
-            in
-            go [])
-      in
+    match Ljqo_obs.Sealed.read path with
+    | Error e -> Result.error (read_error path e)
+    | Ok contents ->
+      let lines = String.split_on_char '\n' contents in
       let parse_line lineno line =
         let trimmed = String.trim line in
         if trimmed = "" || trimmed.[0] = '#' then Ok None
@@ -63,12 +57,13 @@ let load_result ~dir =
             match (int_of_string_opt n, int_of_string_opt seed) with
             | Some n_joins, Some seed -> (
               let qdl = Filename.concat dir file in
-              match Ljqo_qdl.Parser.parse_file qdl with
-              | query -> Ok (Some { file; n_joins; seed; query })
-              | exception Ljqo_qdl.Parser.Error { line; message } ->
-                Error { file = qdl; line; reason = message }
-              | exception Sys_error msg -> Error { file = qdl; line = 0; reason = msg }
-              )
+              match Ljqo_obs.Sealed.read qdl with
+              | Error e -> Error (read_error qdl e)
+              | Ok text -> (
+                match Ljqo_qdl.Parser.parse text with
+                | query -> Ok (Some { file; n_joins; seed; query })
+                | exception Ljqo_qdl.Parser.Error { line; message } ->
+                  Error { file = qdl; line; reason = message }))
             | _ ->
               Error
                 {
@@ -97,6 +92,3 @@ let load_result ~dir =
           | Error e -> Result.error e)
       in
       go 1 [] lines
-
-let load ~dir =
-  match load_result ~dir with Ok entries -> entries | Error e -> raise (Error e)

@@ -34,17 +34,12 @@ type error = {
     runner can report the exact file and line instead of dying on a bare
     parser exception. *)
 
-exception Error of error
-
 val error_to_string : error -> string
 (** ["file:line: reason"]. *)
 
 val load_result : dir:string -> (loaded_entry list, error) result
 (** Parses the manifest and every referenced QDL file; never raises on
     malformed input. *)
-
-val load : dir:string -> loaded_entry list
-(** [load_result] or raises {!Error}. *)
 
 val manifest_path : string -> string
 (** [dir ^ "/MANIFEST"]. *)

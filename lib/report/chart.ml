@@ -18,8 +18,8 @@ let xml_escape s =
 let svg_palette =
   [| "#1f77b4"; "#d62728"; "#2ca02c"; "#9467bd"; "#ff7f0e"; "#8c564b"; "#17becf" |]
 
-let render_svg ?(width = 640) ?(height = 400) ?(x_label = "x") ?(y_label = "y")
-    ~title series_list =
+let render_svg ?(x_label = "x") ?(y_label = "y") ~title series_list =
+  let width = 640 and height = 400 in
   let b = Buffer.create 4096 in
   let pr fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pr
@@ -96,8 +96,8 @@ let render_svg ?(width = 640) ?(height = 400) ?(x_label = "x") ?(y_label = "y")
   pr "</svg>\n";
   Buffer.contents b
 
-let render ?(width = 64) ?(height = 20) ?(x_label = "x") ?(y_label = "y") ~title
-    series_list =
+let render ?(x_label = "x") ?(y_label = "y") ~title series_list =
+  let width = 64 and height = 20 in
   let all_points = List.concat_map (fun s -> s.points) series_list in
   match all_points with
   | [] -> title ^ "\n(no data)\n"

@@ -9,25 +9,21 @@
 type series = { name : string; points : (float * float) list }
 
 val render :
-  ?width:int ->
-  ?height:int ->
   ?x_label:string ->
   ?y_label:string ->
   title:string ->
   series list ->
   string
-(** Width and height are the plot-area size in characters (defaults 64x20).
+(** The plot area is 64x20 characters.
     Series are labelled [a], [b], ... in a legend; overlapping points show
     the later series' letter. *)
 
 val render_svg :
-  ?width:int ->
-  ?height:int ->
   ?x_label:string ->
   ?y_label:string ->
   title:string ->
   series list ->
   string
-(** The same chart as standalone SVG (default 640x400 px): one polyline plus
+(** The same chart as standalone SVG (640x400 px): one polyline plus
     point markers per series, axes with extreme-value tick labels, and a
     legend.  Output is deterministic for a given input; no external assets. *)

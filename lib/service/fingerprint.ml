@@ -290,6 +290,3 @@ let of_canonical t cplan =
         invalid_arg "Fingerprint.of_canonical: canonical position out of range";
       t.canon.(p))
     cplan
-
-let pp ppf t =
-  Format.fprintf ppf "fingerprint{n=%d exact=%s coarse=%s}" t.n t.exact t.coarse

@@ -76,5 +76,3 @@ val of_canonical : t -> int array -> Ljqo_core.Plan.t
     same exact key.  Raises [Invalid_argument] on a length mismatch or an
     out-of-range position.  The result is a permutation whenever the input
     was one; validity on the target join graph is the caller's check. *)
-
-val pp : Format.formatter -> t -> unit

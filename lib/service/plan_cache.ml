@@ -181,29 +181,6 @@ let put t ~exact ~coarse entry =
     with_lock cs.c_lock (fun () -> Hashtbl.replace cs.c_table coarse exact)
   end
 
-let remove t key =
-  let s = shard_of t key in
-  let removed =
-    with_lock s.lock (fun () ->
-        match Hashtbl.find_opt s.table key with
-        | None -> None
-        | Some node ->
-          Hashtbl.remove s.table key;
-          Some node.coarse)
-  in
-  (* As in eviction, the coarse index is cleaned outside the exact-shard
-     lock — at most one lock held — and only if it still points at this
-     exact key (a later put may have re-bound the coarse slot). *)
-  match removed with
-  | None -> false
-  | Some coarse ->
-    let cs = coarse_shard_of t coarse in
-    with_lock cs.c_lock (fun () ->
-        match Hashtbl.find_opt cs.c_table coarse with
-        | Some e when e = key -> Hashtbl.remove cs.c_table coarse
-        | _ -> ());
-    true
-
 let stats t =
   {
     hits = Atomic.get t.n_hits;

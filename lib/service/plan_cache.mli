@@ -83,9 +83,4 @@ val put : t -> exact:string -> coarse:string -> entry -> unit
     promote it, index it under [coarse], and evict the shard's LRU entry
     when over capacity. *)
 
-val remove : t -> string -> bool
-(** Delete the entry under this exact key (drift invalidation), cleaning the
-    coarse index if it still points at it; [false] if the key was absent.
-    Holds at most one shard lock at a time, like every other operation. *)
-
 val stats : t -> stats

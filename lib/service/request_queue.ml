@@ -63,6 +63,4 @@ let close t =
 
 let length t = with_lock t (fun () -> Queue.length t.items)
 
-let capacity t = t.capacity
-
 let max_depth t = with_lock t (fun () -> t.max_depth)

@@ -33,8 +33,6 @@ val close : 'a t -> unit
 
 val length : 'a t -> int
 
-val capacity : 'a t -> int
-
 val max_depth : 'a t -> int
 (** Highest [length] ever observed after a push; never exceeds
     [capacity]. *)

@@ -220,8 +220,6 @@ let start t =
   end;
   Mutex.unlock t.life_mutex
 
-let config t = t.cfg
-
 let cache t = Service.cache t.service
 
 type submit_result = Accepted of int | Shed of Admission.reason

@@ -96,8 +96,6 @@ val create :
 val start : t -> unit
 (** Spawn the worker domains; idempotent, and a no-op after {!drain}. *)
 
-val config : t -> config
-
 val cache : t -> Plan_cache.t
 
 type submit_result = Accepted of int | Shed of Admission.reason

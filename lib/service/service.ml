@@ -64,8 +64,6 @@ let create ?cache ?(cache_capacity = 1024) ?learn config =
   in
   { config; cache; learn }
 
-let config t = t.config
-
 let cache t = t.cache
 
 let learn t = t.learn
@@ -292,8 +290,6 @@ let serve_batch ?jobs t queries =
         done);
     Array.map Option.get served
 
-let serve t query = (serve_batch t [| query |]).(0)
-
 type direct = {
   d_fingerprint : Fingerprint.t;
   d_plan : Plan.t;
@@ -392,95 +388,3 @@ let serve_direct ?deadline ?learn_id t query =
       Plan_cache.touch t.cache exact;
       finish (Option.get (instantiate query fp e)) 0 Exact_hit false
     | `Coarse _ | `Miss -> optimize_cold ()
-
-(* ------------------------------------------------------------------ *)
-(* Drift handling: execution feedback against a cached plan.           *)
-
-type drift_outcome =
-  | No_entry
-  | Within_threshold of float
-  | Reoptimized of {
-      stale_plan : Plan.t;
-      qerror : float;
-      plan : Plan.t;
-      cost : float;
-      ticks_used : int;
-    }
-
-let default_drift_threshold = 4.0
-
-(* Worst per-depth q-error between the cached plan's estimated intermediate
-   cardinalities and the observed ones.  [actual_cards] is aligned with
-   [Executor.cardinalities] (index 0 = first relation); a shorter array —
-   a truncated execution — compares only the depths it covers. *)
-let worst_qerror est_cards actual_cards =
-  let n = min (Array.length est_cards) (Array.length actual_cards) in
-  let worst = ref 1.0 in
-  for i = 0 to n - 1 do
-    let q =
-      Ljqo_cost.Plan_cost.qerror ~est:est_cards.(i) ~act:actual_cards.(i)
-    in
-    if q > !worst then worst := q
-  done;
-  !worst
-
-let observe_drift ?(threshold = default_drift_threshold) t query ~actual_cards =
-  if not (threshold >= 1.0) then
-    invalid_arg "Service.observe_drift: threshold must be >= 1";
-  let fp = Fingerprint.compute query in
-  let exact = Fingerprint.exact_key fp in
-  let model = t.config.model in
-  match Plan_cache.find_exact t.cache exact with
-  | None -> No_entry
-  | Some e -> (
-    match instantiate query fp e with
-    | None -> No_entry
-    | Some stale_plan ->
-      let est = Ljqo_cost.Plan_cost.eval model query stale_plan in
-      let q = worst_qerror est.cards actual_cards in
-      if q <= threshold then Within_threshold q
-      else begin
-        (* Past the threshold: the cached plan was optimized against
-           assumptions execution has falsified.  Drop the exact entry, then
-           re-optimize warm-started from the stale plan — it is still a
-           valid plan for this query and usually a good neighborhood. *)
-        ignore (Plan_cache.remove t.cache exact);
-        Obs.bump Obs.Service_drift_invalidations;
-        Obs.trace "drift_invalidate"
-          [
-            ("exact", Obs.S exact);
-            ("qerror", Obs.F q);
-            ("threshold", Obs.F threshold);
-          ];
-        let method_, ticks, res =
-          Router.resolve (snapshot_now t) t.config.method_ query
-            ~ticks:(ticks_for t query)
-        in
-        Router.bump method_ res;
-        let r =
-          Optimizer.optimize ~config:t.config.methods_config ~start:stale_plan
-            ~method_ ~model ~ticks ~seed:(seed_for t exact) query
-        in
-        Obs.bump Obs.Service_reoptimized;
-        Obs.trace "drift_reoptimize"
-          [
-            ("exact", Obs.S exact);
-            ("ticks", Obs.I r.ticks_used);
-            ("cost", Obs.F r.cost);
-          ];
-        if Query.is_connected query then
-          Plan_cache.put t.cache ~exact ~coarse:(Fingerprint.coarse_key fp)
-            {
-              Plan_cache.cplan = Fingerprint.to_canonical fp r.plan;
-              cost = Ljqo_cost.Plan_cost.total model query r.plan;
-              ticks = r.ticks_used;
-            };
-        Reoptimized
-          {
-            stale_plan;
-            qerror = q;
-            plan = r.plan;
-            cost = Ljqo_cost.Plan_cost.total model query r.plan;
-            ticks_used = r.ticks_used;
-          }
-      end)

@@ -87,8 +87,6 @@ val create :
     ([Invalid_argument]) — adaptive routing needs a model to consult, even
     if only an empty online state that starts on the portfolio fallback. *)
 
-val config : t -> config
-
 val cache : t -> Plan_cache.t
 
 val learn : t -> Ljqo_learn.Online.t option
@@ -97,9 +95,6 @@ val serve_batch : ?jobs:int -> t -> Ljqo_catalog.Query.t array -> served array
 (** Serve a batch; results in request order.  [jobs] defaults to
     [Ljqo_stats.Parallel.default_jobs ()] and is a pure speed knob (see the
     determinism contract above). *)
-
-val serve : t -> Ljqo_catalog.Query.t -> served
-(** A single-query batch. *)
 
 type direct = {
   d_fingerprint : Fingerprint.t;
@@ -142,51 +137,3 @@ val serve_direct :
 
 val source_name : source -> string
 (** ["exact-hit" | "warm-start" | "cold" | "deduped"]. *)
-
-(** {1 Drift handling}
-
-    Execution feedback closing the loop on the cache: when a served plan is
-    actually executed (see [Ljqo_feedback]), the observed intermediate
-    cardinalities can falsify the estimates the cached plan was optimized
-    under.  {!observe_drift} compares them and, past a q-error threshold,
-    invalidates the exact cache entry and re-optimizes warm-started from the
-    stale plan — the measured adaptivity story the coarse-key cache design
-    was built for. *)
-
-type drift_outcome =
-  | No_entry
-      (** nothing cached under this query's exact key (or the entry does not
-          instantiate to a valid plan here) *)
-  | Within_threshold of float
-      (** the cached plan's worst per-depth q-error, [<=] the threshold; the
-          entry is left untouched *)
-  | Reoptimized of {
-      stale_plan : Ljqo_core.Plan.t;  (** the invalidated plan *)
-      qerror : float;  (** worst per-depth q-error that triggered this *)
-      plan : Ljqo_core.Plan.t;  (** the re-optimized plan *)
-      cost : float;  (** its cost on this query under the service model *)
-      ticks_used : int;
-    }
-
-val default_drift_threshold : float
-(** [4.0] — a cached plan survives until some intermediate is off by 4x. *)
-
-val observe_drift :
-  ?threshold:float ->
-  t ->
-  Ljqo_catalog.Query.t ->
-  actual_cards:float array ->
-  drift_outcome
-(** [observe_drift t q ~actual_cards] compares the cached plan's estimated
-    intermediate cardinalities ({!Ljqo_cost.Plan_cost.eval}) against the
-    observed ones, aligned as in [Executor.cardinalities] (index 0 = first
-    relation's cardinality; a shorter array — a truncated execution —
-    compares only the depths it covers).  Past [threshold] (default
-    {!default_drift_threshold}; must be [>= 1], else [Invalid_argument]) the
-    exact entry is removed ([service.drift_invalidations]), the query is
-    re-optimized warm-started from the stale plan with its usual
-    per-exact-key seed ([service.reoptimized]), and the fresh result is
-    admitted back.  Both transitions emit trace events
-    ([drift_invalidate] / [drift_reoptimize]).  The outcome is a pure
-    function of (query bytes, actual cards, cache entry, service seed) —
-    counters stay bit-identical across job counts. *)

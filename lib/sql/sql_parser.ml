@@ -122,10 +122,8 @@ let parse input =
   with Sql_lexer.Error { line; message } -> raise (Error { line; message })
 
 let parse_file path =
-  let ic = open_in path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse contents
+  Result.bind (Ljqo_obs.Sealed.read path) (fun contents ->
+      match parse contents with
+      | ast -> Ok ast
+      | exception Error { line; message } ->
+        Result.error (Printf.sprintf "%s:%d: %s" path line message))

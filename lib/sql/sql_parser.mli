@@ -20,4 +20,6 @@ exception Error of { line : int; message : string }
 
 val parse : string -> Ast.select
 
-val parse_file : string -> Ast.select
+val parse_file : string -> (Ast.select, string) result
+(** Read and {!parse} a file.  The error is ["PATH: reason"] when the file
+    cannot be read and ["PATH:LINE: message"] when it does not parse. *)

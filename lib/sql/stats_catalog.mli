@@ -35,8 +35,6 @@ val add_column : t -> table:string -> column:string -> ?range:float * float ->
 (** Raises [Invalid_argument] on unknown table, duplicate column, or
     [distinct < 1]. *)
 
-val add_histogram : t -> table:string -> column:string -> Ljqo_catalog.Histogram.t -> t
-
 val find_table : t -> string -> table_stats option
 (** Case-insensitive. *)
 
@@ -46,4 +44,6 @@ exception Parse_error of { line : int; message : string }
 
 val parse : string -> t
 
-val parse_file : string -> t
+val parse_file : string -> (t, string) result
+(** Read and {!parse} a file.  The error is ["PATH: reason"] when the file
+    cannot be read and ["PATH:LINE: message"] when it does not parse. *)

@@ -12,14 +12,6 @@ let float_range lo hi =
   if lo >= hi then invalid_arg "Dist.float_range: empty range";
   fun rng -> lo +. Rng.float rng (hi -. lo)
 
-let log_uniform_int lo hi =
-  if lo < 1 || lo >= hi then invalid_arg "Dist.log_uniform_int: bad range";
-  let llo = log (float_of_int lo) and lhi = log (float_of_int hi) in
-  fun rng ->
-    let x = exp (llo +. Rng.float rng (lhi -. llo)) in
-    let v = int_of_float x in
-    if v < lo then lo else if v >= hi then hi - 1 else v
-
 let mixture components =
   match components with
   | [] -> invalid_arg "Dist.mixture: no components"
@@ -45,12 +37,3 @@ let of_list values =
     fun rng -> Rng.choose rng a
 
 let map f d rng = f (d rng)
-
-let pair da db rng =
-  let a = da rng in
-  let b = db rng in
-  (a, b)
-
-let list_of n d rng =
-  let len = n rng in
-  List.init len (fun _ -> d rng)

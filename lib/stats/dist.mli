@@ -19,11 +19,6 @@ val int_range : int -> int -> int t
 val float_range : float -> float -> float t
 (** Uniform on [lo, hi). *)
 
-val log_uniform_int : int -> int -> int t
-(** [log_uniform_int lo hi] draws uniformly on a log scale over [lo, hi).
-    Models "cardinality in [10,10000)" ranges where each decade should be
-    roughly equally likely within a mixture component. *)
-
 val mixture : (float * 'a t) list -> 'a t
 (** [mixture [(w1, d1); ...]] samples [di] with probability [wi / sum w]. *)
 
@@ -32,8 +27,3 @@ val of_list : 'a list -> 'a t
     weight, as in the paper's selectivity list). *)
 
 val map : ('a -> 'b) -> 'a t -> 'b t
-
-val pair : 'a t -> 'b t -> ('a * 'b) t
-
-val list_of : int t -> 'a t -> 'a list t
-(** [list_of n d] draws a length from [n] then that many samples of [d]. *)

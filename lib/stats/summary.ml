@@ -14,8 +14,6 @@ let variance a =
     let ss = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 a in
     ss /. float_of_int (n - 1)
 
-let stddev a = sqrt (variance a)
-
 let sorted_copy a =
   let b = Array.copy a in
   Array.sort compare b;
@@ -59,22 +57,3 @@ let geometric_mean a =
       0.0 a
   in
   exp (s /. float_of_int (Array.length a))
-
-type running = { mutable n : int; mutable m : float; mutable m2 : float }
-
-let running_create () = { n = 0; m = 0.0; m2 = 0.0 }
-
-let running_add r x =
-  r.n <- r.n + 1;
-  let delta = x -. r.m in
-  r.m <- r.m +. (delta /. float_of_int r.n);
-  r.m2 <- r.m2 +. (delta *. (x -. r.m))
-
-let running_count r = r.n
-
-let running_mean r =
-  if r.n = 0 then invalid_arg "Summary.running_mean: no samples";
-  r.m
-
-let running_stddev r =
-  if r.n < 2 then 0.0 else sqrt (r.m2 /. float_of_int (r.n - 1))

@@ -9,8 +9,6 @@ val mean : float array -> float
 val variance : float array -> float
 (** Sample (n-1) variance; 0 for singleton input. *)
 
-val stddev : float array -> float
-
 val median : float array -> float
 (** Does not mutate its argument. *)
 
@@ -22,12 +20,3 @@ val min_max : float array -> float * float
 
 val geometric_mean : float array -> float
 (** Requires all-positive samples. *)
-
-type running
-(** Online mean/variance accumulator (Welford). *)
-
-val running_create : unit -> running
-val running_add : running -> float -> unit
-val running_count : running -> int
-val running_mean : running -> float
-val running_stddev : running -> float

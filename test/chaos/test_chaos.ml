@@ -1,7 +1,7 @@
 (* Chaos suite: every optimization method must terminate with a valid,
    finitely-priced plan when the cost model misbehaves.
 
-   Ljqo_cost.Chaos.wrap injects seeded NaN / infinity / zero / overflowed
+   Chaos.wrap injects seeded NaN / infinity / zero / overflowed
    costs into a fraction of all estimator calls; the clamping in
    Ljqo_cost.Plan_cost is the containment wall under test.  The workload is
    the seeded N=30 slice of the paper's benchmark, so a regression here is a
@@ -20,13 +20,13 @@ let ticks = 25_000
 
 let test_faults_are_input_determined () =
   let inputs = [ 1.0; 2.5; 100.0 ] in
-  let d1 = Ljqo_cost.Chaos.decide ~seed:1 ~rate:0.5 inputs in
-  let d2 = Ljqo_cost.Chaos.decide ~seed:1 ~rate:0.5 inputs in
+  let d1 = Chaos.decide ~seed:1 ~rate:0.5 inputs in
+  let d2 = Chaos.decide ~seed:1 ~rate:0.5 inputs in
   Alcotest.(check bool) "same inputs, same fault" true (d1 = d2);
   (* the decision really is seeded: some seed disagrees with seed 1 *)
   let disagrees =
     List.exists
-      (fun s -> Ljqo_cost.Chaos.decide ~seed:s ~rate:0.5 inputs <> d1)
+      (fun s -> Chaos.decide ~seed:s ~rate:0.5 inputs <> d1)
       [ 2; 3; 4; 5; 6; 7; 8 ]
   in
   Alcotest.(check bool) "seed changes the fault pattern" true disagrees
@@ -35,7 +35,7 @@ let test_fault_rate_roughly_honoured () =
   let trials = 2000 in
   let faulted = ref 0 in
   for i = 1 to trials do
-    match Ljqo_cost.Chaos.decide ~seed:2 ~rate:0.25 [ float_of_int i ] with
+    match Chaos.decide ~seed:2 ~rate:0.25 [ float_of_int i ] with
     | Some _ -> incr faulted
     | None -> ()
   done;
@@ -47,7 +47,7 @@ let test_fault_rate_roughly_honoured () =
 
 let test_all_methods_survive_chaos () =
   let w = workload () in
-  let chaotic = Ljqo_cost.Chaos.wrap ~seed:chaos_seed base_model in
+  let chaotic = Chaos.wrap ~seed:chaos_seed base_model in
   let failures = ref [] in
   Array.iter
     (fun (e : Workload.entry) ->
@@ -91,7 +91,7 @@ let test_server_guard_isolates_crashes () =
   let w = Workload.make ~ns:[ 10 ] ~per_n:10 ~seed:9 Benchmark.default in
   let queries = Array.map (fun (e : Workload.entry) -> e.query) w.entries in
   let raising =
-    Ljqo_cost.Chaos.wrap_raising ~rate:3e-4 ~seed:chaos_seed base_model
+    Chaos.wrap_raising ~rate:3e-4 ~seed:chaos_seed base_model
   in
   let module Obs = Ljqo_obs.Obs in
   let module Server = Ljqo_service.Server in
@@ -162,7 +162,7 @@ let test_server_guard_isolates_crashes () =
 
 let test_chaos_runs_reproducible () =
   let q = (workload ()).Workload.entries.(0).query in
-  let chaotic = Ljqo_cost.Chaos.wrap ~seed:chaos_seed base_model in
+  let chaotic = Chaos.wrap ~seed:chaos_seed base_model in
   let run () =
     (Optimizer.optimize ~method_:Methods.IAI ~model:chaotic ~ticks ~seed:5 q)
       .cost

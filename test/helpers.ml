@@ -138,3 +138,14 @@ let qcheck_case ?(count = 100) ~name prop arb =
 
 let valid_random_plan query seed =
   Ljqo_core.Random_plan.generate (Ljqo_stats.Rng.create seed) query
+
+(* The plan [0; 1; ...; n - 1]. *)
+let identity_plan n = Array.init n (fun i -> i)
+
+(* A single-query batch. *)
+let serve service q = (Ljqo_service.Service.serve_batch service [| q |]).(0)
+
+(* Execute [plan] on [data], then measure it against the estimates. *)
+let execute ?max_rows ~model q ~data plan =
+  Ljqo_feedback.Feedback.(
+    measure ~model q ~data (observe ?max_rows q ~data plan))

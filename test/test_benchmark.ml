@@ -15,7 +15,7 @@ let test_identity_permutation_valid () =
   for seed = 1 to 20 do
     let q = gen seed in
     Alcotest.(check bool) "identity valid" true
-      (Ljqo_core.Plan.is_valid q (Ljqo_core.Plan.identity (Query.n_relations q)))
+      (Ljqo_core.Plan.is_valid q (Helpers.identity_plan (Query.n_relations q)))
   done
 
 let test_default_cardinality_range () =

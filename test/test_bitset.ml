@@ -136,24 +136,6 @@ let prop_canonical =
       && Hashtbl.hash direct = Hashtbl.hash via_detour)
     arb_ids
 
-let prop_of_words =
-  prop "of_words inverts the word fields on inline sets"
-    (fun l ->
-      let s = Bitset.of_list (List.filter (fun i -> i < Bitset.inline_size) l) in
-      Bitset.equal s (Bitset.of_words ~w0:s.Bitset.w0 ~w1:s.Bitset.w1))
-    arb_ids
-
-let prop_word_array_roundtrip =
-  prop "of_word_array/word roundtrip at any width"
-    (fun l ->
-      let s = Bitset.of_list l in
-      let nw = Bitset.words_needed (List.fold_left max 0 l + 1) in
-      let arr = Array.init nw (Bitset.word s) in
-      Bitset.equal s (Bitset.of_word_array arr)
-      (* and words beyond the width read as zero *)
-      && Bitset.word s (nw + 3) = 0)
-    arb_ids
-
 let prop_intersects_words =
   prop "intersects_words agrees with intersects"
     (fun (a, b) ->
@@ -240,7 +222,5 @@ let suite =
     prop_compare_order;
     prop_compare_inline_stable;
     prop_canonical;
-    prop_of_words;
-    prop_word_array_roundtrip;
     prop_intersects_words;
   ]

@@ -2,12 +2,12 @@ open Ljqo_core.Bushy
 
 let mem = Helpers.memory_model
 
-let test_of_permutation () =
-  let t = of_permutation [| 2; 0; 1 |] in
-  Alcotest.(check bool) "shape" true (t = Join (Join (Leaf 2, Leaf 0), Leaf 1));
-  Alcotest.(check (list int)) "relations" [ 2; 0; 1 ] (relations t);
-  Alcotest.(check int) "leaves" 3 (n_leaves t);
-  Alcotest.(check bool) "linear" true (is_linear t)
+(* The left-deep tree of a permutation. *)
+let left_deep perm =
+  match Array.to_list perm with
+  | [] -> invalid_arg "left_deep: empty permutation"
+  | first :: rest ->
+    List.fold_left (fun acc r -> Join (acc, Leaf r)) (Leaf first) rest
 
 let test_is_linear () =
   let bushy = Join (Join (Leaf 0, Leaf 1), Join (Leaf 2, Leaf 3)) in
@@ -16,7 +16,7 @@ let test_is_linear () =
 let test_is_valid () =
   let q = Helpers.chain3 () in
   Alcotest.(check bool) "left-deep valid" true
-    (is_valid q (of_permutation [| 0; 1; 2 |]));
+    (is_valid q (left_deep [| 0; 1; 2 |]));
   Alcotest.(check bool) "cross product invalid" false
     (is_valid q (Join (Join (Leaf 0, Leaf 2), Leaf 1)));
   Alcotest.(check bool) "missing relation invalid" false
@@ -30,7 +30,7 @@ let test_linear_cost_close_to_plan_cost () =
      inner-distinct refinement. *)
   let q = Helpers.chain3 () in
   let linear = Ljqo_cost.Plan_cost.eval mem q [| 0; 1; 2 |] in
-  let bushy = eval mem q (of_permutation [| 0; 1; 2 |]) in
+  let bushy = eval mem q (left_deep [| 0; 1; 2 |]) in
   Helpers.check_approx ~rel:1e-9 "same result size" linear.cards.(2) bushy.card;
   Alcotest.(check bool) "costs within 2x" true
     (bushy.cost < linear.total *. 2.0 && bushy.cost > linear.total /. 2.0)
@@ -69,11 +69,11 @@ let test_moves_preserve_leaves () =
   done
 
 let test_improve_monotone () =
+  (* One restart is one improvement run from the tree [random] draws first
+     from [Rng.create seed]. *)
   let q = Helpers.random_query ~n_joins:8 905 in
-  let rng = Ljqo_stats.Rng.create 906 in
-  let start = random rng q in
-  let start_cost = cost mem q start in
-  let t, c = improve mem q rng ~start in
+  let start_cost = cost mem q (random (Ljqo_stats.Rng.create 906) q) in
+  let t, c = optimize ~restarts:1 mem q ~seed:906 in
   Alcotest.(check bool) "improve never worsens" true (c <= start_cost +. 1e-9);
   Helpers.check_approx "returned cost matches tree" (cost mem q t) c;
   Alcotest.(check bool) "result valid" true (is_valid q t)
@@ -89,7 +89,7 @@ let test_optimize_beats_median_random () =
 let test_to_string () =
   let q = Helpers.chain3 () in
   Alcotest.(check string) "rendering" "((A B) C)"
-    (to_string q (of_permutation [| 0; 1; 2 |]))
+    (to_string q (left_deep [| 0; 1; 2 |]))
 
 let prop_moves_preserve_validity_of_leafset =
   Helpers.qcheck_case ~count:30 ~name:"move results are permutations of the leaves"
@@ -103,7 +103,6 @@ let prop_moves_preserve_validity_of_leafset =
 
 let suite =
   [
-    Alcotest.test_case "of_permutation" `Quick test_of_permutation;
     Alcotest.test_case "is_linear" `Quick test_is_linear;
     Alcotest.test_case "is_valid" `Quick test_is_valid;
     Alcotest.test_case "linear cost close to plan cost" `Quick

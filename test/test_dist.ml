@@ -29,26 +29,6 @@ let test_float_range_bounds () =
     if v < 0.25 || v >= 0.75 then Alcotest.fail "float_range out of bounds"
   done
 
-let test_log_uniform_bounds () =
-  let d = Dist.log_uniform_int 10 10000 in
-  let r = rng () in
-  for _ = 1 to 1000 do
-    let v = Dist.sample d r in
-    if v < 10 || v >= 10000 then Alcotest.fail "log_uniform out of bounds"
-  done
-
-let test_log_uniform_decades () =
-  (* Each decade of [10, 10000) should get roughly a third of the mass. *)
-  let d = Dist.log_uniform_int 10 10000 in
-  let r = rng () in
-  let n = 30_000 in
-  let low = ref 0 in
-  for _ = 1 to n do
-    if Dist.sample d r < 100 then incr low
-  done;
-  let frac = float_of_int !low /. float_of_int n in
-  if frac < 0.28 || frac > 0.38 then Alcotest.failf "decade mass off: %f" frac
-
 let test_mixture_weights () =
   let d = Dist.mixture [ (0.8, Dist.constant 1); (0.2, Dist.constant 2) ] in
   let r = rng () in
@@ -89,14 +69,9 @@ let test_of_list_weighting () =
   let frac = float_of_int !ones /. float_of_int n in
   if frac < 0.63 || frac > 0.70 then Alcotest.failf "of_list weight off: %f" frac
 
-let test_map_pair_list () =
-  let r = rng () in
+let test_map () =
   let d = Dist.map (fun x -> x * 2) (Dist.constant 21) in
-  Alcotest.(check int) "map" 42 (Dist.sample d r);
-  let p = Dist.pair (Dist.constant 1) (Dist.constant 2) in
-  Alcotest.(check (pair int int)) "pair" (1, 2) (Dist.sample p r);
-  let l = Dist.list_of (Dist.constant 3) (Dist.constant 9) in
-  Alcotest.(check (list int)) "list_of" [ 9; 9; 9 ] (Dist.sample l r)
+  Alcotest.(check int) "map" 42 (Dist.sample d (rng ()))
 
 let suite =
   [
@@ -104,11 +79,9 @@ let suite =
     Alcotest.test_case "int_range bounds" `Quick test_int_range_bounds;
     Alcotest.test_case "int_range rejects empty" `Quick test_int_range_empty;
     Alcotest.test_case "float_range bounds" `Quick test_float_range_bounds;
-    Alcotest.test_case "log_uniform bounds" `Quick test_log_uniform_bounds;
-    Alcotest.test_case "log_uniform decade mass" `Slow test_log_uniform_decades;
     Alcotest.test_case "mixture weights" `Slow test_mixture_weights;
     Alcotest.test_case "mixture validation" `Quick test_mixture_validation;
     Alcotest.test_case "of_list membership" `Quick test_of_list_membership;
     Alcotest.test_case "of_list weighting" `Slow test_of_list_weighting;
-    Alcotest.test_case "map/pair/list_of" `Quick test_map_pair_list;
+    Alcotest.test_case "map" `Quick test_map;
   ]

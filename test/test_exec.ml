@@ -13,7 +13,11 @@ let test_data_matches_stats () =
         (Relation_data.cardinality d);
       List.iter
         (fun (other, _) ->
-          let dc = Relation_data.distinct_count d ~other in
+          let seen = Hashtbl.create 64 in
+          Array.iter
+            (fun v -> Hashtbl.replace seen v ())
+            (Relation_data.column d ~other);
+          let dc = Hashtbl.length seen in
           Alcotest.(check bool) "distinct bounded by D" true
             (float_of_int dc <= Query.distinct_values q r +. 0.5))
         (Join_graph.neighbors (Query.graph q) r))

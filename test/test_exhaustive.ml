@@ -60,17 +60,6 @@ let test_no_method_beats_exact () =
       Methods.[ II; IAI; AGI; SA ]
   done
 
-let test_seed_plan_accelerates () =
-  let q = Helpers.random_query ~n_joins:8 731 in
-  let seed_plan =
-    (Optimizer.optimize ~method_:Methods.IAI ~model:mem ~ticks:100_000 ~seed:1 q).plan
-  in
-  let cold = Exhaustive.optimize mem q in
-  let warm = Exhaustive.optimize ~seed_plan mem q in
-  Helpers.check_approx "same optimum" cold.cost warm.cost;
-  Alcotest.(check bool) "seeding prunes at least as much" true
-    (warm.nodes_expanded <= cold.nodes_expanded)
-
 let test_too_large () =
   let q = Helpers.random_query ~n_joins:20 741 in
   match Exhaustive.optimize mem q with
@@ -109,7 +98,6 @@ let suite =
   [
     Alcotest.test_case "matches brute force" `Quick test_matches_brute_force;
     Alcotest.test_case "no method beats exact" `Slow test_no_method_beats_exact;
-    Alcotest.test_case "seed plan accelerates" `Quick test_seed_plan_accelerates;
     Alcotest.test_case "too large rejected" `Quick test_too_large;
     Alcotest.test_case "rejects disconnected" `Quick test_rejects_disconnected;
     Alcotest.test_case "count valid plans" `Quick test_count_valid_plans;

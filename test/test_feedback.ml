@@ -100,7 +100,7 @@ let test_golden_biased_chain () =
      injected 10x-per-edge bias predicts. *)
   let q = biased_chain () in
   let data = data_for ~seed:3 q in
-  let m = Feedback.execute ~model:mem q ~data [| 0; 1; 2 |] in
+  let m = Helpers.execute ~model:mem q ~data [| 0; 1; 2 |] in
   Alcotest.(check int) "two samples (depths 1 and 2)" 2
     (List.length m.samples);
   let by_depth d =
@@ -209,7 +209,7 @@ let test_truncation_does_not_poison_siblings () =
   let results =
     List.map
       (fun (q, data, plan) ->
-        Feedback.execute ~max_rows:1000 ~model:mem q ~data plan)
+        Helpers.execute ~max_rows:1000 ~model:mem q ~data plan)
       batch
   in
   (match results with

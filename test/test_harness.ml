@@ -341,7 +341,7 @@ let test_heuristic_state_experiment () =
   in
   let averages =
     Driver.heuristic_state_experiment ~workload ~model:mem ~tfactors:[ 1.5; 9.0 ]
-      ~states ~labels:[ "aug" ] ()
+      ~states ()
   in
   Alcotest.(check int) "one source" 1 (Array.length averages);
   Array.iter

@@ -33,11 +33,6 @@ let test_selectivity_ge () =
   let h = uniform_hist () in
   Helpers.check_approx "complement" 0.7 (Histogram.selectivity_ge h 30.0)
 
-let test_selectivity_between () =
-  let h = uniform_hist () in
-  Helpers.check_approx "band" 0.2 (Histogram.selectivity_between h 30.0 50.0);
-  Helpers.check_approx "empty band" 0.0 (Histogram.selectivity_between h 50.0 30.0)
-
 let test_skewed () =
   let h = Histogram.of_counts ~lo:0.0 ~hi:10.0 ~counts:[| 90; 10 |] in
   Helpers.check_approx "skew low" 0.9 (Histogram.selectivity_lt h 5.0);
@@ -49,32 +44,6 @@ let test_selectivity_eq () =
   Helpers.check_approx "uniform eq" 0.01 (Histogram.selectivity_eq h ~distinct:100 37.0);
   Helpers.check_approx "outside range" 0.0
     (Histogram.selectivity_eq h ~distinct:100 250.0)
-
-let test_of_samples () =
-  let rng = Ljqo_stats.Rng.create 5 in
-  let samples = Array.init 10_000 (fun _ -> Ljqo_stats.Rng.float rng 100.0) in
-  let h = Histogram.of_samples ~bins:20 samples in
-  Alcotest.(check int) "total" 10_000 (Histogram.total h);
-  let s = Histogram.selectivity_lt h 30.0 in
-  if s < 0.27 || s > 0.33 then Alcotest.failf "uniform estimate off: %f" s
-
-let test_of_samples_degenerate () =
-  let h = Histogram.of_samples [| 5.0; 5.0; 5.0 |] in
-  Alcotest.(check int) "single bucket" 1 (Histogram.bins h);
-  Helpers.check_approx "everything >= 5" 1.0 (Histogram.selectivity_ge h 5.0)
-
-let test_of_samples_matches_ground_truth_skew () =
-  (* quadratic skew: values = 100 * u^2 concentrate near 0 *)
-  let rng = Ljqo_stats.Rng.create 7 in
-  let samples =
-    Array.init 20_000 (fun _ ->
-        let u = Ljqo_stats.Rng.float rng 1.0 in
-        100.0 *. u *. u)
-  in
-  let h = Histogram.of_samples ~bins:50 samples in
-  (* P(100 u^2 < 25) = P(u < 0.5) = 0.5 *)
-  let s = Histogram.selectivity_lt h 25.0 in
-  if s < 0.47 || s > 0.53 then Alcotest.failf "skewed estimate off: %f" s
 
 let prop_lt_monotone =
   Helpers.qcheck_case ~name:"selectivity_lt is monotone"
@@ -90,12 +59,7 @@ let suite =
     Alcotest.test_case "basic accessors" `Quick test_basic_accessors;
     Alcotest.test_case "selectivity_lt uniform" `Quick test_selectivity_lt_uniform;
     Alcotest.test_case "selectivity_ge" `Quick test_selectivity_ge;
-    Alcotest.test_case "selectivity_between" `Quick test_selectivity_between;
     Alcotest.test_case "skewed histogram" `Quick test_skewed;
     Alcotest.test_case "selectivity_eq" `Quick test_selectivity_eq;
-    Alcotest.test_case "of_samples" `Quick test_of_samples;
-    Alcotest.test_case "of_samples degenerate" `Quick test_of_samples_degenerate;
-    Alcotest.test_case "skewed ground truth" `Slow
-      test_of_samples_matches_ground_truth_skew;
     prop_lt_monotone;
   ]

@@ -257,7 +257,7 @@ let prop_wide_random_moves =
 let test_raise_leaves_state () =
   let q = Helpers.random_query ~n_joins:30 11 in
   let armed = ref false in
-  let raising = Ljqo_cost.Chaos.wrap_raising ~rate:0.3 ~seed:5 mem in
+  let raising = Chaos.wrap_raising ~rate:0.3 ~seed:5 mem in
   let model : Ljqo_cost.Cost_model.t =
     (module struct
       let name = "armed-chaos"
@@ -301,7 +301,7 @@ let test_raise_leaves_state () =
     (match verdict () with
     | Some _ -> Neighborhood.reject nb
     | None -> ()
-    | exception Ljqo_cost.Chaos.Injected _ ->
+    | exception Chaos.Injected _ ->
       incr raised;
       if k mod 2 = 1 then incr raised_rewrites);
     if snapshot () <> before then Alcotest.failf "state changed by %s" what

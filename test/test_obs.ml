@@ -236,7 +236,7 @@ let qcheck_hist_geometry =
       0 <= i
       && i < Hist.n_buckets
       && Hist.bucket_lo i <= v
-      && v < Hist.bucket_hi i
+      && v < Hist.bucket_lo (i + 1)
       && Hist.count (Hist.record Hist.empty v) = 1
       && Hist.sum (Hist.record Hist.empty v) = v)
     QCheck.(int_bound (1 lsl 55))

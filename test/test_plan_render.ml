@@ -25,19 +25,6 @@ let test_render_plan_costs () =
   Alcotest.(check bool) "cost 2600 appears" true (contains out "2600");
   Alcotest.(check bool) "cost 2010 appears" true (contains out "2010")
 
-let test_render_bushy () =
-  let q = Helpers.chain3 () in
-  let tree = Bushy.Join (Bushy.Leaf 0, Bushy.Join (Bushy.Leaf 1, Bushy.Leaf 2)) in
-  let out = Plan_render.render_bushy q tree in
-  List.iter
-    (fun needle ->
-      if not (contains out needle) then
-        Alcotest.failf "missing %S in:\n%s" needle out)
-    [ "A [100 rows]"; "B [1000 rows]"; "C [10 rows]" ];
-  Alcotest.(check int) "two join nodes" 2
-    (List.length
-       (String.split_on_char '\n' out |> List.filter (fun l -> contains l "|><|")))
-
 let test_single_relation_render () =
   let relations = [| Helpers.rel ~id:0 ~card:10 ~distinct:0.5 () |] in
   let q =
@@ -50,6 +37,5 @@ let suite =
   [
     Alcotest.test_case "render plan" `Quick test_render_plan;
     Alcotest.test_case "render plan costs" `Quick test_render_plan_costs;
-    Alcotest.test_case "render bushy" `Quick test_render_bushy;
     Alcotest.test_case "single relation" `Quick test_single_relation_render;
   ]

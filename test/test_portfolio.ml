@@ -147,11 +147,11 @@ let test_validates_params () =
 
 let test_leg_names_round_trip () =
   List.iter
-    (fun leg ->
-      match Portfolio.leg_of_name (Portfolio.leg_name leg) with
+    (fun (name, leg) ->
+      match Portfolio.leg_of_name name with
       | Some l when l = leg -> ()
-      | _ -> Alcotest.failf "leg %s does not round-trip" (Portfolio.leg_name leg))
-    [ Portfolio.II; Portfolio.SA; Portfolio.Two_phase ];
+      | _ -> Alcotest.failf "leg %s does not parse" name)
+    [ ("II", Portfolio.II); ("sa", Portfolio.SA); ("2PO", Portfolio.Two_phase) ];
   Alcotest.(check bool)
     "unknown leg rejected" true
     (Portfolio.leg_of_name "DP" = None)

@@ -111,8 +111,10 @@ let test_error_line_numbers () =
   | _ -> Alcotest.fail "accepted"
 
 let test_relation_names () =
+  let q = Parser.parse sample in
   Alcotest.(check (list string)) "names in order" [ "customer"; "orders" ]
-    (Parser.relation_names sample)
+    (List.init (Query.n_relations q) (fun i ->
+         (Query.relation q i).Ljqo_catalog.Relation.name))
 
 (* --- printer round trip ------------------------------------------------ *)
 

@@ -10,19 +10,6 @@ let test_accessors () =
   Alcotest.(check bool) "connected" true (Query.is_connected q);
   Helpers.check_approx "total tuples" 1110.0 (Query.total_base_tuples q)
 
-let test_selectivity_product () =
-  let q = Helpers.triangle () in
-  Helpers.check_approx "one edge" 0.02 (Query.selectivity_product q ~prefix:[ 0 ] 1);
-  Helpers.check_approx "two edges" (0.02 *. 0.02)
-    (Query.selectivity_product q ~prefix:[ 0; 1 ] 2);
-  Helpers.check_approx "no edge" 1.0
-    (Query.selectivity_product q ~prefix:[] 2)
-
-let test_joins_with_any () =
-  let q = Helpers.chain3 () in
-  Alcotest.(check bool) "adjacent" true (Query.joins_with_any q ~prefix:[ 0 ] 1);
-  Alcotest.(check bool) "distant" false (Query.joins_with_any q ~prefix:[ 0 ] 2)
-
 let test_validation () =
   let relations = [| Helpers.rel ~id:0 ~card:10 ~distinct:0.5 () |] in
   (match Query.make ~relations ~graph:(Join_graph.make ~n:2 []) with
@@ -77,8 +64,6 @@ let prop_induced_full_is_identity =
 let suite =
   [
     Alcotest.test_case "accessors" `Quick test_accessors;
-    Alcotest.test_case "selectivity product" `Quick test_selectivity_product;
-    Alcotest.test_case "joins_with_any" `Quick test_joins_with_any;
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "induced subquery" `Quick test_induced;
     Alcotest.test_case "induced drops external edges" `Quick

@@ -541,8 +541,8 @@ let test_learn_on_off_equivalence () =
 let test_disconnected_bypasses_cache () =
   let q = Helpers.disconnected () in
   let s = Service.create small_config in
-  let a = Service.serve s q in
-  let b = Service.serve s q in
+  let a = Helpers.serve s q in
+  let b = Helpers.serve s q in
   Alcotest.(check bool) "first serve cold" true (a.Service.source = Service.Cold);
   Alcotest.(check bool) "second serve still cold" true
     (b.Service.source = Service.Cold);
@@ -560,112 +560,6 @@ let test_create_validation () =
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero tick budget must raise"
-
-(* --- drift-triggered re-optimization ------------------------------------ *)
-
-let est_cards_of s q =
-  match Service.serve s q with
-  | (r : Service.served) ->
-    (Ljqo_cost.Plan_cost.eval mem q r.Service.plan).Ljqo_cost.Plan_cost.cards
-
-let test_drift_invalidates_and_reoptimizes () =
-  Obs.set_enabled true;
-  Obs.reset ();
-  let q = Helpers.random_query ~n_joins:8 321 in
-  let s = Service.create small_config in
-  let first = Service.serve s q in
-  let est = est_cards_of s q in
-  (* Matching cardinalities: the entry must survive untouched. *)
-  (match Service.observe_drift s q ~actual_cards:est with
-  | Service.Within_threshold qe ->
-    Alcotest.(check bool) "agreement scores q = 1" true (qe = 1.0)
-  | _ -> Alcotest.fail "matching cards must stay within threshold");
-  (match Service.serve s q with
-  | r ->
-    Alcotest.(check bool) "still an exact hit" true
-      (r.Service.source = Service.Exact_hit));
-  (* Inject drift: every intermediate 100x the estimate. *)
-  let drifted = Array.map (fun c -> c *. 100.0) est in
-  (match Service.observe_drift s q ~actual_cards:drifted with
-  | Service.Reoptimized { stale_plan; qerror; plan; _ } ->
-    Alcotest.(check bool) "warm start is the invalidated plan" true
-      (stale_plan = first.Service.plan);
-    Alcotest.(check bool) "reported q-error is the injected 100x" true
-      (qerror >= 99.0);
-    Alcotest.(check bool) "re-optimized plan is valid" true
-      (Plan.is_valid q plan);
-    (* The fresh result is admitted back: the next serve is an exact hit on
-       the new entry. *)
-    (match Service.serve s q with
-    | r ->
-      Alcotest.(check bool) "fresh entry re-admitted" true
-        (r.Service.source = Service.Exact_hit && r.Service.plan = plan))
-  | _ -> Alcotest.fail "100x drift past the 4x threshold must re-optimize");
-  (* Truncated observations compare only the covered depths: a prefix that
-     agrees is no reason to invalidate. *)
-  (match
-     Service.observe_drift s q ~actual_cards:(Array.sub est 0 2)
-   with
-  | Service.Within_threshold _ -> ()
-  | _ -> Alcotest.fail "an agreeing truncated prefix must not invalidate");
-  (match Service.observe_drift ~threshold:0.5 s q ~actual_cards:est with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "threshold < 1 must raise");
-  let counters = (Obs.snapshot ()).Ljqo_obs.Obs.counters in
-  Alcotest.(check int) "one invalidation counted" 1
-    (List.assoc "service.drift_invalidations" counters);
-  Alcotest.(check int) "one re-optimization counted" 1
-    (List.assoc "service.reoptimized" counters);
-  Obs.reset ();
-  Obs.set_enabled false
-
-let test_drift_unknown_query () =
-  let s = Service.create small_config in
-  let q = Helpers.random_query ~n_joins:6 654 in
-  match Service.observe_drift s q ~actual_cards:[| 1.0 |] with
-  | Service.No_entry -> ()
-  | _ -> Alcotest.fail "an uncached query has nothing to invalidate"
-
-let test_drift_counters_job_invariant () =
-  (* The satellite's acceptance: after injected stat drift past the
-     threshold, service.drift_invalidations is bit-identical across 1, 2
-     and 4 workers. *)
-  let queries = workload_queries () in
-  let pass jobs =
-    Obs.set_enabled true;
-    Obs.reset ();
-    let s = Service.create small_config in
-    ignore (Service.serve_batch ~jobs s queries);
-    let drifted =
-      Array.map
-        (fun q ->
-          let est = (Ljqo_cost.Plan_cost.eval mem q
-                       (Service.serve s q).Service.plan)
-                      .Ljqo_cost.Plan_cost.cards
-          in
-          (q, Array.map (fun c -> c *. 100.0) est))
-        queries
-    in
-    let outcomes =
-      Ljqo_stats.Parallel.map_array ~jobs
-        (fun (q, cards) -> Service.observe_drift s q ~actual_cards:cards)
-        drifted
-    in
-    let counters = (Obs.snapshot ()).Ljqo_obs.Obs.counters in
-    let invalidations = List.assoc "service.drift_invalidations" counters in
-    let reoptimized = List.assoc "service.reoptimized" counters in
-    Obs.reset ();
-    Obs.set_enabled false;
-    Alcotest.(check bool) "every drifted entry re-optimized" true
-      (Array.for_all
-         (function Service.Reoptimized _ -> true | _ -> false)
-         outcomes);
-    (invalidations, reoptimized)
-  in
-  let p1 = pass 1 in
-  Alcotest.(check bool) "counters nonzero" true (fst p1 > 0);
-  Alcotest.(check (pair int int)) "jobs 1 = jobs 2" p1 (pass 2);
-  Alcotest.(check (pair int int)) "jobs 1 = jobs 4" p1 (pass 4)
 
 let suite =
   [
@@ -699,10 +593,4 @@ let suite =
       test_disconnected_bypasses_cache;
     Alcotest.test_case "create validates its inputs" `Quick
       test_create_validation;
-    Alcotest.test_case "drift invalidates and re-optimizes" `Quick
-      test_drift_invalidates_and_reoptimizes;
-    Alcotest.test_case "drift on an uncached query" `Quick
-      test_drift_unknown_query;
-    Alcotest.test_case "drift counters job-invariant" `Slow
-      test_drift_counters_job_invariant;
   ]

@@ -9,9 +9,6 @@ let test_variance () =
   Helpers.check_approx "variance" (32.0 /. 7.0) (Summary.variance data);
   Helpers.check_approx "singleton variance" 0.0 (Summary.variance [| 3.0 |])
 
-let test_stddev () =
-  Helpers.check_approx "stddev" (sqrt (32.0 /. 7.0)) (Summary.stddev data)
-
 let test_median () =
   Helpers.check_approx "even median" 4.5 (Summary.median data);
   Helpers.check_approx "odd median" 4.0 (Summary.median [| 9.0; 4.0; 1.0 |]);
@@ -50,27 +47,6 @@ let test_empty_inputs () =
       ("variance", Summary.variance);
     ]
 
-let test_running_matches_batch () =
-  let r = Summary.running_create () in
-  Array.iter (Summary.running_add r) data;
-  Alcotest.(check int) "count" (Array.length data) (Summary.running_count r);
-  Helpers.check_approx "running mean" (Summary.mean data) (Summary.running_mean r);
-  Helpers.check_approx ~rel:1e-12 "running stddev" (Summary.stddev data)
-    (Summary.running_stddev r)
-
-let prop_running_equals_batch =
-  Helpers.qcheck_case ~name:"running stats equal batch stats"
-    (fun l ->
-      let a = Array.of_list (List.map float_of_int l) in
-      QCheck.assume (Array.length a >= 2);
-      let r = Summary.running_create () in
-      Array.iter (Summary.running_add r) a;
-      Helpers.approx ~rel:1e-9 (Summary.mean a) (Summary.running_mean r)
-      && Helpers.approx ~rel:1e-6
-           (Summary.stddev a +. 1.0)
-           (Summary.running_stddev r +. 1.0))
-    QCheck.(list small_signed_int)
-
 let prop_percentile_monotone =
   Helpers.qcheck_case ~name:"percentile is monotone in p"
     (fun l ->
@@ -87,13 +63,10 @@ let suite =
   [
     Alcotest.test_case "mean" `Quick test_mean;
     Alcotest.test_case "variance" `Quick test_variance;
-    Alcotest.test_case "stddev" `Quick test_stddev;
     Alcotest.test_case "median" `Quick test_median;
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "min_max" `Quick test_min_max;
     Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
     Alcotest.test_case "empty inputs rejected" `Quick test_empty_inputs;
-    Alcotest.test_case "running matches batch" `Quick test_running_matches_batch;
-    prop_running_equals_batch;
     prop_percentile_monotone;
   ]

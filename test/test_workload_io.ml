@@ -12,11 +12,16 @@ let with_temp_dir f =
       end)
     (fun () -> f dir)
 
+let load ~dir =
+  match Workload_io.load_result ~dir with
+  | Ok entries -> entries
+  | Error e -> Alcotest.fail (Workload_io.error_to_string e)
+
 let test_roundtrip () =
   with_temp_dir (fun dir ->
       let w = Workload.make ~ns:[ 5; 8 ] ~per_n:2 ~seed:3 Benchmark.default in
       Workload_io.save w ~dir;
-      let loaded = Workload_io.load ~dir in
+      let loaded = load ~dir in
       Alcotest.(check int) "entry count" (Workload.size w) (List.length loaded);
       List.iteri
         (fun i (e : Workload_io.loaded_entry) ->
@@ -48,11 +53,11 @@ let test_manifest_format () =
 
 let test_missing_manifest () =
   with_temp_dir (fun dir ->
-      match Workload_io.load ~dir with
-      | exception Workload_io.Error { line = 0; _ } -> ()
-      | exception Workload_io.Error e ->
+      match Workload_io.load_result ~dir with
+      | Error { line = 0; _ } -> ()
+      | Error e ->
         Alcotest.failf "unexpected error location: %s" (Workload_io.error_to_string e)
-      | _ -> Alcotest.fail "missing manifest accepted")
+      | Ok _ -> Alcotest.fail "missing manifest accepted")
 
 let test_malformed_manifest () =
   with_temp_dir (fun dir ->
@@ -112,7 +117,7 @@ let test_comments_and_blanks_skipped () =
       let oc = open_out (Workload_io.manifest_path dir) in
       output_string oc "# header\n\n# another\n";
       close_out oc;
-      Alcotest.(check int) "empty workload" 0 (List.length (Workload_io.load ~dir)))
+      Alcotest.(check int) "empty workload" 0 (List.length (load ~dir)))
 
 let suite =
   [

@@ -13,6 +13,42 @@ if grep -rnE '^[[:space:]]*(let|and|val)(\[@[^]]*\])?[[:space:]]+(rec[[:space:]]
   exit 1
 fi
 
+# lib/ keeps only what something calls: each `val` in lib/*/*.mli must occur
+# as a word in an OCaml source outside its own .ml/.mli (tests count, since
+# oracles and seams are exported for them; a value only its own module uses
+# stays out of the .mli).  The cost-model fault injector is test code.
+dead_exports=$(
+  { grep -HE '^[[:space:]]*val[[:space:]]' lib/*/*.mli \
+      | sed -E 's/^([^:]*)\.mli:[[:space:]]*val[[:space:]]+([A-Za-z_][A-Za-z0-9_]*).*/\1 \2/'
+    echo --
+    grep -rowE '[A-Za-z_][A-Za-z0-9_]*' --include='*.ml' --include='*.mli' \
+      lib bin bench perfbench examples tools test
+  } | awk '
+    !sep { if ($0 == "--") { sep = 1; next }
+           n++; own[n] = $1; name[n] = $2; want[$2] = 1; next }
+    { i = index($0, ":"); t = substr($0, i + 1)
+      if (!(t in want)) next
+      b = substr($0, 1, i - 1); sub(/\.mli?$/, "", b)
+      if (index(seen[t], "|" b "|") == 0) seen[t] = seen[t] "|" b "|" }
+    END {
+      for (k = 1; k <= n; k++) {
+        s = seen[name[k]]; p = index(s, "|" own[k] "|")
+        if (p) s = substr(s, 1, p - 1) substr(s, p + length(own[k]) + 2)
+        if (s == "") print own[k] ".mli: val " name[k]
+      }
+    }'
+)
+if [ -n "$dead_exports" ]; then
+  echo "$dead_exports" >&2
+  echo "lib/ exports values nothing outside their module uses" >&2
+  exit 1
+fi
+if ls lib/*/chaos.ml lib/*/chaos.mli 2>/dev/null | grep -q . \
+  || grep -rnE '^[[:space:]]*module[[:space:]]+Chaos\b' lib; then
+  echo "lib/ defines a Chaos module; fault injection lives under test/" >&2
+  exit 1
+fi
+
 # One codec for sealed files: float bit patterns are spelled and parsed only
 # in lib/obs/sealed.ml, which the checkpoint, model and calibration share.
 if grep -rnE '%Lx|Int64\.float_of_bits' lib | grep -vE '^lib/obs/sealed\.mli?:'; then
