@@ -161,25 +161,8 @@ let parse_args () =
       o.trace_sample <- int_arg ~flag:"--trace-sample" ~min:1 v;
       go rest
     | "--trajectories" :: v :: rest ->
-      (* Fail fast: create the directory if missing and prove it writable
-         before any experiment runs, not after hours of work. *)
-      (try if not (Sys.file_exists v) then Sys.mkdir v 0o755
-       with Sys_error e ->
-         prerr_endline ("--trajectories: cannot create " ^ v ^ ": " ^ e);
-         usage ());
-      if not (Sys.is_directory v) then begin
-        prerr_endline ("--trajectories wants a directory, got: " ^ v);
-        usage ()
-      end;
-      let probe = Filename.concat v ".ljqo-write-probe" in
-      (match open_out probe with
-      | oc ->
-        close_out oc;
-        Sys.remove probe
-      | exception Sys_error e ->
-        prerr_endline ("--trajectories: directory is not writable: " ^ e);
-        usage ());
-      o.trajectories <- Some v;
+      let path = Filename.concat v "trajectories.jsonl" in
+      o.trajectories <- Some (writable ~dir:false "--trajectories" path);
       go rest
     | ("-j" | "--jobs") :: v :: rest ->
       Ljqo_stats.Parallel.set_jobs (int_arg ~flag:"--jobs" ~min:1 v);
@@ -263,8 +246,7 @@ let () =
       flushed := true;
       if o.metrics then Obs.write_metrics ~path:o.metrics_out;
       Option.iter
-        (fun dir ->
-          let path = Filename.concat dir "trajectories.jsonl" in
+        (fun path ->
           let trajs = Obs.trajectories () in
           Ljqo_learn.Dataset.save_trajectories ~path trajs;
           Printf.printf "[trajectories: wrote %s (%d runs)]\n%!" path

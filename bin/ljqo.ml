@@ -887,7 +887,8 @@ let serve_file_cmd =
        ~doc:"Optimize a saved workload through the caching service")
     Term.(
       const serve_file $ serving_workload_dir $ serving
-      $ jobs_arg ~doc:"Serving domains (default: all cores); a pure speed knob."
+      $ jobs_arg
+          ~doc:"Serving domains (default: $(b,LJQO_JOBS), else 1); a pure speed knob."
       $ passes_arg ~doc:"Serve the workload $(docv) times through the same cache."
       $ obs)
 

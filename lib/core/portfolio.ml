@@ -14,7 +14,11 @@ module Obs = Ljqo_obs.Obs
    pure function of (parent seed, replicate index, round, incumbent at the
    previous barrier), so the outcome is bit-identical whatever the job
    count ([Parallel.map_array] only decides which domain runs which
-   replicate, never the results or their fold order). *)
+   replicate, never the results or their fold order).  What the legs add to
+   the observability snapshot is domain-independent too: each runs under
+   [Obs.sub_run] with the caller's phase, so its ticks land in the same
+   phase account on every domain and its private incumbents stay out of the
+   run's trajectory, which holds only the parent's barrier records. *)
 
 type leg = II | SA | Two_phase
 
@@ -73,6 +77,7 @@ let run ?(params = default_params) ~ii_params ~sa_params ?start ev rng =
   let rngs = Array.init params.width (fun i -> Rng.split_at rng i) in
   let replicates = Array.init params.width (fun i -> i) in
   let incumbent = ref start in
+  let phase = Obs.current_phase () in
   for round = 0 to params.rounds - 1 do
     Obs.span "portfolio_round"
       ~fields:[ ("round", Obs.I round); ("ticks", Obs.I round_ticks) ]
@@ -80,6 +85,7 @@ let run ?(params = default_params) ~ii_params ~sa_params ?start ev rng =
     let results =
       Parallel.map_array
         (fun i ->
+          Obs.sub_run phase @@ fun () ->
           let leg = legs.(i mod Array.length legs) in
           let sub_ev =
             Evaluator.create ~epsilon ?calibration ~query ~model ~ticks:round_ticks ()

@@ -18,6 +18,9 @@
     order on the calling domain — so for a fixed seed the result is
     bit-identical whatever the [--jobs] count.  Enforced by
     [test_portfolio.ml] against a sequential best-of-replicates oracle.
+    The observability snapshot is too: legs run under
+    {!Ljqo_obs.Obs.sub_run} with the caller's phase, and the run's
+    trajectory holds only the parent's barrier records.
 
     The parent's wall-clock deadline (if any) is only observed at barriers —
     the finest-grained preemption compatible with bit-identical results. *)

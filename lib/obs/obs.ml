@@ -201,6 +201,8 @@ let phase_index = function
   | Driver -> 5
   | Other -> 6
 
+let phases = [| Ii; Sa; Heuristic; Local; Dp; Driver; Other |]
+
 let phase_names = [| "ii"; "sa"; "heuristic"; "local"; "dp"; "driver"; "other" |]
 
 let n_phases = Array.length phase_names
@@ -333,6 +335,8 @@ let charged k =
     bump_cell (phase_ticks_base + Domain.DLS.get phase_key) k
   end
 
+let current_phase () = phases.(Domain.DLS.get phase_key)
+
 let now () = Unix.gettimeofday ()
 
 (* Zero of the in-process span timeline (spans can be captured to the ring
@@ -383,6 +387,14 @@ let trajectories () =
     (fun () ->
       Hashtbl.fold (fun label r acc -> (label, List.rev !r) :: acc) traj_table []
       |> List.sort compare)
+
+let sub_run p f =
+  let phase = Domain.DLS.get phase_key and run = Domain.DLS.get run_key in
+  Domain.DLS.set phase_key (phase_index p);
+  Domain.DLS.set run_key None;
+  Fun.protect f ~finally:(fun () ->
+      Domain.DLS.set phase_key phase;
+      Domain.DLS.set run_key run)
 
 (* ------------------------------------------------------------------ *)
 (* Trace sink.                                                         *)

@@ -157,6 +157,9 @@ val with_phase : phase -> (unit -> 'a) -> 'a
     account.  Nested phases restore the enclosing one; exceptions pass
     through.  When both counters and tracing are off this is just [f ()]. *)
 
+val current_phase : unit -> phase
+(** The calling domain's current phase ([Other] outside {!with_phase}). *)
+
 (** {1 Spans}
 
     Hierarchical wall-clock scopes.  Spans nest freely (within and under
@@ -212,6 +215,15 @@ val trajectory_point : ticks:int -> cost:float -> unit
 val trajectories : unit -> (string * (int * float) list) list
 (** All recorded trajectories, sorted by label, samples in recording
     order. *)
+
+val sub_run : phase -> (unit -> 'a) -> 'a
+(** [sub_run p f] runs [f] as a private part of the caller's run, on
+    whichever domain runs it: ticks {!charged} inside [f] go to [p]'s account
+    (unless a nested {!with_phase} says otherwise) and [f] records no
+    trajectory samples.  A portfolio leg runs this way with the phase the
+    portfolio was called in, so what it adds to a snapshot does not depend
+    on the domain that ran it, and the run's trajectory holds only what the
+    run's own evaluator records. *)
 
 (** {1 Trace events (JSONL)} *)
 

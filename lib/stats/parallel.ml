@@ -6,8 +6,7 @@
    bit-identical whatever the job count.
 
    Default is sequential: pass --jobs (or set LJQO_JOBS) on multi-core
-   hosts; on a single hardware thread extra domains only add scheduling
-   overhead. *)
+   hosts; on a single hardware thread the pool below spawns no worker. *)
 
 let log_src = Logs.Src.create "ljqo.parallel" ~doc:"harness work distribution"
 
@@ -36,13 +35,104 @@ let default_jobs () =
         1)
     | None -> 1)
 
+(* The worker pool.  A domain spawn plus join costs a median 150-230 us on
+   a 2-vCPU VM, a quarter of a portfolio round, so workers are spawned on
+   first need and then parked for the life of the process; a batch wakes
+   them instead.  One batch is in flight at a time: its owner (the domain that
+   set [busy]) alone spawns workers and publishes batches, and a call made
+   while the pool is busy — nested in an item, or from another domain — runs
+   inline on its own domain.  Worker [i] joins a batch only if [i] is below
+   the batch's [helpers], so a batch asking for [jobs] domains uses at most
+   [jobs - 1] workers, and always the same ones.
+
+   A parked domain is not free: it still takes part in every
+   stop-the-world minor collection, which is why the pool never grows past
+   one worker per spare core nor past what a batch has asked for. *)
+let max_workers = max 0 (Domain.recommended_domain_count () - 1)
+
+let busy = Atomic.make false
+
+let lock = Mutex.create ()
+
+let wake = Condition.create ()
+
+let left = Condition.create ()
+
+(* Under [lock]: the published batch, its number, how many workers may
+   join it, and how many are inside it. *)
+let work = ref ignore
+
+let generation = ref 0
+
+let helpers = ref 0
+
+let active = ref 0
+
+(* Touched only by the batch owner. *)
+let spawned = ref 0
+
+let worker index () =
+  let seen = ref 0 in
+  Mutex.lock lock;
+  while true do
+    while !generation = !seen do
+      Condition.wait wake lock
+    done;
+    seen := !generation;
+    if index < !helpers then begin
+      incr active;
+      let batch = !work in
+      Mutex.unlock lock;
+      (* Items catch their own exceptions; this only keeps [active] exact. *)
+      (try batch () with _ -> ());
+      Mutex.lock lock;
+      decr active;
+      if !active = 0 then Condition.signal left
+    end
+  done
+
+(* A failed spawn (resource exhaustion) just means fewer workers. *)
+let rec grow want =
+  if !spawned < want then
+    match Domain.spawn (worker !spawned) with
+    | _ ->
+      incr spawned;
+      grow want
+    | exception _ -> ()
+
+(* Run [batch] on the calling domain and, if it can take the pool, on up to
+   [want] workers; return once every worker that joined has left.  [batch]
+   must return only when no item is left to claim. *)
+let run_batch ~want batch =
+  if not (Atomic.compare_and_set busy false true) then batch ()
+  else
+    Fun.protect
+      ~finally:(fun () ->
+        Mutex.lock lock;
+        helpers := 0;
+        while !active > 0 do
+          Condition.wait left lock
+        done;
+        work := ignore;
+        Mutex.unlock lock;
+        Atomic.set busy false)
+      (fun () ->
+        grow (min want max_workers);
+        Mutex.lock lock;
+        work := batch;
+        helpers := min want !spawned;
+        incr generation;
+        Condition.broadcast wake;
+        Mutex.unlock lock;
+        batch ())
+
 type 'a slot =
   | Done of 'a
   | Raised of { exn : exn; backtrace : Printexc.raw_backtrace }
 
-(* Workers never let an exception escape: each item's outcome lands in its
-   own slot, so one crashing item can neither kill sibling domains nor leak
-   running domains past the join below. *)
+(* Items never let an exception escape: each item's outcome lands in its own
+   slot, so one crashing item can neither kill a worker nor end the batch
+   early for its siblings. *)
 let map_array_result ?(jobs = default_jobs ()) f a =
   let n = Array.length a in
   let jobs = max 1 (min jobs n) in
@@ -50,35 +140,25 @@ let map_array_result ?(jobs = default_jobs ()) f a =
     try Done (f x)
     with exn -> Raised { exn; backtrace = Printexc.get_raw_backtrace () }
   in
-  if jobs = 1 || n = 0 then Array.map protect a
+  if jobs = 1 then Array.map protect a
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in
-    let worker () =
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < n then begin
-          results.(i) <- Some (protect a.(i));
-          go ()
-        end
-      in
-      go ()
+    let rec claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <- Some (protect a.(i));
+        claim ()
+      end
     in
-    let domains =
-      (* A failed spawn (resource exhaustion) just means fewer workers. *)
-      List.filter_map
-        (fun _ -> match Domain.spawn worker with d -> Some d | exception _ -> None)
-        (List.init (jobs - 1) Fun.id)
-    in
-    worker ();
-    List.iter Domain.join domains;
+    run_batch ~want:(jobs - 1) claim;
     Array.map
       (function
         | Some r -> r
         | None ->
-          (* Unreachable: every index is claimed exactly once and workers
-             cannot die mid-item; keep a structured slot rather than a crash
-             anyway. *)
+          (* Unreachable: every index is claimed exactly once and the batch
+             ends only after every claimed item has finished; keep a
+             structured slot rather than a crash anyway. *)
           Raised
             {
               exn = Failure "Parallel.map_array_result: unfilled slot";

@@ -142,6 +142,13 @@ let valid_random_plan query seed =
 (* The plan [0; 1; ...; n - 1]. *)
 let identity_plan n = Array.init n (fun i -> i)
 
+(* Run [f] at [jobs] parallel jobs, restoring the job count even when [f]
+   fails, so a failing case cannot leave later suites on the worker pool. *)
+let with_jobs jobs f =
+  let prev = Ljqo_stats.Parallel.default_jobs () in
+  Ljqo_stats.Parallel.set_jobs jobs;
+  Fun.protect f ~finally:(fun () -> Ljqo_stats.Parallel.set_jobs prev)
+
 (* A single-query batch. *)
 let serve service q = (Ljqo_service.Service.serve_batch service [| q |]).(0)
 

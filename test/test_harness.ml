@@ -43,6 +43,82 @@ let test_parallel_isolates_crashes () =
           (exn = Failure "boom"))
     slots
 
+(* The distinct domains that ran a batch of [n] items at [jobs]; each item
+   sleeps long enough for an idle worker to wake and join. *)
+let batch_domains ~jobs n =
+  Parallel.map_array ~jobs
+    (fun () ->
+      Unix.sleepf 0.005;
+      (Domain.self () :> int))
+    (Array.make n ())
+  |> Array.to_list |> List.sort_uniq compare
+
+let others ids = List.filter (fun d -> d <> (Domain.self () :> int)) ids
+
+let test_pool_reuses_workers () =
+  if Domain.recommended_domain_count () < 2 then Alcotest.skip ();
+  let first = batch_domains ~jobs:2 8 in
+  let second = batch_domains ~jobs:2 8 in
+  Alcotest.(check bool) "one worker serves both batches" true
+    (List.length (others (List.sort_uniq compare (first @ second))) <= 1)
+
+let test_pool_capped_by_cores () =
+  Alcotest.(check bool) "at most one domain per core" true
+    (List.length (batch_domains ~jobs:100 40) <= Domain.recommended_domain_count ())
+
+(* A call made while a batch is in flight runs inline: nested in an item, or
+   from another domain.  Each returns [Array.map]'s result. *)
+let test_pool_busy_calls_run_inline () =
+  let a = Array.init 20 Fun.id and f x = (3 * x) + 1 in
+  let inline_map () =
+    let here = (Domain.self () :> int) in
+    let r = Parallel.map_array ~jobs:2 (fun x -> (f x, (Domain.self () :> int))) a in
+    (Array.map fst r, Array.for_all (fun (_, d) -> d = here) r)
+  in
+  Array.iter
+    (fun (r, inline) ->
+      Alcotest.(check (array int)) "nested" (Array.map f a) r;
+      Alcotest.(check bool) "nested call ran inline" true inline)
+    (Parallel.map_array ~jobs:2 (fun () -> inline_map ()) [| (); () |]);
+  let started = Atomic.make false and finished = Atomic.make false in
+  let other =
+    Domain.spawn (fun () ->
+        while not (Atomic.get started) do
+          Unix.sleepf 0.0005
+        done;
+        Fun.protect inline_map ~finally:(fun () -> Atomic.set finished true))
+  in
+  Parallel.map_array ~jobs:2
+    (fun i ->
+      if i = 0 then begin
+        Atomic.set started true;
+        let give_up = Unix.gettimeofday () +. 10.0 in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < give_up do
+          Unix.sleepf 0.001
+        done
+      end)
+    [| 0; 1 |]
+  |> ignore;
+  let r, inline = Domain.join other in
+  Alcotest.(check (array int)) "from another domain" (Array.map f a) r;
+  Alcotest.(check bool) "concurrent call ran inline" true inline
+
+let test_pool_survives_a_raising_item () =
+  (match
+     Parallel.map_array ~jobs:2
+       (fun x ->
+         Unix.sleepf 0.002;
+         if x = 3 then failwith "boom" else x)
+       (Array.init 8 Fun.id)
+   with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "worker exception swallowed");
+  Alcotest.(check (array int)) "next batch" (Array.init 8 succ)
+    (Parallel.map_array ~jobs:2 succ (Array.init 8 Fun.id));
+  if Domain.recommended_domain_count () >= 2 then
+    Alcotest.(check bool) "a worker still joins" true
+      (others (batch_domains ~jobs:2 20) <> [])
+
 let test_guard_outcomes () =
   (match Guard.run ~query_id:3 (fun () -> 41 + 1) with
   | Guard.Completed 42 -> ()
@@ -100,9 +176,8 @@ let test_deadline_isolates_hung_run () =
       | Parallel.Raised _ -> Alcotest.fail "guard let an exception escape")
     slots
 
-let run_tiny ?(jobs = 1) () =
+let run_tiny () =
   let workload = tiny_workload () in
-  ignore jobs;
   Driver.run_experiment ~workload ~methods:Methods.[ II; IAI ] ~model:mem
     ~tfactors:[ 0.5; 9.0 ] ~replicates:2 ()
 
@@ -126,13 +201,7 @@ let test_experiment_monotone_in_time () =
 
 let test_experiment_deterministic_across_jobs () =
   let o1 = run_tiny () in
-  Parallel.set_jobs 3;
-  let workload = tiny_workload () in
-  let o2 =
-    Driver.run_experiment ~workload ~methods:Methods.[ II; IAI ] ~model:mem
-      ~tfactors:[ 0.5; 9.0 ] ~replicates:2 ()
-  in
-  Parallel.set_jobs 1;
+  let o2 = Helpers.with_jobs 3 run_tiny in
   Alcotest.(check bool) "bit-identical across job counts" true
     (o1.Driver.averages = o2.Driver.averages)
 
@@ -358,6 +427,12 @@ let suite =
       test_parallel_propagates_exceptions;
     Alcotest.test_case "parallel isolates crashes" `Quick
       test_parallel_isolates_crashes;
+    Alcotest.test_case "pool reuses its workers" `Quick test_pool_reuses_workers;
+    Alcotest.test_case "pool capped by cores" `Quick test_pool_capped_by_cores;
+    Alcotest.test_case "busy pool runs calls inline" `Quick
+      test_pool_busy_calls_run_inline;
+    Alcotest.test_case "pool survives a raising item" `Quick
+      test_pool_survives_a_raising_item;
     Alcotest.test_case "guard outcomes" `Quick test_guard_outcomes;
     Alcotest.test_case "deadline isolates a hung run" `Quick
       test_deadline_isolates_hung_run;

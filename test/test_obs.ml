@@ -6,7 +6,6 @@
 open Ljqo_core
 open Ljqo_harness
 module Obs = Ljqo_obs.Obs
-module Parallel = Ljqo_stats.Parallel
 
 let mem = Helpers.memory_model
 
@@ -128,16 +127,23 @@ let test_experiment_counters_independent_of_jobs () =
         Ljqo_querygen.Workload.make ~ns:[ 5; 8 ] ~per_n:2 ~seed:11
           Ljqo_querygen.Benchmark.default
       in
+      (* The portfolio runs once nested in the harness's per-query batch and
+         once on its own, where its legs can run on a pool worker. *)
       let run jobs =
         Obs.reset ();
         Obs.set_enabled true;
-        Parallel.set_jobs jobs;
+        Helpers.with_jobs jobs @@ fun () ->
         let o =
-          Driver.run_experiment ~workload ~methods:Methods.[ II; IAI ] ~model:mem
-            ~tfactors:[ 0.5; 9.0 ] ~replicates:2 ()
+          Driver.run_experiment ~workload ~methods:Methods.[ II; IAI; Portfolio ]
+            ~model:mem ~tfactors:[ 0.5; 9.0 ] ~replicates:2 ()
         in
-        Parallel.set_jobs 1;
-        (Obs.deterministic_view (Obs.snapshot ()), o.Driver.averages)
+        let r =
+          Obs.with_run "portfolio" @@ fun () ->
+          Obs.with_phase Obs.Driver @@ fun () ->
+          Optimizer.optimize ~method_:Methods.Portfolio ~model:mem ~ticks:20_000
+            ~seed:5 (query ~seed:9)
+        in
+        (Obs.deterministic_view (Obs.snapshot ()), (o.Driver.averages, r.cost))
       in
       let v1, a1 = run 1 in
       let v3, a3 = run 3 in

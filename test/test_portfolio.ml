@@ -28,9 +28,7 @@ let test_bit_identical_across_jobs () =
   let reference = run_portfolio ~qseed:11 ~seed:7 () in
   List.iter
     (fun jobs ->
-      Ljqo_stats.Parallel.set_jobs jobs;
-      let got = run_portfolio ~qseed:11 ~seed:7 () in
-      Ljqo_stats.Parallel.set_jobs 1;
+      let got = Helpers.with_jobs jobs (run_portfolio ~qseed:11 ~seed:7) in
       if got <> reference then
         Alcotest.failf "outcome differs between --jobs 1 and --jobs %d" jobs)
     [ 2; 4 ]

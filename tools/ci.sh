@@ -56,6 +56,16 @@ if grep -rnE '%Lx|Int64\.float_of_bits' lib | grep -vE '^lib/obs/sealed\.mli?:';
   exit 1
 fi
 
+# Domains are spawned in two places: the worker pool (lib/stats/parallel.ml)
+# that every batch goes through, and the server's request workers.  A spawn
+# per call costs a few hundred microseconds and a parked worker taxes every
+# minor collection, so other code hands its batch to Parallel.
+if grep -rn 'Domain\.spawn' lib \
+  | grep -vE '^lib/(stats/parallel|service/server)\.ml:'; then
+  echo "lib/ spawns a domain outside Parallel and Server; use Parallel" >&2
+  exit 1
+fi
+
 dune build @all
 OCAMLRUNPARAM=b dune runtest
 dune build @chaos
