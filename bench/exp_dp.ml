@@ -25,9 +25,9 @@ let run ?kappa ~(scale : Ljqo_harness.Driver.scale) ~seed ~csv_dir () =
       let ratios = ref [] in
       Array.iter
         (fun (entry : Workload.entry) ->
-          let t0 = Sys.time () in
+          let t0 = Unix.gettimeofday () in
           let dp = Dp.optimize model entry.query in
-          times := ((Sys.time () -. t0) *. 1000.0) :: !times;
+          times := ((Unix.gettimeofday () -. t0) *. 1000.0) :: !times;
           subsets := float_of_int dp.subsets_explored :: !subsets;
           let ticks =
             Budget.ticks_for_limit ?ticks_per_unit:kappa ~t_factor:9.0 ~n_joins ()

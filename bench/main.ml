@@ -260,7 +260,7 @@ let () =
   @@ fun () ->
   List.iter
     (fun exp ->
-      let t0 = Sys.time () in
+      let t0 = Unix.gettimeofday () in
       (try
          match exp with
          | "table1" -> Exp_table1.run ?kappa ~scale ~seed ~csv_dir ()
@@ -288,5 +288,5 @@ let () =
        with Ljqo_harness.Checkpoint.Unwritable e ->
          prerr_endline ("--checkpoint-dir: cannot write " ^ e);
          exit 2);
-      Printf.printf "[%s done in %.1fs]\n\n%!" exp (Sys.time () -. t0))
+      Printf.printf "[%s done in %.1fs]\n\n%!" exp (Unix.gettimeofday () -. t0))
     o.experiments

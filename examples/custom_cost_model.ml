@@ -20,13 +20,15 @@ module Nas_model : Ljqo_cost.Cost_model.S = struct
 
   let latency = 40.0
 
-  let join_cost (j : Ljqo_cost.Cost_model.join_input) =
+  (* The step's inputs arrive in a flat float record the caller reuses for
+     every step; the model writes its price to the record's [cost] field. *)
+  let join_cost ~is_first:_ ~is_cross (j : Ljqo_cost.Cost_model.join_input) =
     let io = pages j.inner_card +. pages j.outer_card +. pages j.output_card in
     let cpu =
-      if j.is_cross then 1e-4 *. j.outer_card *. j.inner_card
+      if is_cross then 1e-4 *. j.outer_card *. j.inner_card
       else 1e-4 *. (j.outer_card +. j.inner_card +. j.output_card)
     in
-    (latency *. io) +. cpu
+    j.cost <- (latency *. io) +. cpu
 
   let scan_cost ~card = latency *. pages card
 

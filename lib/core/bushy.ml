@@ -81,11 +81,11 @@ let eval (model : Cost_model.t) query tree =
           inner_card = rcard;
           inner_distinct = Float.max 1.0 inner_distinct;
           output_card = out;
-          is_first = false;
-          is_cross;
+          cost = 0.0;
         }
       in
-      (lcost +. rcost +. Plan_cost.clamp_cost (M.join_cost input), out, lrels @ rrels)
+      M.join_cost ~is_first:false ~is_cross input;
+      (lcost +. rcost +. Plan_cost.clamp_cost input.cost, out, lrels @ rrels)
   in
   let cost, card, _ = go tree in
   { cost; card }

@@ -56,8 +56,7 @@ let record t perm cost =
     t.best <- Some (cost, Array.copy perm);
     (* Pure observation: counters and trace events never consume ticks or
        RNG draws, so results are bit-identical with instrumentation off. *)
-    Ljqo_obs.Obs.bump Ljqo_obs.Obs.Incumbents;
-    Ljqo_obs.Obs.trajectory_point ~ticks:(Budget.used t.budget) ~cost;
+    Ljqo_obs.Obs.incumbent ~ticks:(Budget.used t.budget) ~cost;
     if Ljqo_obs.Obs.tracing () then
       Ljqo_obs.Obs.trace_sampled "incumbent" (fun () ->
           [ ("ticks", Ljqo_obs.Obs.I (Budget.used t.budget));

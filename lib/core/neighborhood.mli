@@ -12,9 +12,9 @@
     permutation is read virtually, step costs stream through
     {!Ljqo_cost.Plan_cost.Stepper} into preallocated scratch, and the walk
     stops where the running intermediate size meets the stored one again.
-    There is one path at every graph width.  A candidate allocates only what
-    the cost model's [join_input] costs per computed step, plus its
-    [Some total].  Only an accepted candidate touches the state.
+    There is one path at every graph width.  A candidate allocates nothing
+    per computed step, only its [Some total].  Only an accepted candidate
+    touches the state.
 
     Tick accounting: a candidate whose window starts at [lo] charges
     [n - max lo 1] ticks — the steps a recost to the end of the plan would

@@ -1,15 +1,14 @@
 type join_input = {
-  outer_card : float;
-  inner_card : float;
-  inner_distinct : float;
-  output_card : float;
-  is_first : bool;
-  is_cross : bool;
+  mutable outer_card : float;
+  mutable inner_card : float;
+  mutable inner_distinct : float;
+  mutable output_card : float;
+  mutable cost : float;
 }
 
 module type S = sig
   val name : string
-  val join_cost : join_input -> float
+  val join_cost : is_first:bool -> is_cross:bool -> join_input -> unit
   val scan_cost : card:float -> float
   val output_cost : card:float -> float
 end

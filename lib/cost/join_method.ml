@@ -24,15 +24,15 @@ let default_params =
     c_output = 1.0;
   }
 
-let applicable m (j : Cost_model.join_input) =
+let applicable m ~is_cross =
   match m with
   | Nested_loop_join -> true
-  | Hash_join | Sort_merge_join -> not j.is_cross
+  | Hash_join | Sort_merge_join -> not is_cross
 
 let log2 x = if x <= 2.0 then 1.0 else log x /. log 2.0
 
-let cost ?(params = default_params) m (j : Cost_model.join_input) =
-  if not (applicable m j) then infinity
+let cost ?(params = default_params) m ~is_cross (j : Cost_model.join_input) =
+  if not (applicable m ~is_cross) then infinity
   else
     match m with
     | Hash_join ->
@@ -50,12 +50,12 @@ let cost ?(params = default_params) m (j : Cost_model.join_input) =
       (params.c_loop_compare *. j.outer_card *. j.inner_card)
       +. (params.c_output *. j.output_card)
 
-let cheapest ?(params = default_params) j =
+let cheapest ?(params = default_params) ~is_cross j =
   List.fold_left
     (fun (bm, bc) m ->
-      let c = cost ~params m j in
+      let c = cost ~params m ~is_cross j in
       if c < bc then (m, c) else (bm, bc))
-    (Nested_loop_join, cost ~params Nested_loop_join j)
+    (Nested_loop_join, cost ~params Nested_loop_join ~is_cross j)
     [ Hash_join; Sort_merge_join ]
 
 module Make_adaptive (P : sig
@@ -63,7 +63,8 @@ module Make_adaptive (P : sig
 end) : Cost_model.S = struct
   let name = "adaptive-memory"
 
-  let join_cost j = snd (cheapest ~params:P.params j)
+  let join_cost ~is_first:_ ~is_cross (j : Cost_model.join_input) =
+    j.cost <- snd (cheapest ~params:P.params ~is_cross j)
 
   let scan_cost ~card = P.params.hash.Memory_model.c_build *. card
 
@@ -96,9 +97,8 @@ let annotate ?(params = default_params) query plan =
           inner_card = Ljqo_catalog.Query.cardinality query r;
           inner_distinct = Ljqo_catalog.Query.distinct_values query r;
           output_card = e.cards.(i);
-          is_first = i = 1;
-          is_cross;
+          cost = 0.0;
         }
       in
-      let m, c = cheapest ~params input in
+      let m, c = cheapest ~params ~is_cross input in
       (i, m, c))

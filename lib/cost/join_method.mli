@@ -33,14 +33,15 @@ type params = {
   c_output : float;
 }
 
-val cost : ?params:params -> t -> Cost_model.join_input -> float
-(** Cost of executing the step with the given method.  Nested loops accepts
-    any input; hash and sort-merge require an equality predicate and return
-    [infinity] on a cross product. *)
+val cost : ?params:params -> t -> is_cross:bool -> Cost_model.join_input -> float
+(** Cost of executing the step with the given method; [input.cost] is
+    neither read nor written.  Nested loops accepts any input; hash and
+    sort-merge require an equality predicate and return [infinity] on a
+    cross product. *)
 
-val applicable : t -> Cost_model.join_input -> bool
+val applicable : t -> is_cross:bool -> bool
 
-val cheapest : ?params:params -> Cost_model.join_input -> t * float
+val cheapest : ?params:params -> is_cross:bool -> Cost_model.join_input -> t * float
 (** The cheapest applicable method for this step. *)
 
 module Adaptive_memory : Cost_model.S

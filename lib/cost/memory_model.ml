@@ -14,15 +14,19 @@ end) : Cost_model.S = struct
 
   let name = "memory"
 
-  let join_cost (j : Cost_model.join_input) =
-    if j.is_cross then
-      (* Nested loops: no hash table helps when there is no predicate. *)
-      (p.c_probe *. j.outer_card *. j.inner_card) +. (p.c_output *. j.output_card)
-    else
-      let chain = j.inner_card /. Float.max 1.0 j.inner_distinct in
-      (p.c_build *. j.inner_card)
-      +. (j.outer_card *. (p.c_probe +. (p.c_compare *. chain)))
-      +. (p.c_output *. j.output_card)
+  let join_cost ~is_first:_ ~is_cross (j : Cost_model.join_input) =
+    j.cost <-
+      (if is_cross then
+         (* Nested loops: no hash table helps when there is no predicate. *)
+         (p.c_probe *. j.outer_card *. j.inner_card) +. (p.c_output *. j.output_card)
+       else
+         (* [Float.max 1.0 d] as a plain compare, NaN included: [d <= 1.0] is
+            false for a NaN [d], which then passes through. *)
+         let d = j.inner_distinct in
+         let chain = j.inner_card /. if d <= 1.0 then 1.0 else d in
+         (p.c_build *. j.inner_card)
+         +. (j.outer_card *. (p.c_probe +. (p.c_compare *. chain)))
+         +. (p.c_output *. j.output_card))
 
   let scan_cost ~card = p.c_build *. card
 

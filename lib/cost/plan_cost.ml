@@ -73,14 +73,17 @@ let[@inline] clamp_cost c =
 
    The outer cardinality is read from [cards.(k - 1)] and the results are
    written to [cards.(k)] and [costs.(k)], so no float crosses the call
-   boxed.  The cost-model module is unpacked once, at [make]. *)
+   boxed.  The cost-model module is unpacked once, at [make], and the
+   stepper owns the flat [join_input] record it refills for every priced
+   step, so the model's inputs and its cost cross unboxed too. *)
 module Stepper = struct
   type t = {
     adjacency : int array array;
     selectivities : float array array;
     base_cards : float array;
     distincts : float array;
-    join_cost : Cost_model.join_input -> float;
+    join_cost : is_first:bool -> is_cross:bool -> Cost_model.join_input -> unit;
+    input : Cost_model.join_input;
     calibration : calibration option;
   }
 
@@ -93,6 +96,14 @@ module Stepper = struct
       base_cards = Query.cardinalities query;
       distincts = Query.distinct_counts query;
       join_cost = M.join_cost;
+      input =
+        {
+          outer_card = 0.0;
+          inner_card = 0.0;
+          inner_distinct = 0.0;
+          output_card = 0.0;
+          cost = 0.0;
+        };
       calibration;
     }
 
@@ -127,17 +138,13 @@ module Stepper = struct
     if !joined || price_cross then begin
       let inner_card = Array.unsafe_get t.base_cards r in
       let output_card = clamp_card (outer_card *. inner_card *. !sel) in
-      let input : Cost_model.join_input =
-        {
-          outer_card;
-          inner_card;
-          inner_distinct = dr;
-          output_card;
-          is_first = k = 1;
-          is_cross = not !joined;
-        }
-      in
-      costs.(k) <- clamp_cost (t.join_cost input);
+      let input = t.input in
+      input.outer_card <- outer_card;
+      input.inner_card <- inner_card;
+      input.inner_distinct <- dr;
+      input.output_card <- output_card;
+      t.join_cost ~is_first:(k = 1) ~is_cross:(not !joined) input;
+      costs.(k) <- clamp_cost input.cost;
       cards.(k) <- output_card
     end;
     !joined

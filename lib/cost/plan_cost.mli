@@ -71,9 +71,10 @@ val clamp_cost : float -> float
     [k]'s distinct count to [outer_card]:
     [s * max D_k D_r / max (max (min D_k outer_card) 1) D_r], times the
     calibration's [sel_factor] if any, capped at 1.  Floats cross the call
-    only through caller-owned arrays, so the kernel allocates nothing but
-    the cost model's [join_input] record and its result.  This is the
-    library's one copy of the formula; the test oracle
+    only through caller-owned arrays and the stepper's own flat
+    {!Cost_model.join_input} record, which it refills for every priced step
+    and from which it reads the model's cost, so a step allocates nothing.
+    This is the library's one copy of the formula; the test oracle
     ([test/plan_cost_reference.ml]) computes it with
     [Float.min]/[Float.max] on boxed floats, and a step's results equal its
     own bit for bit. *)
@@ -82,7 +83,9 @@ module Stepper : sig
 
   val make : ?calibration:calibration -> Cost_model.t -> Ljqo_catalog.Query.t -> t
   (** O(1): holds the query's neighbor and statistics arrays, the cost
-      model's [join_cost] and the calibration every step applies. *)
+      model's [join_cost], the calibration every step applies and the
+      [join_input] record every step refills.  That record makes a stepper
+      single-threaded: each domain makes its own. *)
 
   val step :
     t ->

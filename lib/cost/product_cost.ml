@@ -50,11 +50,11 @@ let step_cost_mask (model : Cost_model.t) query ~outer_card ~mask r =
       inner_card = Query.cardinality query r;
       inner_distinct = Query.distinct_values query r;
       output_card = displayed raw';
-      is_first = Bitset.is_empty mask;
-      is_cross;
+      cost = 0.0;
     }
   in
-  (Plan_cost.clamp_cost (M.join_cost input), raw')
+  M.join_cost ~is_first:(Bitset.is_empty mask) ~is_cross input;
+  (Plan_cost.clamp_cost input.cost, raw')
 
 let step_cost (model : Cost_model.t) query ~outer_card ~members r =
   let module M = (val model : Cost_model.S) in
@@ -71,11 +71,11 @@ let step_cost (model : Cost_model.t) query ~outer_card ~members r =
       inner_card = Query.cardinality query r;
       inner_distinct = Query.distinct_values query r;
       output_card = displayed raw';
-      is_first = members = [];
-      is_cross;
+      cost = 0.0;
     }
   in
-  (Plan_cost.clamp_cost (M.join_cost input), raw')
+  M.join_cost ~is_first:(members = []) ~is_cross input;
+  (Plan_cost.clamp_cost input.cost, raw')
 
 let eval model query perm =
   let n = Array.length perm in

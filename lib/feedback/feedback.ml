@@ -147,11 +147,13 @@ let measure ?calibration ~model query ~data obs =
             inner_card = float_of_int (Relation_data.cardinality data.(r));
             inner_distinct = Query.distinct_values query r;
             output_card = Plan_cost.clamp_card obs.act_cards.(i);
-            is_first = i = 1;
-            is_cross = edges.(i) = (if i = 1 then 0 else edges.(i - 1));
+            cost = 0.0;
           }
         in
-        actual := !actual +. Plan_cost.clamp_cost (M.join_cost input)
+        M.join_cost ~is_first:(i = 1)
+          ~is_cross:(edges.(i) = (if i = 1 then 0 else edges.(i - 1)))
+          input;
+        actual := !actual +. Plan_cost.clamp_cost input.cost
       done;
       let ratio = qerror ~est:est.total ~act:!actual in
       Obs.hist_record Obs.Feedback_cost_ratio (milli ratio);

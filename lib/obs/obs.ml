@@ -346,7 +346,12 @@ let proc_t0 = now ()
 (* ------------------------------------------------------------------ *)
 (* Trajectories: incumbent (ticks, cost) samples per labelled run.      *)
 
-let run_key : string option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+(* The run a domain works for: a labelled one records trajectory samples;
+   a private part of another run ([sub_run]) records neither samples nor
+   incumbents. *)
+type run = Unlabelled | Labelled of string | Private
+
+let run_key : run Domain.DLS.key = Domain.DLS.new_key (fun () -> Unlabelled)
 
 let traj_mutex = Mutex.create ()
 
@@ -358,14 +363,14 @@ let traj_table : (string, (int * float) list ref) Hashtbl.t = Hashtbl.create 64
 
 let with_run label f =
   let prev = Domain.DLS.get run_key in
-  Domain.DLS.set run_key (Some label);
+  Domain.DLS.set run_key (Labelled label);
   Fun.protect ~finally:(fun () -> Domain.DLS.set run_key prev) f
 
 let trajectory_point ~ticks ~cost =
   if !enabled_flag then
     match Domain.DLS.get run_key with
-    | None -> ()
-    | Some label ->
+    | Unlabelled | Private -> ()
+    | Labelled label ->
       Mutex.lock traj_mutex;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock traj_mutex)
@@ -380,6 +385,14 @@ let trajectory_point ~ticks ~cost =
           in
           r := (ticks, cost) :: !r)
 
+let incumbent ~ticks ~cost =
+  if !enabled_flag then
+    match Domain.DLS.get run_key with
+    | Private -> ()
+    | Unlabelled | Labelled _ ->
+      bump Incumbents;
+      trajectory_point ~ticks ~cost
+
 let trajectories () =
   Mutex.lock traj_mutex;
   Fun.protect
@@ -391,7 +404,7 @@ let trajectories () =
 let sub_run p f =
   let phase = Domain.DLS.get phase_key and run = Domain.DLS.get run_key in
   Domain.DLS.set phase_key (phase_index p);
-  Domain.DLS.set run_key None;
+  Domain.DLS.set run_key Private;
   Fun.protect f ~finally:(fun () ->
       Domain.DLS.set phase_key phase;
       Domain.DLS.set run_key run)

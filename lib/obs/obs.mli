@@ -38,7 +38,9 @@ val reset : unit -> unit
 type counter =
   | Cost_evals  (** full plan costings (evaluator + search-state init) *)
   | Recost_steps  (** incremental join-step recostings *)
-  | Incumbents  (** times the best-seen plan improved *)
+  | Incumbents
+      (** times the best-seen plan improved, counted by {!incumbent}: a
+          run's own improvements, not a {!sub_run}'s *)
   | Starts  (** II start states and SA anneals begun *)
   | Sa_chains  (** SA inner chains completed (= temperature steps) *)
   | Budget_charges  (** calls to [Budget.charge] *)
@@ -212,6 +214,11 @@ val trajectory_point : ticks:int -> cost:float -> unit
 (** Record one incumbent sample against the current run label.  A no-op when
     disabled or outside {!with_run}. *)
 
+val incumbent : ticks:int -> cost:float -> unit
+(** The run's best-seen plan improved to [cost] after [ticks]: bump
+    [Incumbents] and record a {!trajectory_point}.  A no-op inside a
+    {!sub_run}, so the counter counts what the trajectory holds. *)
+
 val trajectories : unit -> (string * (int * float) list) list
 (** All recorded trajectories, sorted by label, samples in recording
     order. *)
@@ -219,11 +226,12 @@ val trajectories : unit -> (string * (int * float) list) list
 val sub_run : phase -> (unit -> 'a) -> 'a
 (** [sub_run p f] runs [f] as a private part of the caller's run, on
     whichever domain runs it: ticks {!charged} inside [f] go to [p]'s account
-    (unless a nested {!with_phase} says otherwise) and [f] records no
-    trajectory samples.  A portfolio leg runs this way with the phase the
-    portfolio was called in, so what it adds to a snapshot does not depend
-    on the domain that ran it, and the run's trajectory holds only what the
-    run's own evaluator records. *)
+    (unless a nested {!with_phase} says otherwise), and [f] records no
+    trajectory samples and counts no {!incumbent}.  A portfolio leg runs
+    this way with the phase the portfolio was called in, so what it adds to
+    a snapshot does not depend on the domain that ran it, and the run's
+    trajectory and [Incumbents] count only what the run's own evaluator
+    records. *)
 
 (** {1 Trace events (JSONL)} *)
 

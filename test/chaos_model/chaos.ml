@@ -55,7 +55,7 @@ let wrap ?(rate = default_rate) ~seed (model : Cost_model.t) : Cost_model.t =
   (module struct
     let name = Printf.sprintf "chaos(%s,seed=%d,rate=%g)" M.name seed rate
 
-    let join_cost (input : Cost_model.join_input) =
+    let join_cost ~is_first ~is_cross (input : Cost_model.join_input) =
       let decision =
         decide ~seed ~rate
           [
@@ -64,24 +64,25 @@ let wrap ?(rate = default_rate) ~seed (model : Cost_model.t) : Cost_model.t =
             input.inner_card;
             input.inner_distinct;
             input.output_card;
-            (if input.is_first then 2.0 else 3.0);
-            (if input.is_cross then 5.0 else 7.0);
+            (if is_first then 2.0 else 3.0);
+            (if is_cross then 5.0 else 7.0);
           ]
       in
       match decision with
-      | None -> M.join_cost input
-      | Some Nan_cost -> Float.nan
-      | Some Inf_cost -> Float.infinity
-      | Some Zero_cost -> 0.0
+      | None -> M.join_cost ~is_first ~is_cross input
+      | Some Nan_cost -> input.cost <- Float.nan
+      | Some Inf_cost -> input.cost <- Float.infinity
+      | Some Zero_cost -> input.cost <- 0.0
       | Some Overflow_card ->
         (* Feed the underlying model cardinalities far past any clamp, as an
-           upstream estimator overflow would. *)
-        M.join_cost
-          {
-            input with
-            outer_card = input.outer_card *. 1e300;
-            output_card = Float.max input.output_card 1e300;
-          }
+           upstream estimator overflow would, then give the caller back the
+           inputs it set. *)
+        let outer_card = input.outer_card and output_card = input.output_card in
+        input.outer_card <- outer_card *. 1e300;
+        input.output_card <- Float.max output_card 1e300;
+        M.join_cost ~is_first ~is_cross input;
+        input.outer_card <- outer_card;
+        input.output_card <- output_card
 
     let scan_cost ~card =
       match decide ~seed ~rate [ 11.0; card ] with
@@ -115,7 +116,7 @@ let wrap_raising ?(rate = default_rate) ~seed (model : Cost_model.t) :
   (module struct
     let name = Printf.sprintf "chaos-raising(%s,seed=%d,rate=%g)" M.name seed rate
 
-    let join_cost (input : Cost_model.join_input) =
+    let join_cost ~is_first ~is_cross (input : Cost_model.join_input) =
       match
         decide ~seed ~rate
           [
@@ -124,11 +125,11 @@ let wrap_raising ?(rate = default_rate) ~seed (model : Cost_model.t) :
             input.inner_card;
             input.inner_distinct;
             input.output_card;
-            (if input.is_first then 2.0 else 3.0);
-            (if input.is_cross then 5.0 else 7.0);
+            (if is_first then 2.0 else 3.0);
+            (if is_cross then 5.0 else 7.0);
           ]
       with
-      | None -> M.join_cost input
+      | None -> M.join_cost ~is_first ~is_cross input
       | Some f -> raise (Injected (fault_name f))
 
     let scan_cost ~card = M.scan_cost ~card

@@ -119,14 +119,26 @@ let counting_model calls : Ljqo_cost.Cost_model.t =
   (module struct
     let name = "counting"
 
-    let join_cost input =
+    let join_cost ~is_first ~is_cross input =
       incr calls;
-      Ljqo_cost.Memory_model.join_cost input
+      Ljqo_cost.Memory_model.join_cost ~is_first ~is_cross input
 
     let scan_cost = Ljqo_cost.Memory_model.scan_cost
 
     let output_cost = Ljqo_cost.Memory_model.output_cost
   end)
+
+(* Minor words one call of [f] allocates on this domain: the mean over ten
+   calls, after one call that warms up whatever [f] sets up once.  On one
+   domain [Gc.minor_words] is exact, so a constant allocation reads as a
+   whole number. *)
+let minor_words_per_call f =
+  ignore (Sys.opaque_identity (f ()));
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. 10.0
 
 let graph_dense =
   List.find

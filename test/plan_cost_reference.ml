@@ -64,11 +64,11 @@ let step_cost_prefix ?calibration (model : Cost_model.t) query ~prefix ~r ~is_fi
       inner_card;
       inner_distinct = Query.distinct_values query r;
       output_card;
-      is_first;
-      is_cross;
+      cost = 0.0;
     }
   in
-  (clamp_cost (M.join_cost input), output_card)
+  M.join_cost ~is_first ~is_cross input;
+  (clamp_cost input.cost, output_card)
 
 let eval ?calibration model query perm : Plan_cost.eval =
   let n = Array.length perm in

@@ -1,31 +1,35 @@
 open Ljqo_cost
 
-let input ?(is_first = false) ?(is_cross = false) ~outer ~inner ~distinct ~output () :
-    Cost_model.join_input =
-  {
-    outer_card = outer;
-    inner_card = inner;
-    inner_distinct = distinct;
-    output_card = output;
-    is_first;
-    is_cross;
-  }
+(* The cost a model's [join_cost] writes for one step. *)
+let price ?(is_first = false) ?(is_cross = false) join_cost ~outer ~inner ~distinct
+    ~output () =
+  let j : Cost_model.join_input =
+    {
+      outer_card = outer;
+      inner_card = inner;
+      inner_distinct = distinct;
+      output_card = output;
+      cost = Float.nan;
+    }
+  in
+  join_cost ~is_first ~is_cross j;
+  j.cost
 
 (* --- memory model ------------------------------------------------------ *)
 
 let test_memory_join_cost () =
   (* build 1000 + probe 100*(1 + 0.5*10) + output 1000 = 2600 *)
   let c =
-    Memory_model.join_cost
-      (input ~outer:100.0 ~inner:1000.0 ~distinct:100.0 ~output:1000.0 ())
+    price Memory_model.join_cost
+      ~outer:100.0 ~inner:1000.0 ~distinct:100.0 ~output:1000.0 ()
   in
   Helpers.check_approx "hash join cost" 2600.0 c
 
 let test_memory_cross_product () =
   (* nested loops: probe 100*50 + output 5000 = 10000 *)
   let c =
-    Memory_model.join_cost
-      (input ~is_cross:true ~outer:100.0 ~inner:50.0 ~distinct:10.0 ~output:5000.0 ())
+    price Memory_model.join_cost
+      ~is_cross:true ~outer:100.0 ~inner:50.0 ~distinct:10.0 ~output:5000.0 ()
   in
   Helpers.check_approx "cross product cost" 10000.0 c
 
@@ -39,23 +43,23 @@ let test_memory_custom_params () =
   in
   let (module M) = Memory_model.make params in
   let c =
-    M.join_cost (input ~outer:10.0 ~inner:100.0 ~distinct:100.0 ~output:20.0 ())
+    price M.join_cost ~outer:10.0 ~inner:100.0 ~distinct:100.0 ~output:20.0 ()
   in
   (* 2*100 + 10*3 + 20 = 250 *)
   Helpers.check_approx "custom params" 250.0 c
 
 let test_memory_monotone () =
   let base =
-    Memory_model.join_cost
-      (input ~outer:100.0 ~inner:1000.0 ~distinct:100.0 ~output:1000.0 ())
+    price Memory_model.join_cost
+      ~outer:100.0 ~inner:1000.0 ~distinct:100.0 ~output:1000.0 ()
   in
   let bigger_outer =
-    Memory_model.join_cost
-      (input ~outer:200.0 ~inner:1000.0 ~distinct:100.0 ~output:1000.0 ())
+    price Memory_model.join_cost
+      ~outer:200.0 ~inner:1000.0 ~distinct:100.0 ~output:1000.0 ()
   in
   let bigger_output =
-    Memory_model.join_cost
-      (input ~outer:100.0 ~inner:1000.0 ~distinct:100.0 ~output:2000.0 ())
+    price Memory_model.join_cost
+      ~outer:100.0 ~inner:1000.0 ~distinct:100.0 ~output:2000.0 ()
   in
   Alcotest.(check bool) "monotone in outer" true (bigger_outer > base);
   Alcotest.(check bool) "monotone in output" true (bigger_output > base)
@@ -74,8 +78,7 @@ let test_disk_pages () =
 let test_disk_single_pass () =
   (* inner fits in memory: io = pages(outer) + pages(inner) + pages(out) *)
   let c =
-    Disk_model.join_cost
-      (input ~outer:320.0 ~inner:640.0 ~distinct:10.0 ~output:32.0 ())
+    price Disk_model.join_cost ~outer:320.0 ~inner:640.0 ~distinct:10.0 ~output:32.0 ()
   in
   let expected_io = 10.0 +. 20.0 +. 1.0 in
   let cpu = p.Disk_model.cpu_per_tuple *. (320.0 +. 640.0 +. 32.0) in
@@ -86,7 +89,7 @@ let test_disk_partitioned () =
   let inner = 320000.0 in
   let outer = 3200.0 in
   let c =
-    Disk_model.join_cost (input ~outer ~inner ~distinct:10.0 ~output:32.0 ())
+    price Disk_model.join_cost ~outer ~inner ~distinct:10.0 ~output:32.0 ()
   in
   let expected_io = (3.0 *. (10000.0 +. 100.0)) +. 1.0 in
   let cpu = p.Disk_model.cpu_per_tuple *. (outer +. inner +. 32.0) in
@@ -95,12 +98,12 @@ let test_disk_partitioned () =
 let test_disk_threshold () =
   (* crossing the memory boundary must jump the cost *)
   let fits =
-    Disk_model.join_cost
-      (input ~outer:32.0 ~inner:(256.0 *. 32.0) ~distinct:10.0 ~output:32.0 ())
+    price Disk_model.join_cost
+      ~outer:32.0 ~inner:(256.0 *. 32.0) ~distinct:10.0 ~output:32.0 ()
   in
   let spills =
-    Disk_model.join_cost
-      (input ~outer:32.0 ~inner:(257.0 *. 32.0) ~distinct:10.0 ~output:32.0 ())
+    price Disk_model.join_cost
+      ~outer:32.0 ~inner:(257.0 *. 32.0) ~distinct:10.0 ~output:32.0 ()
   in
   Alcotest.(check bool) "spill is costlier" true (spills > fits *. 2.0)
 
@@ -108,14 +111,45 @@ let test_disk_scan_output () =
   Helpers.check_approx "scan pages" 2.0 (Disk_model.scan_cost ~card:64.0);
   Helpers.check_approx "output pages" 1.0 (Disk_model.output_cost ~card:10.0)
 
+(* Both models write each [Float.max c x] of their formulas as
+   [if x <= c then c else x].  The two forms agree bit for bit, also where
+   they could part: NaN, signed zeros, infinities and the bound itself. *)
+let edge_values =
+  [ Float.nan; -0.0; 0.0; 0.5; 1.0; 1.5; 32.0; 33.0; Float.infinity; Float.neg_infinity ]
+
+let test_compare_forms () =
+  let check what x expected got =
+    if not (Helpers.same_bits expected got) then
+      Alcotest.failf "%s at %h: %h, Float.max form %h" what x got expected
+  in
+  let m = Memory_model.default_params in
+  List.iter
+    (fun d ->
+      let chain = 1000.0 /. Float.max 1.0 d in
+      check "memory join cost" d
+        ((m.c_build *. 1000.0)
+        +. (100.0 *. (m.c_probe +. (m.c_compare *. chain)))
+        +. (m.c_output *. 1000.0))
+        (price Memory_model.join_cost ~outer:100.0 ~inner:1000.0 ~distinct:d
+           ~output:1000.0 ()))
+    edge_values;
+  let per_page = float_of_int (p.page_bytes / p.tuple_bytes) in
+  List.iter
+    (fun card ->
+      check "disk pages" card
+        (Float.max 1.0 (Float.round (ceil (Float.max 0.0 card /. per_page))))
+        (Disk_model.pages p card))
+    edge_values
+
 let prop_both_models_nonnegative =
   Helpers.qcheck_case ~name:"join costs are nonnegative and finite"
     (fun (a, (b, c)) ->
       let outer = 1.0 +. Float.abs a
       and inner = 1.0 +. Float.abs b
       and output = 1.0 +. Float.abs c in
-      let i = input ~outer ~inner ~distinct:(Float.max 1.0 (inner /. 10.0)) ~output () in
-      let cm = Memory_model.join_cost i and cd = Disk_model.join_cost i in
+      let distinct = Float.max 1.0 (inner /. 10.0) in
+      let cm = price Memory_model.join_cost ~outer ~inner ~distinct ~output ()
+      and cd = price Disk_model.join_cost ~outer ~inner ~distinct ~output () in
       cm >= 0.0 && cd >= 0.0 && Float.is_finite cm && Float.is_finite cd)
     QCheck.(pair (float_bound_exclusive 1e18) (pair (float_bound_exclusive 1e18) (float_bound_exclusive 1e18)))
 
@@ -131,5 +165,6 @@ let suite =
     Alcotest.test_case "disk partitioned" `Quick test_disk_partitioned;
     Alcotest.test_case "disk memory threshold" `Quick test_disk_threshold;
     Alcotest.test_case "disk scan/output" `Quick test_disk_scan_output;
+    Alcotest.test_case "compare forms match Float.max" `Quick test_compare_forms;
     prop_both_models_nonnegative;
   ]

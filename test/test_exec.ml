@@ -333,6 +333,42 @@ let test_scratch_released () =
   if grown > (1 lsl 20) + 65_536 then
     Alcotest.failf "a run left %d words of scratch behind" grown
 
+(* Allocation contract of a run, on the [exec:feedback-mix] micro kernel's
+   batch: default-spec queries at N = 3..6, four of each, their IAI plans,
+   each run under a 10,000-row cap (some overflow it).  The workspace is
+   reused across runs, so once warm a run allocates only what it returns
+   (the output rows' binding vectors and the step statistics) or raises:
+   74,290 words over the batch, about 4.6k per plan.  The count is exact on
+   one domain, and a run that gains an allocation fails it. *)
+let test_run_allocation () =
+  let batch =
+    List.concat_map
+      (fun n_joins ->
+        List.init 4 (fun k ->
+            let rng = Ljqo_stats.Rng.create ((100 * n_joins) + k) in
+            let q = Benchmark.generate_query Benchmark.default ~n_joins ~rng in
+            let data = Relation_data.generate_all q ~rng:(Ljqo_stats.Rng.split rng) in
+            let ticks = Ljqo_core.Optimizer.time_limit_ticks ~t_factor:1.0 ~query:q () in
+            let plan =
+              (Ljqo_core.Optimizer.optimize ~method_:Ljqo_core.Methods.IAI
+                 ~model:Helpers.memory_model ~ticks ~seed:k q)
+                .plan
+            in
+            (q, data, plan)))
+      [ 3; 4; 5; 6 ]
+  in
+  let run_batch () =
+    List.iter
+      (fun (q, data, plan) ->
+        match Executor.run ~max_rows:10_000 q ~data plan with
+        | r -> ignore (Sys.opaque_identity r)
+        | exception Executor.Result_too_large _ -> ())
+      batch
+  in
+  let words = Helpers.minor_words_per_call run_batch in
+  if words <> 74_290.0 then
+    Alcotest.failf "Executor.run: %.1f minor words over the 16 plans, not 74,290" words
+
 let suite =
   [
     Alcotest.test_case "data matches statistics" `Quick test_data_matches_stats;
@@ -350,4 +386,5 @@ let suite =
     Alcotest.test_case "probe counter counts completed steps" `Quick test_probe_counter;
     Alcotest.test_case "nested run keeps its own scratch" `Quick test_nested_run;
     Alcotest.test_case "scratch released after a large run" `Quick test_scratch_released;
+    Alcotest.test_case "run allocation on the feedback mix" `Quick test_run_allocation;
   ]

@@ -221,9 +221,9 @@ let counting_model counter : Ljqo_cost.Cost_model.t =
   (module struct
     let name = M.name
 
-    let join_cost input =
+    let join_cost ~is_first ~is_cross input =
       Atomic.incr counter;
-      M.join_cost input
+      M.join_cost ~is_first ~is_cross input
 
     let scan_cost = M.scan_cost
 
@@ -369,7 +369,8 @@ let test_driver_records_crashes () =
     (module struct
       let name = "poisoned"
 
-      let join_cost (_ : Ljqo_cost.Cost_model.join_input) : float =
+      let join_cost ~is_first:(_ : bool) ~is_cross:(_ : bool)
+          (_ : Ljqo_cost.Cost_model.join_input) : unit =
         failwith "estimator bug"
 
       let scan_cost ~card:(_ : float) : float = failwith "estimator bug"

@@ -1,14 +1,12 @@
 open Ljqo_cost
 
-let input ?(is_cross = false) ~outer ~inner ~distinct ~output () :
-    Cost_model.join_input =
+let input ~outer ~inner ~distinct ~output () : Cost_model.join_input =
   {
     outer_card = outer;
     inner_card = inner;
     inner_distinct = distinct;
     output_card = output;
-    is_first = false;
-    is_cross;
+    cost = Float.nan;
   }
 
 let test_names () =
@@ -17,43 +15,45 @@ let test_names () =
 
 let test_hash_matches_memory_model () =
   let i = input ~outer:100.0 ~inner:1000.0 ~distinct:100.0 ~output:1000.0 () in
-  Helpers.check_approx "hash = Memory_model" (Memory_model.join_cost i)
-    (Join_method.cost Join_method.Hash_join i)
+  Memory_model.join_cost ~is_first:false ~is_cross:false i;
+  Helpers.check_approx "hash = Memory_model" i.cost
+    (Join_method.cost Join_method.Hash_join ~is_cross:false i)
 
 let test_applicability () =
-  let cross = input ~is_cross:true ~outer:10.0 ~inner:10.0 ~distinct:5.0 ~output:100.0 () in
+  let cross = input ~outer:10.0 ~inner:10.0 ~distinct:5.0 ~output:100.0 () in
   Alcotest.(check bool) "NL on cross" true
-    (Join_method.applicable Join_method.Nested_loop_join cross);
+    (Join_method.applicable Join_method.Nested_loop_join ~is_cross:true);
   Alcotest.(check bool) "hash not on cross" false
-    (Join_method.applicable Join_method.Hash_join cross);
+    (Join_method.applicable Join_method.Hash_join ~is_cross:true);
   Alcotest.(check bool) "hash cost infinite on cross" true
-    (Join_method.cost Join_method.Hash_join cross = infinity)
+    (Join_method.cost Join_method.Hash_join ~is_cross:true cross = infinity)
 
 let test_nested_loop_wins_tiny_inputs () =
   (* 2x2 join: hashing overhead dominates. *)
   let i = input ~outer:2.0 ~inner:2.0 ~distinct:2.0 ~output:2.0 () in
-  let m, _ = Join_method.cheapest i in
+  let m, _ = Join_method.cheapest ~is_cross:false i in
   Alcotest.(check string) "tiny join" "nested-loop" (Join_method.name m)
 
 let test_hash_wins_large_equijoin () =
   let i = input ~outer:100000.0 ~inner:100000.0 ~distinct:100000.0 ~output:100000.0 () in
-  let m, _ = Join_method.cheapest i in
+  let m, _ = Join_method.cheapest ~is_cross:false i in
   Alcotest.(check string) "large equijoin" "hash" (Join_method.name m)
 
 let test_sort_merge_beats_hash_on_skew () =
   (* Very low inner distinct count makes hash bucket chains enormous;
      sort-merge does not care. *)
   let i = input ~outer:100000.0 ~inner:100000.0 ~distinct:2.0 ~output:100000.0 () in
-  let hash = Join_method.cost Join_method.Hash_join i in
-  let sm = Join_method.cost Join_method.Sort_merge_join i in
+  let hash = Join_method.cost Join_method.Hash_join ~is_cross:false i in
+  let sm = Join_method.cost Join_method.Sort_merge_join ~is_cross:false i in
   Alcotest.(check bool) "sort-merge wins under skew" true (sm < hash)
 
 let test_cheapest_is_min () =
   let i = input ~outer:500.0 ~inner:700.0 ~distinct:70.0 ~output:900.0 () in
-  let _, c = Join_method.cheapest i in
+  let _, c = Join_method.cheapest ~is_cross:false i in
   List.iter
     (fun m ->
-      Alcotest.(check bool) "cheapest <= each" true (c <= Join_method.cost m i))
+      Alcotest.(check bool) "cheapest <= each" true
+        (c <= Join_method.cost m ~is_cross:false i))
     Join_method.all
 
 let test_adaptive_model_never_worse_than_hash_only () =

@@ -213,36 +213,30 @@ let test_eval_checks_ids_first () =
       Alcotest.(check int) "no join costed" 0 !calls)
     [ [| 0; 1; 3 |]; [| 0; 1; -1 |]; [| 7 |] ]
 
-(* Allocation contract for [eval]: 17 minor words per computed step (the
-   cost model's [join_input] record with four boxed floats, and its boxed
-   result), three arrays of [n + 1] words (positions, cards, step costs),
-   and at most 16 words of small records per call — at any degree.  Steps
-   are counted by the model; measured on one domain. *)
+(* Allocation contract for [eval]: nothing for any of its [n - 1] steps —
+   the cost model reads its inputs from, and writes its cost to, the
+   stepper's own flat record — three arrays of [n + 1] words (positions,
+   cards, step costs), and 21 words of small records per call: the stepper
+   (8) and its record (6), the result (5) and its boxed total (2).  At any
+   degree, under the memory and the disk model; exact on one domain. *)
 let test_eval_allocation () =
   List.iter
-    (fun (label, spec, n_joins) ->
+    (fun (label, model, spec, n_joins) ->
       let rng = Ljqo_stats.Rng.create 42 in
       let q = Ljqo_querygen.Benchmark.generate_query spec ~n_joins ~rng in
       let plan = Ljqo_core.Random_plan.generate rng q in
       let n = Array.length plan in
-      let calls = ref 0 in
-      let model = Helpers.counting_model calls in
-      let runs = 50 in
-      let before = Gc.minor_words () in
-      for _ = 1 to runs do
-        ignore (Sys.opaque_identity (Plan_cost.eval model q plan))
-      done;
-      let words = Gc.minor_words () -. before in
-      let extra =
-        (words -. float_of_int ((17 * !calls) + (runs * 3 * (n + 1))))
-        /. float_of_int runs
-      in
-      if extra < 0.0 || extra > 16.0 then
-        Alcotest.failf "%s: %.2f minor words per step, %.1f per call beyond the contract"
-          label (words /. float_of_int !calls) extra)
+      let words = Helpers.minor_words_per_call (fun () -> Plan_cost.eval model q plan) in
+      let extra = words -. float_of_int (3 * (n + 1)) in
+      if extra <> 21.0 then
+        Alcotest.failf "%s: %.1f minor words per call of %d steps, %.1f beyond the \
+                        arrays, not 21"
+          label words (n - 1) extra)
     [
-      ("default N=50", Ljqo_querygen.Benchmark.default, 50);
-      ("graph-dense N=200", Helpers.graph_dense, 200);
+      ("memory, default N=50", mem, Ljqo_querygen.Benchmark.default, 50);
+      ("memory, graph-dense N=200", mem, Helpers.graph_dense, 200);
+      ("disk, default N=50", Helpers.disk_model, Ljqo_querygen.Benchmark.default, 50);
+      ("disk, graph-dense N=200", Helpers.disk_model, Helpers.graph_dense, 200);
     ]
 
 let suite =
@@ -263,6 +257,6 @@ let suite =
     prop_eval_matches_oracle;
     Alcotest.test_case "eval checks ids before costing" `Quick
       test_eval_checks_ids_first;
-    Alcotest.test_case "eval allocates 17 words per computed step" `Quick
+    Alcotest.test_case "eval allocates 21 words per call, 0 per step" `Quick
       test_eval_allocation;
   ]

@@ -561,6 +561,38 @@ let test_create_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "zero tick budget must raise"
 
+(* Allocation contracts of the per-request path, on the 51-relation,
+   71-edge query of the [service:fingerprint-n51] and [service:serve-hit]
+   micro kernels: 1,541 words for the fingerprint, 3,535 for an exact hit
+   (the fingerprint, the lookup, the plan instantiated from the cache and
+   its recost).  The counts are exact on one domain; a subject that gains
+   an allocation fails them. *)
+let micro_query () =
+  Ljqo_querygen.Benchmark.generate_query Ljqo_querygen.Benchmark.default
+    ~n_joins:50 ~rng:(Ljqo_stats.Rng.create 97)
+
+let check_words label ~expected words =
+  if words <> expected then
+    Alcotest.failf "%s: %.1f minor words per call, not %.0f" label words expected
+
+let test_fingerprint_allocation () =
+  let q = micro_query () in
+  check_words "Fingerprint.compute, 51 relations" ~expected:1541.0
+    (Helpers.minor_words_per_call (fun () -> Fingerprint.compute q))
+
+(* An exact hit: fingerprint, cache lookup, plan instantiation and the
+   recost of the served plan.  One cold run primes the cache. *)
+let test_serve_hit_allocation () =
+  let q = micro_query () in
+  let s =
+    Service.create { Service.default_config with budget = Service.Fixed_ticks 1000 }
+  in
+  ignore (Service.serve_direct s q);
+  Alcotest.(check bool) "an exact hit" true
+    ((Service.serve_direct s q).d_source = Service.Exact_hit);
+  check_words "Service.serve_direct, exact hit" ~expected:3535.0
+    (Helpers.minor_words_per_call (fun () -> Service.serve_direct s q))
+
 let suite =
   [
     prop_relabel_invariant;
@@ -593,4 +625,8 @@ let suite =
       test_disconnected_bypasses_cache;
     Alcotest.test_case "create validates its inputs" `Quick
       test_create_validation;
+    Alcotest.test_case "fingerprint allocation at 51 relations" `Quick
+      test_fingerprint_allocation;
+    Alcotest.test_case "serve_direct exact-hit allocation" `Quick
+      test_serve_hit_allocation;
   ]
