@@ -591,7 +591,7 @@ let run_query file budget method_ model seed max_rows with_obs =
      List.iteri
        (fun i actual -> Printf.printf "%-4d %14.4g %14d\n" i est.(i) actual)
        (Ljqo_exec.Executor.cardinalities result);
-     Printf.printf "final result: %d rows\n" (Array.length result.rows)
+     Printf.printf "final result: %d rows\n" result.row_count
    with Ljqo_exec.Executor.Result_too_large n ->
      Printf.printf
        "execution aborted: intermediate result exceeded %d rows (cap %d)\n" n max_rows)
@@ -748,7 +748,7 @@ let sql file catalog_file budget method_ model seed execute =
     try
       let result = Ljqo_exec.Executor.run query ~data r.plan in
       Printf.printf "executed: %d result rows (per-step sizes: %s)\n"
-        (Array.length result.rows)
+        result.row_count
         (String.concat ", "
            (List.map string_of_int (Ljqo_exec.Executor.cardinalities result)))
     with Ljqo_exec.Executor.Result_too_large n ->

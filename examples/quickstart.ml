@@ -57,6 +57,6 @@ let () =
   let data = Ljqo_exec.Relation_data.generate_all query ~rng in
   let exec = Ljqo_exec.Executor.run query ~data result.plan in
   Format.printf "Executed: %d result rows (per-step actual sizes: %s).@."
-    (Array.length exec.rows)
+    exec.row_count
     (String.concat ", "
        (List.map string_of_int (Ljqo_exec.Executor.cardinalities exec)))

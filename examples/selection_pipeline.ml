@@ -57,4 +57,4 @@ let () =
   List.iteri
     (fun i actual -> Format.printf "  step %d: %10.4g vs %8d@." i est.(i) actual)
     (Ljqo_exec.Executor.cardinalities result);
-  Format.printf "final join result: %d rows@." (Array.length result.rows)
+  Format.printf "final join result: %d rows@." result.row_count

@@ -80,6 +80,6 @@ let () =
   (try
      let exec = Ljqo_exec.Executor.run ~max_rows:2_000_000 query ~data r.plan in
      Format.printf "executed optimized plan: %d result rows@."
-       (Array.length exec.rows)
+       exec.row_count
    with Ljqo_exec.Executor.Result_too_large n ->
      Format.printf "executed optimized plan: aborted at %d rows@." n)

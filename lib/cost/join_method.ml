@@ -29,42 +29,56 @@ let applicable m ~is_cross =
   | Nested_loop_join -> true
   | Hash_join | Sort_merge_join -> not is_cross
 
-let log2 x = if x <= 2.0 then 1.0 else log x /. log 2.0
+let[@inline] log2 x = if x <= 2.0 then 1.0 else log x /. log 2.0
+
+(* The three formulas, inlined so their floats stay unboxed. *)
+let[@inline] hash_cost params (j : Cost_model.join_input) =
+  let p = params.hash in
+  let chain = j.inner_card /. Float.max 1.0 j.inner_distinct in
+  (p.Memory_model.c_build *. j.inner_card)
+  +. (j.outer_card *. (p.Memory_model.c_probe +. (p.Memory_model.c_compare *. chain)))
+  +. (p.Memory_model.c_output *. j.output_card)
+
+let[@inline] sort_merge_cost params (j : Cost_model.join_input) =
+  (params.c_sort *. j.outer_card *. log2 j.outer_card)
+  +. (params.c_sort *. j.inner_card *. log2 j.inner_card)
+  +. (params.c_merge *. (j.outer_card +. j.inner_card))
+  +. (params.c_output *. j.output_card)
+
+let[@inline] nested_loop_cost params (j : Cost_model.join_input) =
+  (params.c_loop_compare *. j.outer_card *. j.inner_card)
+  +. (params.c_output *. j.output_card)
 
 let cost ?(params = default_params) m ~is_cross (j : Cost_model.join_input) =
   if not (applicable m ~is_cross) then infinity
   else
     match m with
-    | Hash_join ->
-      let p = params.hash in
-      let chain = j.inner_card /. Float.max 1.0 j.inner_distinct in
-      (p.Memory_model.c_build *. j.inner_card)
-      +. (j.outer_card *. (p.Memory_model.c_probe +. (p.Memory_model.c_compare *. chain)))
-      +. (p.Memory_model.c_output *. j.output_card)
-    | Sort_merge_join ->
-      let sort n = params.c_sort *. n *. log2 n in
-      sort j.outer_card +. sort j.inner_card
-      +. (params.c_merge *. (j.outer_card +. j.inner_card))
-      +. (params.c_output *. j.output_card)
-    | Nested_loop_join ->
-      (params.c_loop_compare *. j.outer_card *. j.inner_card)
-      +. (params.c_output *. j.output_card)
+    | Hash_join -> hash_cost params j
+    | Sort_merge_join -> sort_merge_cost params j
+    | Nested_loop_join -> nested_loop_cost params j
 
-let cheapest ?(params = default_params) ~is_cross j =
-  List.fold_left
-    (fun (bm, bc) m ->
-      let c = cost ~params m ~is_cross j in
-      if c < bc then (m, c) else (bm, bc))
-    (Nested_loop_join, cost ~params Nested_loop_join ~is_cross j)
-    [ Hash_join; Sort_merge_join ]
+(* [cheapest], its cost written to [j.cost]; allocates nothing. *)
+let choose params ~is_cross (j : Cost_model.join_input) =
+  j.cost <- nested_loop_cost params j;
+  if is_cross then Nested_loop_join
+  else begin
+    let h = hash_cost params j in
+    let m = if h < j.cost then (j.cost <- h; Hash_join) else Nested_loop_join in
+    let sm = sort_merge_cost params j in
+    if sm < j.cost then (j.cost <- sm; Sort_merge_join) else m
+  end
+
+let cheapest ?(params = default_params) ~is_cross (j : Cost_model.join_input) =
+  let j = { j with cost = 0.0 } in
+  let m = choose params ~is_cross j in
+  (m, j.cost)
 
 module Make_adaptive (P : sig
   val params : params
 end) : Cost_model.S = struct
   let name = "adaptive-memory"
 
-  let join_cost ~is_first:_ ~is_cross (j : Cost_model.join_input) =
-    j.cost <- snd (cheapest ~params:P.params ~is_cross j)
+  let join_cost ~is_first:_ ~is_cross j = ignore (choose P.params ~is_cross j)
 
   let scan_cost ~card = P.params.hash.Memory_model.c_build *. card
 

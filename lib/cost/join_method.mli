@@ -42,7 +42,10 @@ val cost : ?params:params -> t -> is_cross:bool -> Cost_model.join_input -> floa
 val applicable : t -> is_cross:bool -> bool
 
 val cheapest : ?params:params -> is_cross:bool -> Cost_model.join_input -> t * float
-(** The cheapest applicable method for this step. *)
+(** The cheapest applicable method for this step, and its cost.  Nested
+    loops, then hash, then sort-merge: a later method takes over only when
+    strictly cheaper, so a tie or a NaN keeps the earlier one.
+    [input.cost] is neither read nor written. *)
 
 module Adaptive_memory : Cost_model.S
 

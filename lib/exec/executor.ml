@@ -9,7 +9,7 @@ type step_stat = {
   probe_comparisons : int;
 }
 
-type result = { rows : int array array; steps : step_stat list; first_card : int }
+type result = { row_count : int; steps : step_stat list; first_card : int }
 
 (* Placed neighbours of relation [r]: the predicates that apply when [r]
    joins the current prefix. *)
@@ -36,7 +36,8 @@ let matches query ~data ~row ~r ~t edges =
    of the relation at plan position [j] in row [k].  A step emits only the
    outer row ([src]) and the inner tuple ([tup]) of each output row; once
    it completes, the prefix columns are gathered into [next] and the two
-   column sets swap.  The inner relation's build table is CSR: its tuples
+   column sets swap, except after the last step, whose rows only
+   [iter_rows] reads.  The inner relation's build table is CSR: its tuples
    bucketed by a hash of the anchor value, [off] holding bucket offsets and
    [perm] the tuple ids, ascending within a bucket.  Arrays only grow, and
    each is used up to the current run's sizes. *)
@@ -244,7 +245,25 @@ let check_inputs query ~data plan =
         invalid_arg "Executor: data must be indexed by relation id")
     data
 
-let execute s ~max_rows ?on_step query ~data plan =
+(* Hand each final row to [f] as a binding vector, reused between calls.
+   The last step is not committed: a row's prefix columns are read through
+   its outer row [src.(k)], its last relation's tuple from [tup.(k)]. *)
+let iter_rows s plan ~len f =
+  let last = Array.length plan - 1 in
+  let row = Array.make (last + 1) (-1) in
+  for k = 0 to len - 1 do
+    if last = 0 then row.(plan.(0)) <- s.cols.(0).(k)
+    else begin
+      let src = s.src.(k) in
+      for j = 0 to last - 1 do
+        row.(plan.(j)) <- s.cols.(j).(src)
+      done;
+      row.(plan.(last)) <- s.tup.(k)
+    end;
+    f row
+  done
+
+let execute s ~max_rows ?on_step ?on_row query ~data plan =
   let n = Array.length plan in
   if Array.length s.cols < n then begin
     let widen a = Array.append a (Array.make (n - Array.length a) [||]) in
@@ -265,7 +284,7 @@ let execute s ~max_rows ?on_step query ~data plan =
   for i = 1 to n - 1 do
     let r = plan.(i) in
     let comparisons = join s ~max_rows query ~data ~pos ~len:!len r in
-    commit s ~width:i;
+    if i < n - 1 then commit s ~width:i;
     pos.(r) <- i;
     len := s.emitted;
     Ljqo_obs.Obs.add Ljqo_obs.Obs.Exec_probe_comparisons comparisons;
@@ -286,20 +305,12 @@ let execute s ~max_rows ?on_step query ~data plan =
         ("probe_comparisons", Ljqo_obs.Obs.I total_probes);
       ]
   end;
-  let cols = s.cols in
-  let rows =
-    Array.init !len (fun k ->
-        let row = Array.make n (-1) in
-        for j = 0 to n - 1 do
-          row.(plan.(j)) <- cols.(j).(k)
-        done;
-        row)
-  in
-  { rows; steps = List.rev !steps; first_card }
+  (match on_row with None -> () | Some f -> iter_rows s plan ~len:!len f);
+  { row_count = !len; steps = List.rev !steps; first_card }
 
-let run ?(max_rows = 1_000_000) ?on_step query ~data plan =
+let run ?(max_rows = 1_000_000) ?on_step ?on_row query ~data plan =
   check_inputs query ~data plan;
-  with_scratch (fun s -> execute s ~max_rows ?on_step query ~data plan)
+  with_scratch (fun s -> execute s ~max_rows ?on_step ?on_row query ~data plan)
 
 let cardinalities result =
   result.first_card :: List.map (fun s -> s.output_rows) result.steps

@@ -19,24 +19,26 @@
     each outer row's anchor value, verifies the remaining predicates, and
     records each output row as (outer row, inner tuple); the prefix columns
     are gathered once the step completes.  The probe, verify and emit loop
-    allocates nothing.  The binding vectors of {!result.rows} are built
-    once, from the final columns.
+    allocates nothing.  A run returns only counts, so the last step's
+    prefix columns are never gathered: [on_row], when given, reads each
+    final row through its outer row instead.
 
     {b Emit order.}  Output rows follow the outer rows in order; the inner
     tuples matching one outer row come in descending tuple index (a cross
     product: ascending).  Only the anchor predicate (the inner relation's
     lowest-numbered placed neighbour) is hashed, and [probe_comparisons]
     counts the inner tuples whose anchor value equals the outer row's.
-    Rows, step statistics and the [Result_too_large] payload are therefore
-    a function of the query, data, plan and cap alone.
+    The rows [on_row] sees, the step statistics and the [Result_too_large]
+    payload are therefore a function of the query, data, plan and cap
+    alone.
 
     {b Scratch.}  The columns and the build table live in a per-domain
     workspace ([Domain.DLS]), double-buffered and reused across steps and
     runs, so the domains of a parallel batch never share one.  A run
-    started from inside another run's [on_step] gets a workspace of its
-    own.  After a run the domain keeps at most 2{^20} words (8 MiB) of
-    scratch; a larger workspace is dropped, so one huge execution does not
-    pin its memory for the life of the domain. *)
+    started from inside another run's [on_step] or [on_row] gets a
+    workspace of its own.  After a run the domain keeps at most 2{^20}
+    words (8 MiB) of scratch; a larger workspace is dropped, so one huge
+    execution does not pin its memory for the life of the domain. *)
 
 exception Result_too_large of int
 (** Carries the row count that exceeded the cap. *)
@@ -48,9 +50,7 @@ type step_stat = {
 }
 
 type result = {
-  rows : int array array;
-      (** binding vectors: [rows.(k).(r)] is relation [r]'s tuple index in
-          output row [k], or [-1] if [r] is not in the plan prefix *)
+  row_count : int;  (** rows in the final result *)
   steps : step_stat list;  (** in plan order *)
   first_card : int;  (** cardinality of the first (leftmost) relation *)
 }
@@ -58,6 +58,7 @@ type result = {
 val run :
   ?max_rows:int ->
   ?on_step:(step_stat -> unit) ->
+  ?on_row:(int array -> unit) ->
   Ljqo_catalog.Query.t ->
   data:Relation_data.t array ->
   Ljqo_core.Plan.t ->
@@ -71,7 +72,10 @@ val run :
     {!Result_too_large} (the feedback layer uses it to keep partial
     per-depth cardinalities).  Each completed step's [probe_comparisons]
     also feeds the [exec.probe_comparisons] obs counter (a no-op when
-    observability is off). *)
+    observability is off).  [on_row] is called once per final row, in emit
+    order, after the last step: with the row's binding vector, where
+    [row.(r)] is relation [r]'s tuple index.  The vector is reused between
+    calls; copy it to keep it. *)
 
 val cardinalities : result -> int list
 (** Intermediate result sizes after each step (starting with the first

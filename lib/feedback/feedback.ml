@@ -81,7 +81,7 @@ let observe ?max_rows query ~data plan =
       plan;
       act_cards = act_cards result.first_card;
       truncated_at = None;
-      result_rows = Some (Array.length result.rows);
+      result_rows = Some result.row_count;
     }
   | exception Executor.Result_too_large _ ->
     (* The completed prefix is what [on_step] saw; the overflowing step is

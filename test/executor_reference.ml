@@ -1,10 +1,11 @@
 (* Test oracle for [Ljqo_exec.Executor.run]: the original row-at-a-time
    executor, one copied binding vector and list cell per emitted row and a
    polymorphic [Hashtbl] of candidate lists per step.  The columnar
-   executor must reproduce its [result] exactly — rows in order, per-step
-   statistics, the [on_step] sequence and the [Result_too_large] payload —
-   because the feedback layer and the benchmark's output digests read all
-   of them. *)
+   executor must reproduce it exactly — the final rows in order (through
+   [on_row]), the [result], the [on_step] sequence and the
+   [Result_too_large] payload — because the feedback layer and the
+   benchmark's output digests read the counts, and the rows show that
+   they count the right join. *)
 
 open Ljqo_catalog
 open Ljqo_exec
@@ -23,7 +24,7 @@ let matches ~data ~row ~r ~t edges =
       outer_col.(row.(k)) = inner_col.(t))
     edges
 
-let run ?(max_rows = 1_000_000) ?on_step query ~data plan =
+let run ?(max_rows = 1_000_000) ?on_step ?on_row query ~data plan =
   let n = Query.n_relations query in
   if (not (Ljqo_core.Plan.is_permutation plan)) || Array.length plan <> n then
     invalid_arg "Executor: plan is not a permutation of the query";
@@ -93,8 +94,9 @@ let run ?(max_rows = 1_000_000) ?on_step query ~data plan =
     (match on_step with None -> () | Some f -> f stat);
     steps := stat :: !steps
   done;
+  (match on_row with None -> () | Some f -> Array.iter f !rows);
   {
-    rows = !rows;
+    row_count = Array.length !rows;
     steps = List.rev !steps;
     first_card = Relation_data.cardinality data.(first);
   }

@@ -93,7 +93,7 @@ let test_observe_aligns_with_executor () =
     (Array.to_list (Array.map int_of_float obs.act_cards));
   Alcotest.(check bool) "not truncated" true (obs.truncated_at = None);
   Alcotest.(check bool) "result rows recovered" true
-    (obs.result_rows = Some (Array.length r.rows))
+    (obs.result_rows = Some r.row_count)
 
 let test_golden_biased_chain () =
   (* Fixed seeds, known bias: per-depth q-error must sit in the decade the

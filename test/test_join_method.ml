@@ -56,6 +56,59 @@ let test_cheapest_is_min () =
         (c <= Join_method.cost m ~is_cross:false i))
     Join_method.all
 
+(* The selection [cheapest] replaced: a fold over (method, cost) pairs that
+   starts from nested loops and lets hash, then sort-merge, take over on a
+   strict [<]. *)
+let cheapest_by_fold ?params ~is_cross j =
+  List.fold_left
+    (fun (bm, bc) m ->
+      let c = Join_method.cost ?params m ~is_cross j in
+      if c < bc then (m, c) else (bm, bc))
+    (Join_method.Nested_loop_join, Join_method.cost ?params Join_method.Nested_loop_join ~is_cross j)
+    [ Join_method.Hash_join; Join_method.Sort_merge_join ]
+
+(* Same method and same cost bits as the fold, from [cheapest] and from the
+   adaptive model's [join_cost], on every combination of awkward inputs: ties
+   (all-zero per-tuple costs make every method cost the output), NaN,
+   infinity, zero and the log2 cut at 2. *)
+let test_cheapest_matches_fold () =
+  let tie =
+    {
+      Join_method.hash = { Memory_model.c_build = 0.0; c_probe = 0.0; c_compare = 0.0; c_output = 1.0 };
+      c_sort = 0.0;
+      c_merge = 0.0;
+      c_loop_compare = 0.0;
+      c_output = 1.0;
+    }
+  in
+  let values = [| Float.nan; infinity; 0.0; 1.0; 2.0; 3.0; 70.0; 1e6 |] in
+  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  (* Input [k] takes one octal digit of [k] per field. *)
+  for k = 0 to 4095 do
+    let v d = values.((k lsr (3 * d)) land 7) in
+    let i = input ~outer:(v 0) ~inner:(v 1) ~distinct:(v 2) ~output:(v 3) () in
+    let show is_cross =
+      Printf.sprintf "outer %g inner %g distinct %g output %g%s" (v 0) (v 1) (v 2) (v 3)
+        (if is_cross then " (cross)" else "")
+    in
+    List.iter
+      (fun is_cross ->
+        List.iter
+          (fun (label, params) ->
+            let m, c = Join_method.cheapest ?params ~is_cross i in
+            let m', c' = cheapest_by_fold ?params ~is_cross i in
+            if m <> m' || not (same_bits c c') then
+              Alcotest.failf "%s params, %s: %s %h, the fold picks %s %h" label
+                (show is_cross) (Join_method.name m) c (Join_method.name m') c')
+          [ ("default", None); ("tie", Some tie) ];
+        Join_method.Adaptive_memory.join_cost ~is_first:false ~is_cross i;
+        let _, c = cheapest_by_fold ~is_cross i in
+        if not (same_bits i.cost c) then
+          Alcotest.failf "%s: join_cost wrote %h, the fold's cost is %h" (show is_cross)
+            i.cost c)
+      [ false; true ]
+  done
+
 let test_adaptive_model_never_worse_than_hash_only () =
   let q = Helpers.random_query ~n_joins:8 801 in
   for pseed = 1 to 10 do
@@ -100,6 +153,8 @@ let suite =
     Alcotest.test_case "sort-merge beats hash on skew" `Quick
       test_sort_merge_beats_hash_on_skew;
     Alcotest.test_case "cheapest is min" `Quick test_cheapest_is_min;
+    Alcotest.test_case "cheapest matches the fold on ties and NaN" `Quick
+      test_cheapest_matches_fold;
     Alcotest.test_case "adaptive never worse than hash-only" `Quick
       test_adaptive_model_never_worse_than_hash_only;
     Alcotest.test_case "annotate" `Quick test_annotate;

@@ -84,7 +84,7 @@ let test_pipeline_consistent_with_analytic_generation () =
     let data =
       if prepare then Pipeline.prepare q ~rng else Relation_data.generate_all q ~rng
     in
-    Array.length (Executor.run q ~data [| 2; 1; 0 |]).Executor.rows
+    (Executor.run q ~data [| 2; 1; 0 |]).Executor.row_count
   in
   let avg prepare =
     let t = ref 0 in

@@ -2,6 +2,7 @@ open Ljqo_catalog
 open Ljqo_cost
 
 let mem = Helpers.memory_model
+let adaptive = (module Join_method.Adaptive_memory : Cost_model.S)
 
 let test_chain3_forward () =
   (* Hand-computed for chain3 (see Helpers): A |><| B then |><| C. *)
@@ -218,7 +219,8 @@ let test_eval_checks_ids_first () =
    stepper's own flat record — three arrays of [n + 1] words (positions,
    cards, step costs), and 21 words of small records per call: the stepper
    (8) and its record (6), the result (5) and its boxed total (2).  At any
-   degree, under the memory and the disk model; exact on one domain. *)
+   degree, under the memory, the disk and the adaptive join-method model;
+   exact on one domain. *)
 let test_eval_allocation () =
   List.iter
     (fun (label, model, spec, n_joins) ->
@@ -237,6 +239,8 @@ let test_eval_allocation () =
       ("memory, graph-dense N=200", mem, Helpers.graph_dense, 200);
       ("disk, default N=50", Helpers.disk_model, Ljqo_querygen.Benchmark.default, 50);
       ("disk, graph-dense N=200", Helpers.disk_model, Helpers.graph_dense, 200);
+      ("adaptive, default N=50", adaptive, Ljqo_querygen.Benchmark.default, 50);
+      ("adaptive, graph-dense N=200", adaptive, Helpers.graph_dense, 200);
     ]
 
 let suite =
