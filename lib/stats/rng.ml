@@ -38,20 +38,43 @@ let split_at t i =
   let s = Int64.add (get64u t 0) (Int64.mul gamma (Int64.of_int (i + 1))) in
   of_state (mix (Int64.logxor (mix s) 0x2545F4914F6CDD1DL))
 
+(* The draw on [0, n64 - 1] that the mixed state [z] yields, or -1 when
+   rejection sampling discards it: to avoid modulo bias, a draw is
+   rejected when its block of [n] values is cut off by the top of the
+   63-bit range. *)
+let[@inline] uniform z n64 =
+  let bits = Int64.shift_right_logical z 1 in
+  let r = Int64.rem bits n64 in
+  if Int64.(sub (add (sub bits r) n64) 1L) >= 0L then Int64.to_int r else -1
+
 let int t n =
   assert (n > 0);
-  (* Rejection sampling to avoid modulo bias: a draw is rejected when its
-     block of [n] values is cut off by the top of the 63-bit range.  A loop
-     rather than a recursive closure, so the int64 temporaries stay in
-     registers. *)
+  (* A loop rather than a recursive closure, so the int64 temporaries stay
+     in registers. *)
   let n64 = Int64.of_int n in
   let v = ref (-1) in
   while !v < 0 do
-    let bits = Int64.shift_right_logical (next t) 1 in
-    let r = Int64.rem bits n64 in
-    if Int64.(sub (add (sub bits r) n64) 1L) >= 0L then v := Int64.to_int r
+    v := uniform (next t) n64
   done;
   !v
+
+let int_array t ~len n =
+  assert (n > 0);
+  (* [int]'s loop with the state in a local, read from [t] once and written
+     back once, so successive draws do not wait on a store and a load. *)
+  let n64 = Int64.of_int n in
+  let a = Array.make len 0 in
+  let s = ref (get64u t 0) in
+  for i = 0 to len - 1 do
+    let v = ref (-1) in
+    while !v < 0 do
+      s := Int64.add !s gamma;
+      v := uniform (mix !s) n64
+    done;
+    Array.unsafe_set a i !v
+  done;
+  set64u t 0 !s;
+  a
 
 let int_in t lo hi =
   assert (lo <= hi);

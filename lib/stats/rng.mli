@@ -41,6 +41,12 @@ val bits64 : t -> int64
 val int : t -> int -> int
 (** [int t n] is uniform on [0, n-1].  Requires [n > 0]. *)
 
+val int_array : t -> len:int -> int -> int array
+(** [int_array t ~len n] is [len] successive draws of [int t n], in order,
+    and leaves [t] where those draws would.  It allocates only the array,
+    and keeps the generator's state in a local across the draws, which a
+    loop of [int] calls cannot. *)
+
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform on [lo, hi] inclusive.  Requires [lo <= hi]. *)
 

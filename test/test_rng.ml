@@ -216,7 +216,11 @@ let test_golden_streams () =
       Alcotest.(check (list int64)) (label "bits64") g.bits64 (draws 3 Rng.bits64 g.seed);
       List.iter
         (fun (what, n, want) ->
-          Alcotest.(check (list int)) (label what) want (draws 4 (fun r -> Rng.int r n) g.seed))
+          Alcotest.(check (list int)) (label what) want (draws 4 (fun r -> Rng.int r n) g.seed);
+          Alcotest.(check (list int))
+            (label (what ^ " by int_array"))
+            want
+            (Array.to_list (Rng.int_array (Rng.create g.seed) ~len:4 n)))
         [
           ("int 7", 7, g.int7);
           ("int 1000", 1000, g.int1000);
@@ -247,6 +251,27 @@ let test_int_does_not_allocate () =
   ignore (Sys.opaque_identity !acc);
   Alcotest.(check (float 0.0)) "minor words" 0.0 (after -. before)
 
+(* [int_array] is a loop of [int] draws: the same values, and the
+   generator left where the loop would leave it. *)
+let prop_int_array_is_int_draws =
+  Helpers.qcheck_case ~name:"int_array equals successive int draws"
+    (fun (seed, len, n) ->
+      let n = 1 + (abs n mod 1000) in
+      let a = Rng.create seed and b = Rng.create seed in
+      let drawn = Rng.int_array a ~len n in
+      let looped = Array.init len (fun _ -> Rng.int b n) in
+      drawn = looped && Rng.bits64 a = Rng.bits64 b)
+    QCheck.(triple small_int (int_bound 300) int)
+
+(* [int_array] allocates its array and nothing else. *)
+let test_int_array_allocation () =
+  let rng = Rng.create 22 in
+  let before = Gc.minor_words () in
+  let a = Rng.int_array rng ~len:100 1000 in
+  let after = Gc.minor_words () in
+  ignore (Sys.opaque_identity a);
+  Alcotest.(check (float 0.0)) "minor words" 101.0 (after -. before)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -264,6 +289,8 @@ let suite =
     Alcotest.test_case "choose stays in array" `Quick test_choose;
     Alcotest.test_case "golden streams" `Quick test_golden_streams;
     Alcotest.test_case "int draws do not allocate" `Quick test_int_does_not_allocate;
+    Alcotest.test_case "int_array allocates only its array" `Quick test_int_array_allocation;
+    prop_int_array_is_int_draws;
     prop_int_in_range;
     prop_split_differs;
   ]
