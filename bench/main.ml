@@ -38,7 +38,8 @@ let usage () =
      --trace FILE           stream sampled trace events to FILE as JSONL\n\
      --trace-sample N       keep every Nth event per event type (default 1)\n\
      --trajectories DIR     write every run's incumbent trajectory to\n\
-    \                        DIR/trajectories.jsonl (learn's Dataset format)";
+    \                        DIR/trajectories.jsonl, one JSON object a line:\n\
+    \                        {\"label\":..,\"points\":[[ticks,cost],..]}";
   exit 2
 
 type options = {
@@ -182,12 +183,6 @@ let parse_args () =
           (List.map
              (fun name ->
                match Ljqo_core.Methods.of_name name with
-               | Some Ljqo_core.Methods.Adaptive ->
-                 (* It would quietly run its portfolio fallback. *)
-                 prerr_endline
-                   "--methods: adaptive needs a routing model, which the \
-                    bench does not load";
-                 usage ()
                | Some m -> m
                | None ->
                  prerr_endline ("--methods: unknown method: " ^ name);
@@ -217,6 +212,25 @@ let parse_args () =
     o.metrics_out <- writable ~dir:false "--metrics-out" o.metrics_out;
   if o.experiments = [] then o.experiments <- all_experiments;
   o
+
+(* The --trajectories file: [Obs.trajectories ()] as JSON lines, one
+   {"label":..,"points":[[ticks,cost],..]} object per labelled run, costs in
+   round-trippable [%.17g]. *)
+let save_trajectories ~path trajs =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (label, points) ->
+      Buffer.add_string b "{\"label\":";
+      Ljqo_obs.Jsonv.write_string b label;
+      Buffer.add_string b ",\"points\":[";
+      List.iteri
+        (fun i (t, c) ->
+          if i > 0 then Buffer.add_char b ',';
+          Printf.bprintf b "[%d,%.17g]" t c)
+        points;
+      Buffer.add_string b "]}\n")
+    trajs;
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc b)
 
 let () =
   Printexc.record_backtrace true;
@@ -248,7 +262,7 @@ let () =
       Option.iter
         (fun path ->
           let trajs = Obs.trajectories () in
-          Ljqo_learn.Dataset.save_trajectories ~path trajs;
+          save_trajectories ~path trajs;
           Printf.printf "[trajectories: wrote %s (%d runs)]\n%!" path
             (List.length trajs))
         o.trajectories;

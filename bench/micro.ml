@@ -432,9 +432,9 @@ let test_cache_put =
 
 module Service = Ljqo_service.Service
 
-(* An exact plan-cache hit through the server's per-request path, with no
-   learn state: fingerprint, lookup, plan instantiation and recost.  One
-   cold run on the same query primes the cache. *)
+(* An exact plan-cache hit through the server's per-request path:
+   fingerprint, lookup, plan instantiation and recost.  One cold run on the
+   same query primes the cache. *)
 let hit_service =
   let s =
     Service.create
@@ -562,38 +562,6 @@ let test_rng_int =
   Test.make ~name:"rng:int"
     (Staged.stage (fun () -> ignore (Sys.opaque_identity (Ljqo_stats.Rng.int rng_bench 1000))))
 
-(* ------------------------------------------------------------------ *)
-(* Learned routing: the two per-request costs an adaptive service pays
-   before any optimization starts — featurizing the query and scoring one
-   (route, budget) candidate against the trained model.                 *)
-
-module Learn = Ljqo_learn
-
-let learn_model =
-  (* A minimal real model: one spec, one size, every route at full budget —
-     enough weights that predict exercises the full dot product. *)
-  match
-    Learn.Model.train
-      (Learn.Dataset.collect ~jobs:1 ~spec_indices:[ 0 ] ~ns:[ 8 ] ~per_n:1
-         ~seed:7 ~t_factor:0.5 ~routes:Learn.Model.routes ~fractions:[ 1.0 ]
-         ~model ())
-  with
-  | Some m -> m
-  | None -> failwith "learn bench: training produced no model"
-
-let test_learn_featurize =
-  Test.make ~name:"learn:featurize"
-    (Staged.stage (fun () -> ignore (Learn.Features.of_query query)))
-
-let learn_features = Learn.Features.of_query query
-
-let test_learn_predict =
-  Test.make ~name:"learn:predict"
-    (Staged.stage (fun () ->
-         ignore
-           (Learn.Model.predict learn_model ~route:"II"
-              ~features:learn_features ~ticks:22_500)))
-
 let tests =
   Test.make_grouped ~name:"ljqo"
     [
@@ -626,8 +594,6 @@ let tests =
       test_serve_hit;
       test_queue_push_pop;
       test_feedback_qerror_record;
-      test_learn_featurize;
-      test_learn_predict;
       (* Last: the garbage it leaves would slow the kernels measured after it. *)
       test_exec_feedback_mix;
     ]

@@ -81,8 +81,7 @@ val default_ticks_per_unit : int
 val max_ticks : int
 (** 2{^53}, the largest budget {!ticks_for_limit} returns.  A float holds
     every integer up to it exactly, so a budget scaled by a fraction
-    ([int_of_float (f *. float_of_int ticks)], as route budgets are) cannot
-    wrap. *)
+    ([int_of_float (f *. float_of_int ticks)]) cannot wrap. *)
 
 val ticks_for_limit : ?ticks_per_unit:int -> t_factor:float -> n_joins:int -> unit -> int
 (** Ticks corresponding to the paper's time limit [t_factor * N^2]: at least

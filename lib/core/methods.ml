@@ -10,13 +10,12 @@ type t =
   | KBI
   | Two_phase
   | Portfolio
-  | Adaptive
 
 let all = [ II; SA; SAA; SAK; IAI; IKI; IAL; AGI; KBI ]
 
 let top_five = [ IAI; IAL; AGI; KBI; II ]
 
-let selectable = all @ [ Two_phase; Portfolio; Adaptive ]
+let selectable = all @ [ Two_phase; Portfolio ]
 
 let name = function
   | II -> "II"
@@ -30,7 +29,6 @@ let name = function
   | KBI -> "KBI"
   | Two_phase -> "2PO"
   | Portfolio -> "portfolio"
-  | Adaptive -> "adaptive"
 
 let of_name s =
   match String.uppercase_ascii s with
@@ -45,7 +43,6 @@ let of_name s =
   | "KBI" -> Some KBI
   | "2PO" -> Some Two_phase
   | "PORTFOLIO" -> Some Portfolio
-  | "ADAPTIVE" -> Some Adaptive
   | _ -> None
 
 type config = {
@@ -163,10 +160,7 @@ let run_inner config ?start:warm method_ ev rng =
       }
     in
     Two_phase.run ~params ?start:warm ev rng
-  | Portfolio | Adaptive ->
-    (* [Adaptive] is resolved to a concrete method upstream, by the caller
-       that owns a model; reaching here means no resolution happened, and
-       the documented fallback is the portfolio. *)
+  | Portfolio ->
     Portfolio.run ~params:config.portfolio_params ~ii_params:config.ii_params
       ~sa_params:config.sa_params ?start:warm ev rng
 

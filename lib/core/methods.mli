@@ -12,18 +12,13 @@
     - [AGI] / [KBI]: first generate (and cost) every augmentation / KBZ
       state, then run random-start II; best of everything wins.
 
-    Beyond the paper's nine, three extension methods are selectable by name
+    Beyond the paper's nine, two extension methods are selectable by name
     but kept out of {!all} so the paper-reproduction sweeps are unchanged:
 
     - [Two_phase] (["2PO"]): II descents then low-temperature SA from the
       best local minimum (see {!Two_phase}).
     - [Portfolio]: races II / SA / two-phase replicates across domains with
       incumbent exchange at round barriers (see {!Portfolio}).
-    - [Adaptive]: routes each query to a learned (method, tick-budget)
-      choice.  The routing itself lives upstream: the caller that owns a
-      model resolves it ([Ljqo_learn.Router.resolve]) before
-      {!Optimizer.optimize}.  An unresolved [Adaptive] behaves exactly like
-      [Portfolio] (the documented fallback).
 
     [run] drives a method against an evaluator until its budget is exhausted,
     it converges, or the method has no way to spend more time; the result is
@@ -41,7 +36,6 @@ type t =
   | KBI
   | Two_phase
   | Portfolio
-  | Adaptive
 
 val all : t list
 (** The paper's nine, in presentation order (no [Portfolio]). *)
@@ -50,8 +44,8 @@ val top_five : t list
 (** [IAI; IAL; AGI; KBI; II] — the methods kept after Figure 4. *)
 
 val selectable : t list
-(** Everything a user can name on a command line: {!all} plus [Two_phase],
-    [Portfolio] and [Adaptive]. *)
+(** Everything a user can name on a command line: {!all} plus [Two_phase]
+    and [Portfolio]. *)
 
 val name : t -> string
 val of_name : string -> t option

@@ -1,7 +1,6 @@
 open Ljqo_catalog
 open Ljqo_cost
 open Ljqo_stats
-module Obs = Ljqo_obs.Obs
 
 type result = {
   plan : Plan.t;
@@ -74,11 +73,6 @@ let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?calibration ?start
   | Some plan when not (Plan.is_valid query plan) ->
     invalid_arg "Optimizer.optimize: ?start is not a valid plan for this query"
   | _ -> ());
-  (* [Adaptive] needs a model, which this call does not take: a caller that
-     owns one resolves it first ([Ljqo_learn.Router.resolve]).  [Methods.run]
-     runs an unresolved one as the documented fallback, the portfolio at
-     the full budget. *)
-  if method_ = Methods.Adaptive then Obs.bump Obs.Learn_route_fallback;
   if n = 1 then
     {
       plan = [| 0 |];

@@ -77,13 +77,7 @@ val optimize :
     (see {!Ljqo_cost.Plan_cost.calibration}); the run's {!Evaluator} holds
     it, so every method, heuristic and portfolio replicate searches under
     it, and [cost] is priced with it.  It is an input of this call only:
-    concurrent calls with different calibrations do not interact.
-
-    [Methods.Adaptive] needs a routing model, which this call does not
-    take: a caller that owns one resolves the method and budget first
-    ([Ljqo_learn.Router.resolve]).  Given [Adaptive], [optimize] runs the
-    documented fallback, [Portfolio] at the full budget, and bumps the
-    [learn.route.fallback] counter. *)
+    concurrent calls with different calibrations do not interact. *)
 
 val time_limit_ticks :
   ?ticks_per_unit:int -> t_factor:float -> query:Ljqo_catalog.Query.t -> unit -> int

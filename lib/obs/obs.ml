@@ -69,13 +69,6 @@ type counter =
   | Neighbors_evaluated
   | Portfolio_rounds
   | Portfolio_exchanges
-  | Learn_samples_recorded
-  | Learn_model_refreshes
-  | Learn_route_ii
-  | Learn_route_sa
-  | Learn_route_2po
-  | Learn_route_portfolio
-  | Learn_route_fallback
   | Exec_probe_comparisons
   | Feedback_plans_executed
   | Feedback_result_too_large
@@ -112,16 +105,9 @@ let counter_index = function
   | Neighbors_evaluated -> 28
   | Portfolio_rounds -> 29
   | Portfolio_exchanges -> 30
-  | Learn_samples_recorded -> 31
-  | Learn_model_refreshes -> 32
-  | Learn_route_ii -> 33
-  | Learn_route_sa -> 34
-  | Learn_route_2po -> 35
-  | Learn_route_portfolio -> 36
-  | Learn_route_fallback -> 37
-  | Exec_probe_comparisons -> 38
-  | Feedback_plans_executed -> 39
-  | Feedback_result_too_large -> 40
+  | Exec_probe_comparisons -> 31
+  | Feedback_plans_executed -> 32
+  | Feedback_result_too_large -> 33
 
 let counter_names =
   [|
@@ -156,13 +142,6 @@ let counter_names =
     "search.neighbors_evaluated";
     "portfolio.rounds";
     "portfolio.exchanges";
-    "learn.samples_recorded";
-    "learn.model_refreshes";
-    "learn.route.ii";
-    "learn.route.sa";
-    "learn.route.2po";
-    "learn.route.portfolio";
-    "learn.route.fallback";
     "exec.probe_comparisons";
     "feedback.plans_executed";
     "feedback.result_too_large";

@@ -74,17 +74,6 @@ type counter =
   | Portfolio_rounds  (** portfolio exchange rounds completed (all replicates) *)
   | Portfolio_exchanges
       (** replicate incumbents folded into the parent evaluator at barriers *)
-  | Learn_samples_recorded
-      (** usable (features, route, budget, cost) samples appended to a
-          learn state *)
-  | Learn_model_refreshes  (** router models (re)trained at epoch barriers *)
-  | Learn_route_ii  (** adaptive requests routed to II *)
-  | Learn_route_sa  (** adaptive requests routed to SA *)
-  | Learn_route_2po  (** adaptive requests routed to two-phase *)
-  | Learn_route_portfolio  (** adaptive requests routed to the portfolio *)
-  | Learn_route_fallback
-      (** adaptive requests that fell back to the portfolio (no model, or
-          features out of the model's training range) *)
   | Exec_probe_comparisons
       (** hash-probe candidate comparisons performed by {!Ljqo_exec.Executor} *)
   | Feedback_plans_executed  (** plans executed by the feedback pipeline *)

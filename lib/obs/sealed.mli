@@ -1,5 +1,5 @@
-(** Sealed text files: the one codec behind the experiment checkpoint, the
-    learned router's model and the selectivity calibration.
+(** Sealed text files: the one codec behind the experiment checkpoint and
+    the selectivity calibration.
 
     A sealed line is a payload of space-separated tokens, one space, the
     lowercase MD5 hex of the payload, and a newline.  An integer token is a

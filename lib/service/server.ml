@@ -105,27 +105,14 @@ let serve_one t (req : request) =
     Obs.span "server.request"
       ~fields:[ ("id", Obs.I req.id); ("tenant", Obs.S req.tenant) ]
       (fun () ->
-        (* A request that never reaches [serve_direct]'s own recording —
-           crash, or deadline before any incumbent — still owes its learn
-           slot a [None]: the dense sample log is what later requests'
-           epoch barriers wait on. *)
-        let record_none () =
-          match Service.learn t.service with
-          | Some st -> Ljqo_learn.Online.record_at st ~id:req.id None
-          | None -> ()
-        in
         match
           Guard.run ~query_id:req.id (fun () ->
-              Service.serve_direct ?deadline:t.cfg.request_deadline
-                ~learn_id:req.id t.service req.query)
+              Service.serve_direct ?deadline:t.cfg.request_deadline t.service
+                req.query)
         with
         | Guard.Completed d -> Served d
-        | Guard.Crashed f ->
-          record_none ();
-          Failed f.exn
-        | Guard.Timed_out _ ->
-          record_none ();
-          Deadlined)
+        | Guard.Crashed f -> Failed f.exn
+        | Guard.Timed_out _ -> Deadlined)
   in
   let finished = now_ns () in
   let latency_ns = max 0 (int_of_float (finished -. req.submitted_ns)) in
@@ -173,9 +160,9 @@ let worker_loop t () =
   in
   Fun.protect ~finally:(fun () -> Atomic.decr t.active) loop
 
-let create ?cache ?cache_capacity ?learn ?(start = true) cfg =
+let create ?cache ?cache_capacity ?(start = true) cfg =
   check_config cfg;
-  let service = Service.create ?cache ?cache_capacity ?learn cfg.service in
+  let service = Service.create ?cache ?cache_capacity cfg.service in
   let t =
     {
       cfg;

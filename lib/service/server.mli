@@ -76,7 +76,6 @@ type t
 val create :
   ?cache:Plan_cache.t ->
   ?cache_capacity:int ->
-  ?learn:Ljqo_learn.Online.t ->
   ?start:bool ->
   config ->
   t
@@ -84,14 +83,7 @@ val create :
     [queue_capacity], [tenant_slots] or [request_deadline]).  [start]
     (default [true]) spawns the worker domains immediately; pass [false] to
     fill the queue deterministically first (tests) and call {!start} when
-    ready.
-
-    [learn] is forwarded to {!Service.create}: every request then records a
-    sample at its dense id (crashed and deadlined requests record a [None]
-    slot), and an [Adaptive] service routes each request through the model
-    pinned to the request id's epoch — so routing, refresh points and the
-    [learn.*] counters are bit-identical for any worker count over a fixed
-    accepted-request sequence. *)
+    ready. *)
 
 val start : t -> unit
 (** Spawn the worker domains; idempotent, and a no-op after {!drain}. *)

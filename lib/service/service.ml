@@ -2,7 +2,6 @@ open Ljqo_core
 module Obs = Ljqo_obs.Obs
 module Parallel = Ljqo_stats.Parallel
 module Query = Ljqo_catalog.Query
-module Router = Ljqo_learn.Router
 
 type budget =
   | Time_limit of { t_factor : float; kappa : int option }
@@ -39,7 +38,6 @@ type served = {
 type t = {
   config : config;
   cache : Plan_cache.t;
-  learn : Ljqo_learn.Online.t option;
 }
 
 let check_budget = function
@@ -51,22 +49,16 @@ let check_budget = function
     invalid_arg "Service.create: Time_limit kappa must be positive"
   | _ -> ()
 
-let create ?cache ?(cache_capacity = 1024) ?learn config =
+let create ?cache ?(cache_capacity = 1024) config =
   check_budget config.budget;
-  if config.method_ = Methods.Adaptive && learn = None then
-    invalid_arg
-      "Service.create: the adaptive method needs a learn state (a loaded or \
-       online-trained model)";
   let cache =
     match cache with
     | Some c -> c
     | None -> Plan_cache.create ~capacity:cache_capacity ()
   in
-  { config; cache; learn }
+  { config; cache }
 
 let cache t = t.cache
-
-let learn t = t.learn
 
 let source_name = function
   | Exact_hit -> "exact-hit"
@@ -92,36 +84,6 @@ let seed_for t exact =
     exact;
   !h land max_int
 
-(* Adaptive resolution ([Router.resolve]) reads a model snapshot *pinned
-   per request* — the batch path snapshots once at batch start, the server
-   path pins by request id via [Online.await] — never a live mutable model,
-   so concurrent retraining cannot make two identical requests route
-   differently.  Resolution is pure; [Router.bump] counts the route only
-   where an optimization actually runs.  This is the snapshot for paths
-   that are not pinned to a request id: the newest trained model (or the
-   initial one). *)
-let snapshot_now t = Option.join (Option.map Ljqo_learn.Online.model t.learn)
-
-(* One sample per served request: the resolved route and its deterministic
-   budget paired with the served cost — an exact hit or a deduped twin
-   records the same sample the cold run for those query bytes produced.
-   Degenerate lower bounds and non-finite costs record [None] so the slot
-   sequence stays dense without poisoning training. *)
-let sample_for t snapshot q ~cost =
-  let budget = ticks_for t q in
-  let m, tk, _ = Router.resolve snapshot t.config.method_ q ~ticks:budget in
-  let lb = Ljqo_cost.Plan_cost.lower_bound t.config.model q in
-  if lb > 0.0 && Float.is_finite lb && Float.is_finite cost && cost >= 0.0 then
-    Some
-      {
-        Ljqo_learn.Dataset.features = Ljqo_learn.Features.of_query q;
-        route = Methods.name m;
-        ticks = tk;
-        cost;
-        lower_bound = lb;
-      }
-  else None
-
 (* Map a cached canonical plan onto [query] through its fingerprint; [None]
    when the sizes disagree or the mapped plan is invalid on this join graph
    (the clean fallback the warm-start path needs). *)
@@ -136,10 +98,6 @@ let serve_batch ?jobs t queries =
   if n = 0 then [||]
   else
     Obs.span "serve_batch" ~fields:[ ("batch", Obs.I n) ] @@ fun () ->
-    (* One model snapshot for the whole batch: routing inside the parallel
-       workers stays a pure function of (query, snapshot), and the samples
-       recorded at commit refresh the model only between batches. *)
-    let snapshot = snapshot_now t in
     let fps =
       Obs.span "fingerprint" (fun () ->
           Parallel.map_array ?jobs Fingerprint.compute queries)
@@ -194,12 +152,9 @@ let serve_batch ?jobs t queries =
       let start = match cls.(i) with `Work w -> w | _ -> assert false in
       Obs.span "request" ~fields:[ ("index", Obs.I i) ] (fun () ->
           Obs.time Obs.Service_latency_ns (fun () ->
-              let method_, ticks, res =
-                Router.resolve snapshot t.config.method_ q ~ticks:(ticks_for t q)
-              in
-              Router.bump method_ res;
               Optimizer.optimize ~config:t.config.methods_config ?start
-                ~method_ ~model:t.config.model ~ticks
+                ~method_:t.config.method_ ~model:t.config.model
+                ~ticks:(ticks_for t q)
                 ~seed:(seed_for t (Fingerprint.exact_key fp))
                 q))
     in
@@ -270,23 +225,13 @@ let serve_batch ?jobs t queries =
                 (* A canonical-order tie mapped onto an invalid plan (possible
                    only across automorphism-like twins): optimize this one
                    cold, still deterministically. *)
-                let method_, ticks, res =
-                  Router.resolve snapshot t.config.method_ q
-                    ~ticks:(ticks_for t q)
-                in
-                Router.bump method_ res;
                 let r =
                   Optimizer.optimize ~config:t.config.methods_config
-                    ~method_ ~model ~ticks ~seed:(seed_for t exact) q
+                    ~method_:t.config.method_ ~model ~ticks:(ticks_for t q)
+                    ~seed:(seed_for t exact) q
                 in
                 mk r.plan r.ticks_used Cold
-              else mk plan 0 Deduped));
-          (match t.learn with
-          | None -> ()
-          | Some st ->
-            let cost = (Option.get served.(i)).cost in
-            ignore
-              (Ljqo_learn.Online.record st (sample_for t snapshot q ~cost)))
+              else mk plan 0 Deduped))
         done);
     Array.map Option.get served
 
@@ -318,53 +263,26 @@ type direct = {
    each other's mapped plans, whose canonical forms can differ when the run
    is cut by a tie in canonical order.  The server's tests use byte-identical
    duplicates, where the guarantee is unconditional. *)
-let serve_direct ?deadline ?learn_id t query =
+let serve_direct ?deadline t query =
   let fp = Fingerprint.compute query in
   let exact = Fingerprint.exact_key fp in
   let model = t.config.model in
-  (* The routing snapshot: pinned to the request id's epoch when the server
-     supplies one (blocking until that epoch's samples are all in), the
-     newest model otherwise.  With an id, which model this request routes
-     through depends only on the id — never on worker count or timing. *)
-  let snapshot =
-    match (t.learn, learn_id) with
-    | Some st, Some id -> Ljqo_learn.Online.await st ~id
-    | Some st, None -> Ljqo_learn.Online.model st
-    | None, _ -> None
-  in
   let finish plan ticks_used source timed_out =
     Obs.hist_record Obs.Request_ticks ticks_used;
-    let d_cost = Ljqo_cost.Plan_cost.total model query plan in
-    (* The sample (featurization, lower bound, routing) is built only when
-       there is a learn state to record it.  A deadline cut makes the
-       outcome wall-clock-dependent, so it must not become training data;
-       the [None] slot keeps the sample log dense. *)
-    (match t.learn with
-    | None -> ()
-    | Some st -> (
-      let sample =
-        if timed_out then None else sample_for t snapshot query ~cost:d_cost
-      in
-      match learn_id with
-      | Some id -> Ljqo_learn.Online.record_at st ~id sample
-      | None -> ignore (Ljqo_learn.Online.record st sample)));
     {
       d_fingerprint = fp;
       d_plan = plan;
-      d_cost;
+      d_cost = Ljqo_cost.Plan_cost.total model query plan;
       d_ticks_used = ticks_used;
       d_source = source;
       d_timed_out = timed_out;
     }
   in
   let optimize_cold () =
-    let method_, ticks, res =
-      Router.resolve snapshot t.config.method_ query ~ticks:(ticks_for t query)
-    in
-    Router.bump method_ res;
     let r =
-      Optimizer.optimize ~config:t.config.methods_config ?deadline ~method_
-        ~model ~ticks ~seed:(seed_for t exact) query
+      Optimizer.optimize ~config:t.config.methods_config ?deadline
+        ~method_:t.config.method_ ~model ~ticks:(ticks_for t query)
+        ~seed:(seed_for t exact) query
     in
     if r.timed_out then Obs.bump Obs.Service_timeouts;
     if Query.is_connected query && not r.timed_out then

@@ -71,25 +71,14 @@ type t
 val create :
   ?cache:Plan_cache.t ->
   ?cache_capacity:int ->
-  ?learn:Ljqo_learn.Online.t ->
   config ->
   t
 (** [cache] shares an existing cache (e.g. across services with different
     methods); otherwise a fresh one with [cache_capacity] entries (default
     1024) is created.  Raises [Invalid_argument] on a non-positive
-    [cache_capacity] or a non-positive budget.
-
-    [learn] attaches an online-learning state: every served request appends
-    one sample to it (its features, the concrete route that ran, the
-    deterministic tick budget, the served cost), and when the configured
-    method is [Adaptive] requests route through its epoch-pinned models
-    (see {!Ljqo_learn.Online}).  [Adaptive] without [learn] is refused
-    ([Invalid_argument]) — adaptive routing needs a model to consult, even
-    if only an empty online state that starts on the portfolio fallback. *)
+    [cache_capacity] or a non-positive budget. *)
 
 val cache : t -> Plan_cache.t
-
-val learn : t -> Ljqo_learn.Online.t option
 
 val serve_batch : ?jobs:int -> t -> Ljqo_catalog.Query.t array -> served array
 (** Serve a batch; results in request order.  [jobs] defaults to
@@ -107,8 +96,7 @@ type direct = {
           {e not} committed to the cache *)
 }
 
-val serve_direct :
-  ?deadline:float -> ?learn_id:int -> t -> Ljqo_catalog.Query.t -> direct
+val serve_direct : ?deadline:float -> t -> Ljqo_catalog.Query.t -> direct
 (** The concurrent server's per-request path: one query, immediate cache
     commit, no batch barrier.  To stay deterministic under interleaving it
     is strictly exact-hit-or-cold — a coarse (similar-query) hit does {e
@@ -125,15 +113,7 @@ val serve_direct :
     [deadline] is a wall-clock allowance in seconds for the optimization run
     (measured from its start, as in {!Ljqo_core.Budget.create}); when it
     fires before any incumbent exists, [Ljqo_core.Budget.Deadline_exceeded]
-    escapes (the server wraps this path in [Guard.run]).
-
-    [learn_id] is the server's dense request id: with an attached learn
-    state it pins the routing model to the id's epoch (blocking in
-    {!Ljqo_learn.Online.await} until that epoch's samples are complete) and
-    records this request's sample at slot [learn_id].  Without it the
-    newest model routes and the sample appends at the frontier.  A
-    deadline-cut request records [None] — wall-clock-dependent outcomes
-    never become training data. *)
+    escapes (the server wraps this path in [Guard.run]). *)
 
 val source_name : source -> string
 (** ["exact-hit" | "warm-start" | "cold" | "deduped"]. *)

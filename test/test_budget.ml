@@ -156,7 +156,7 @@ let test_ticks_for_limit_saturates () =
     (Budget.ticks_for_limit ~ticks_per_unit:1
        ~t_factor:(float_of_int (Budget.max_ticks - 1))
        ~n_joins:1 ());
-  (* The cap survives the fractional scaling of route budgets. *)
+  (* The cap survives scaling a budget by a fraction. *)
   List.iter
     (fun f ->
       let scaled = int_of_float (f *. float_of_int Budget.max_ticks) in

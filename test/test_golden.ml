@@ -39,7 +39,6 @@ let narrow_golden =
     ("KBI", "16 11 4 14 5 3 2 10 9 12 8 7 17 1 6 20 0 15 19 18 13", "0x1.7398b97486b0bp+14", 24007);
     ("2PO", "16 11 4 14 5 3 2 10 9 12 8 7 17 1 6 20 0 15 19 18 13", "0x1.7398b97486b0bp+14", 24010);
     ("portfolio", "12 9 5 3 4 11 2 13 1 16 0 8 14 6 20 15 19 7 18 17 10", "0x1.4f3508dd09683p+14", 24134);
-    ("adaptive", "12 9 5 3 4 11 2 13 1 16 0 8 14 6 20 15 19 7 18 17 10", "0x1.4f3508dd09683p+14", 24134);
   ]
 
 (* graph-dense spec, N = 150 (past the two inline bitset words), t = 0.05 *)
@@ -56,7 +55,6 @@ let wide_golden =
     ("KBI", "05df50e98df1a03dcc72648a7e7b379c", "0x1.b320e7649f157p+16", 67500);
     ("2PO", "ae7f1a692f4b66fdf918e427dbd81c92", "0x1.b3b5e69e7984cp+16", 67522);
     ("portfolio", "a06b08da8eb8583527f9980c06f6e832", "0x1.f9a9c250db0f1p+16", 68589);
-    ("adaptive", "a06b08da8eb8583527f9980c06f6e832", "0x1.f9a9c250db0f1p+16", 68589);
   ]
 
 let check_row ~label ~plan_key (name, plan, cost, ticks) (r : Optimizer.result) =
@@ -110,7 +108,6 @@ let calibrated_golden =
     ("KBI", "20 6 15 19 7 8 2 1 3 0 4 11 14 17 16 5 10 9 12 18 13", "0x1.a031c4af54622p+18", 24006);
     ("2PO", "20 6 15 19 7 8 2 1 3 0 4 11 14 17 16 5 10 9 12 18 13", "0x1.a031c4af54622p+18", 24000);
     ("portfolio", "12 9 5 3 4 14 2 11 13 1 16 10 8 0 17 6 20 15 19 7 18", "0x1.92b9f92b4cef8p+18", 24083);
-    ("adaptive", "12 9 5 3 4 14 2 11 13 1 16 10 8 0 17 6 20 15 19 7 18", "0x1.92b9f92b4cef8p+18", 24083);
   ]
 
 let test_calibrated () =

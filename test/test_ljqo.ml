@@ -58,6 +58,5 @@ let () =
       ("sealed", Test_sealed.suite);
       ("service", Test_service.suite);
       ("server", Test_server.suite);
-      ("learn", Test_learn.suite @ Test_sealed.learn_cases);
       ("feedback", Test_feedback.suite);
     ]

@@ -187,7 +187,7 @@ let prop_tiny_budgets_return_a_plan =
         (fun m ->
           let c =
             match m with
-            | Methods.Portfolio | Methods.Adaptive ->
+            | Methods.Portfolio ->
               let r = max 1 (ticks / (p.width * p.rounds)) in
               p.width * (r - 1 + max n e)
             | _ -> max n e

@@ -1,14 +1,13 @@
-(* The sealed-file codec (Ljqo_obs.Sealed) under its three formats: the
-   learned router's model, the selectivity calibration and a checkpoint
-   record.  Golden bytes pin what the writers produce and what the readers
-   accept, and one set of corruption properties runs over all three: no
-   proper prefix loads, a single-byte mutation is refused or loads the same
-   value, and a lenient spelling of any numeric token is refused even when
-   its line is re-sealed.  The first two run for the model and the record
-   in the learn and harness sections ([learn_cases], [harness_cases]). *)
+(* The sealed-file codec (Ljqo_obs.Sealed) under its two formats: the
+   selectivity calibration and a checkpoint record.  Golden bytes pin what
+   the writers produce and what the readers accept, and one set of
+   corruption properties runs over both: no proper prefix loads, a
+   single-byte mutation is refused or loads the same value, and a lenient
+   spelling of any numeric token is refused even when its line is
+   re-sealed.  The first two run for the record in the harness section
+   ([harness_cases]). *)
 
 module Sealed = Ljqo_obs.Sealed
-module Model = Ljqo_learn.Model
 module Calibration = Ljqo_feedback.Calibration
 module Checkpoint = Ljqo_harness.Checkpoint
 
@@ -23,16 +22,6 @@ let verdict same = function
   | Ok v -> if same v then Same else Different
 
 let bits = Int64.bits_of_float
-
-let model = lazy (Test_learn.tiny_model ())
-
-let model_format () =
-  let m = Lazy.force model in
-  {
-    name = "model";
-    bytes = Model.to_string m;
-    load = (fun s -> verdict (Model.equal m) (Model.of_string s));
-  }
 
 let entries = [ ("default", 1.0); ("card-x10", 0.25); ("graph-star", 12.5) ]
 
@@ -65,13 +54,11 @@ let record_format =
         verdict same (Option.to_result ~none:() (Checkpoint.parse_record s)));
   }
 
-let formats () = [ model_format (); calibration_format; record_format ]
+let formats = [ calibration_format; record_format ]
 
 (* --- golden bytes ------------------------------------------------------- *)
 
 (* The bytes the formats had before they shared a codec. *)
-let model_md5 = "7f7f68c5e5f601aba932faed015b2090"
-
 let calibration_bytes =
   "# ljqo-feedback-calibration v1\n\
    H 3 efb92c29f01c13c0395e8c05dccc26c5\n\
@@ -84,10 +71,6 @@ let record_bytes =
    44dfde9f10a8d361 4bf7c4a6a4627eeac0ba34ad9f924de3\n"
 
 let test_golden () =
-  let m = model_format () in
-  Alcotest.(check string)
-    "model bytes" model_md5
-    (Digest.to_hex (Digest.string m.bytes));
   Alcotest.(check string)
     "calibration bytes" calibration_bytes calibration_format.bytes;
   Alcotest.(check string)
@@ -98,7 +81,6 @@ let test_golden () =
       if f.load bytes <> Same then
         Alcotest.failf "%s: golden bytes do not load" f.name)
     [
-      (m, m.bytes);
       (calibration_format, calibration_bytes);
       (record_format, String.trim record_bytes);
     ]
@@ -181,7 +163,7 @@ let test_lenient_tokens_refused () =
                     (lenient tok))
               toks)
         lines)
-    (formats ())
+    formats
 
 let suite =
   [
@@ -192,14 +174,6 @@ let suite =
       (mutation_refused_or_identical calibration_format);
     Alcotest.test_case "lenient tokens refused" `Quick
       test_lenient_tokens_refused;
-  ]
-
-let learn_cases =
-  [
-    Alcotest.test_case "model: truncation rejected" `Quick (fun () ->
-        no_proper_prefix_loads (model_format ()) ());
-    Alcotest.test_case "model: mutation rejected or identical" `Quick
-      (fun () -> mutation_refused_or_identical (model_format ()) ());
   ]
 
 let harness_cases =

@@ -497,47 +497,6 @@ let test_dedup_in_flight () =
     (served.(2).Service.plan = served.(0).Service.plan);
   Alcotest.(check int) "cached once" 1 (Plan_cache.length (Service.cache s))
 
-(* [serve_direct] builds a learn sample only when the service has a learn
-   state.  With a fixed method the sample never feeds back into routing, so
-   a service with a learn state and one without must serve the same
-   sequence, and the learning one must still record one slot per request,
-   both through the frontier ([record]) and by request id ([record_at], the
-   server's path). *)
-let test_learn_on_off_equivalence () =
-  let queries = workload_queries () in
-  let twin =
-    permute_query
-      (random_perm (Ljqo_stats.Rng.create 5) (Query.n_relations queries.(0)))
-      queries.(0)
-  in
-  let requests = Array.concat [ queries; queries; [| twin |] ] in
-  let config = { small_config with method_ = Methods.IAI } in
-  let plain = Service.create config in
-  let st = Ljqo_learn.Online.create () in
-  let learning = Service.create ~learn:st config in
-  let st_id = Ljqo_learn.Online.create () in
-  let learning_id = Service.create ~learn:st_id config in
-  let same (a : Service.direct) (b : Service.direct) =
-    a.d_plan = b.d_plan && a.d_cost = b.d_cost
-    && a.d_ticks_used = b.d_ticks_used
-    && a.d_source = b.d_source
-  in
-  let hits = ref 0 in
-  Array.iteri
-    (fun i q ->
-      let a = Service.serve_direct plain q in
-      let b = Service.serve_direct learning q in
-      let c = Service.serve_direct ~learn_id:i learning_id q in
-      if a.d_source = Service.Exact_hit then incr hits;
-      if not (same a b && same a c) then
-        Alcotest.failf "request %d differs with a learn state" i)
-    requests;
-  Alcotest.(check bool) "exact hits exercised" true (!hits > 0);
-  Alcotest.(check int) "one sample per request" (Array.length requests)
-    (Ljqo_learn.Online.recorded st);
-  Alcotest.(check int) "one sample per request id" (Array.length requests)
-    (Ljqo_learn.Online.recorded st_id)
-
 let test_disconnected_bypasses_cache () =
   let q = Helpers.disconnected () in
   let s = Service.create small_config in
@@ -619,8 +578,6 @@ let suite =
     Alcotest.test_case "deterministic across job counts" `Quick
       test_jobs_determinism;
     Alcotest.test_case "in-flight dedup" `Quick test_dedup_in_flight;
-    Alcotest.test_case "learn state does not change served plans" `Quick
-      test_learn_on_off_equivalence;
     Alcotest.test_case "disconnected queries bypass the cache" `Quick
       test_disconnected_bypasses_cache;
     Alcotest.test_case "create validates its inputs" `Quick

@@ -50,7 +50,7 @@ if ls lib/*/chaos.ml lib/*/chaos.mli 2>/dev/null | grep -q . \
 fi
 
 # One codec for sealed files: float bit patterns are spelled and parsed only
-# in lib/obs/sealed.ml, which the checkpoint, model and calibration share.
+# in lib/obs/sealed.ml, which the checkpoint and the calibration share.
 if grep -rnE '%Lx|Int64\.float_of_bits' lib | grep -vE '^lib/obs/sealed\.mli?:'; then
   echo "lib/ encodes float bits outside Ljqo_obs.Sealed; use the codec" >&2
   exit 1
@@ -168,13 +168,14 @@ dune exec tools/perf_gate.exe -- --check-jsonl "$trace_tmp/trace.jsonl"
 dune exec tools/perf_gate.exe -- --check-json "$trace_tmp/metrics.json"
 rm -rf "$trace_tmp"
 
-# Span smoke: a span-enabled serve-file run must produce a trace whose
-# Chrome and flamegraph exports are validator-clean, and a trajectory run
-# must render an SVG.
+# Span smoke: a span-enabled serve-file run must produce validator-clean
+# metrics and a trace whose Chrome and flamegraph exports are
+# validator-clean, and a trajectory run must render an SVG.
 span_tmp=$(mktemp -d)
 dune exec bin/ljqo.exe -- workload -o "$span_tmp/wl" --per-n 1
 dune exec bin/ljqo.exe -- serve-file "$span_tmp/wl" --t-factor 1 \
   --metrics "$span_tmp/metrics.json" --trace "$span_tmp/trace.jsonl"
+dune exec tools/perf_gate.exe -- --check-json "$span_tmp/metrics.json"
 dune exec tools/perf_gate.exe -- --check-jsonl "$span_tmp/trace.jsonl"
 grep -q '"ev":"span"' "$span_tmp/trace.jsonl"
 dune exec bin/ljqo.exe -- obs summary "$span_tmp/trace.jsonl"
@@ -217,30 +218,6 @@ grep -q 'rate 20/s:' "$server_tmp/loadgen.out"
 grep -q 'rate 200/s:' "$server_tmp/loadgen.out"
 grep -q '<svg' "$server_tmp/goodput.svg"
 rm -rf "$server_tmp"
-
-# Learned-routing smoke: train a tiny model over the benchmark grid, render
-# the adaptive-vs-fixed evaluation table, and serve a workload adaptively —
-# the learn.* counters must land in a validator-clean metrics snapshot.
-learn_tmp=$(mktemp -d)
-dune exec bin/ljqo.exe -- learn train --ns 10 --per-n 1 --t-factor 0.5 \
-  -o "$learn_tmp/model.txt" --dump-samples "$learn_tmp/samples.jsonl" \
-  | tee "$learn_tmp/train.out"
-grep -q 'wrote' "$learn_tmp/train.out"
-test -s "$learn_tmp/model.txt"
-test -s "$learn_tmp/samples.jsonl"
-dune exec bin/ljqo.exe -- learn eval --learn-model "$learn_tmp/model.txt" \
-  --ns 10 --per-n 1 --t-factor 0.5 | tee "$learn_tmp/eval.out"
-grep -q 'adaptive' "$learn_tmp/eval.out"
-grep -q 'overall' "$learn_tmp/eval.out"
-dune exec bin/ljqo.exe -- workload -o "$learn_tmp/wl" --per-n 1
-dune exec bin/ljqo.exe -- serve-file "$learn_tmp/wl" --method adaptive \
-  --learn-model "$learn_tmp/model.txt" --learn-epoch 4 --t-factor 1 \
-  --metrics "$learn_tmp/metrics.json"
-dune exec tools/perf_gate.exe -- --check-json "$learn_tmp/metrics.json"
-grep -q '"learn.samples_recorded": 5' "$learn_tmp/metrics.json"
-grep -q '"learn.model_refreshes": 1' "$learn_tmp/metrics.json"
-grep -q '"learn.route' "$learn_tmp/metrics.json"
-rm -rf "$learn_tmp"
 
 # Execution-feedback smoke: execute a tiny grid, report per-depth q-error
 # with validator-clean SVG/metrics/trace artifacts, fit a calibration and
