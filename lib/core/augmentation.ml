@@ -1,5 +1,4 @@
 open Ljqo_catalog
-open Ljqo_cost
 
 type criterion =
   | Min_cardinality
@@ -47,24 +46,23 @@ let starts query =
 
 (* The heuristic consults the same selectivity estimator the cost model
    uses (including the distinct-value clamp at the current intermediate
-   size and the run's calibration), as a real optimizer's heuristics would:
-   this is [Plan_cost.Stepper]'s effective selectivity, with the float
-   operations of its [Float.min]/[Float.max] form (the test oracle's
+   size), as a real optimizer's heuristics would: this is
+   [Plan_cost.Stepper]'s effective selectivity, with the float operations
+   of its [Float.min]/[Float.max] form (the test oracle's
    [edge_selectivity]) in the same order.  Written as plain compares, they
    agree bit for bit even though the heuristic's running size [outer] is
    not clamped and may reach [inf], then NaN: every compare has a distinct
-   count (at least 1, never NaN; see
-   [Relation.distinct_values]) or the constant 1 on one side, and it is
-   written so that a NaN on the other side falls through to that side, as
-   [Float.min]/[Float.max] return it.  A [-0.] selectivity passes through
-   unchanged, as there.  It is inlined here rather than shared with
-   [Plan_cost.Stepper]: a call across the module boundary would box its
-   result wherever cross-module inlining is off. *)
-let[@inline] effective_selectivity ~calib ~outer ~dk ~dr s_base =
+   count (at least 1, never NaN; see [Relation.distinct_values]) or the
+   constant 1 on one side, and it is written so that a NaN on the other
+   side falls through to that side, as [Float.min]/[Float.max] return it.
+   A [-0.] selectivity passes through unchanged, as there.  It is inlined
+   here rather than shared with [Plan_cost.Stepper]: a call across the
+   module boundary would box its result wherever cross-module inlining is
+   off. *)
+let[@inline] effective_selectivity ~outer ~dk ~dr s_base =
   let m = if outer > dk then dk else outer in
   let clamped = if m < 1.0 then 1.0 else m in
   let s = s_base *. (if dr > dk then dr else dk) /. (if dr > clamped then dr else clamped) in
-  let s = match calib with None -> s | Some (c : Plan_cost.calibration) -> s *. c.sel_factor in
   if s > 1.0 then 1.0 else s
 
 (* [Float.min x y] bit for bit, NaN and signed zeros included, for operands
@@ -84,7 +82,7 @@ let[@inline] float_min x y =
    product is taken in ascending neighbor order, the order [Plan_cost]
    multiplies in, on which its rounding depends.  Neighbor ids come from the
    graph, so they index [distincts] and [placed]. *)
-let[@inline] fold_placed ~min ~calib ~outer ~adjacency ~selectivities ~distincts ~placed j =
+let[@inline] fold_placed ~min ~outer ~adjacency ~selectivities ~distincts ~placed j =
   let ids = Array.unsafe_get adjacency j in
   let sels = Array.unsafe_get selectivities j in
   let dr = Array.unsafe_get distincts j in
@@ -93,7 +91,7 @@ let[@inline] fold_placed ~min ~calib ~outer ~adjacency ~selectivities ~distincts
     let k = Array.unsafe_get ids e in
     if Array.unsafe_get placed k then begin
       let s =
-        effective_selectivity ~calib ~outer ~dk:(Array.unsafe_get distincts k) ~dr
+        effective_selectivity ~outer ~dk:(Array.unsafe_get distincts k) ~dr
           (Array.unsafe_get sels e)
       in
       acc := if min then float_min !acc s else !acc *. s
@@ -110,7 +108,7 @@ let[@inline] fold_placed ~min ~calib ~outer ~adjacency ~selectivities ~distincts
 let[@inline] ranks_before ~(key : float) ~(dj : float) ~(j : int) ~best_key ~d_best ~best =
   key < best_key || (key = best_key && (dj > d_best || (dj = d_best && j < best)))
 
-let generate ?(charge = ignore) ?calibration:calib query criterion ~start =
+let generate ?(charge = ignore) query criterion ~start =
   let n = Query.n_relations query in
   if start < 0 || start >= n then invalid_arg "Augmentation.generate: bad start";
   let graph = Query.graph query in
@@ -144,16 +142,16 @@ let generate ?(charge = ignore) ?calibration:calib query criterion ~start =
             | Min_cardinality -> Array.unsafe_get cards j
             | Max_degree -> -.float_of_int (Array.length (Array.unsafe_get adjacency j))
             | Min_selectivity ->
-              fold_placed ~min:true ~calib ~outer ~adjacency ~selectivities ~distincts ~placed j
+              fold_placed ~min:true ~outer ~adjacency ~selectivities ~distincts ~placed j
             | Min_intermediate_size ->
               outer *. Array.unsafe_get cards j
-              *. fold_placed ~min:false ~calib ~outer ~adjacency ~selectivities ~distincts ~placed j
+              *. fold_placed ~min:false ~outer ~adjacency ~selectivities ~distincts ~placed j
             | Min_rank ->
               let nj = Array.unsafe_get cards j in
               let dj = Array.unsafe_get distincts j in
               let numer =
                 (outer *. nj
-                *. fold_placed ~min:false ~calib ~outer ~adjacency ~selectivities ~distincts ~placed j)
+                *. fold_placed ~min:false ~outer ~adjacency ~selectivities ~distincts ~placed j)
                 -. 1.0
               in
               let denom = 0.5 *. outer *. (nj /. dj) in
@@ -177,8 +175,8 @@ let generate ?(charge = ignore) ?calibration:calib query criterion ~start =
        else
          let x =
            !size *. cards.(r)
-           *. fold_placed ~min:false ~calib ~outer:!size ~adjacency ~selectivities
-                ~distincts ~placed r
+           *. fold_placed ~min:false ~outer:!size ~adjacency ~selectivities ~distincts
+                ~placed r
          in
          if x < 1.0 then 1.0 else x);
     perm.(i) <- r;
@@ -211,6 +209,4 @@ let make_source ?(criterion = default_criterion) ev =
     | [] -> None
     | start :: rest ->
       remaining := rest;
-      Some
-        (generate ~charge:(Evaluator.charge ev)
-           ?calibration:(Evaluator.calibration ev) query criterion ~start)
+      Some (generate ~charge:(Evaluator.charge ev) query criterion ~start)

@@ -16,11 +16,10 @@ let time_limit_ticks ?ticks_per_unit ~t_factor ~query () =
   let n_joins = max 1 (Query.n_relations query - 1) in
   Budget.ticks_for_limit ?ticks_per_unit ~t_factor ~n_joins ()
 
-let optimize_connected ?config ?(checkpoints = []) ?epsilon ?deadline ?clock
-    ?calibration ?start ~method_ ~model ~ticks ~seed query =
+let optimize_connected ?config ?(checkpoints = []) ?epsilon ?deadline ?clock ?start
+    ~method_ ~model ~ticks ~seed query =
   let ev =
-    Evaluator.create ?epsilon ~checkpoints ?deadline ?clock ?calibration ~query
-      ~model ~ticks ()
+    Evaluator.create ?epsilon ~checkpoints ?deadline ?clock ~query ~model ~ticks ()
   in
   let rng = Rng.create seed in
   let converged =
@@ -43,7 +42,7 @@ let optimize_connected ?config ?(checkpoints = []) ?epsilon ?deadline ?clock
        plan — one random valid plan drawn from the run's seed, costed once
        (the dead budget cannot take the charge, so it is added here). *)
     let plan = Random_plan.generate (Rng.create seed) query in
-    let e = Plan_cost.eval ?calibration model query plan in
+    let e = Plan_cost.eval model query plan in
     {
       plan;
       cost = e.total;
@@ -64,8 +63,8 @@ let optimize_connected ?config ?(checkpoints = []) ?epsilon ?deadline ?clock
       timed_out = Evaluator.deadline_hit ev;
     }
 
-let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?calibration ?start
-    ~method_ ~model ~ticks ~seed query =
+let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?start ~method_ ~model
+    ~ticks ~seed query =
   if ticks <= 0 then invalid_arg "Optimizer.optimize: ticks must be positive";
   let n = Query.n_relations query in
   if n = 0 then invalid_arg "Optimizer.optimize: empty query";
@@ -86,8 +85,8 @@ let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?calibration ?start
   else
     match Join_graph.components (Query.graph query) with
     | [ _ ] ->
-      optimize_connected ?config ?checkpoints ?epsilon ?deadline ?clock
-        ?calibration ?start ~method_ ~model ~ticks ~seed query
+      optimize_connected ?config ?checkpoints ?epsilon ?deadline ?clock ?start
+        ~method_ ~model ~ticks ~seed query
     | comps ->
       (* Budget share proportional to squared component size. *)
       let sq c = let k = List.length c in k * k in
@@ -101,9 +100,8 @@ let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?calibration ?start
               (Plan_cost.reference_final_cardinality sub, [| back.(0) |], 0, false)
             else begin
               let r =
-                optimize_connected ?config ?epsilon ?deadline ?clock
-                  ?calibration ~method_ ~model ~ticks:share
-                  ~seed:(seed + (i * 7919)) sub
+                optimize_connected ?config ?epsilon ?deadline ?clock ~method_
+                  ~model ~ticks:share ~seed:(seed + (i * 7919)) sub
               in
               let mapped = Array.map (fun id -> back.(id)) r.plan in
               (Plan_cost.reference_final_cardinality sub, mapped, r.ticks_used, r.timed_out)
@@ -114,7 +112,7 @@ let optimize ?config ?checkpoints ?epsilon ?deadline ?clock ?calibration ?start
         List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) parts
       in
       let plan = Plan.concat (List.map (fun (_, p, _, _) -> p) ordered) in
-      let cost = Plan_cost.total ?calibration model query plan in
+      let cost = Plan_cost.total model query plan in
       {
         plan;
         cost;

@@ -29,7 +29,6 @@ val optimize :
   ?epsilon:float ->
   ?deadline:float ->
   ?clock:(unit -> float) ->
-  ?calibration:Ljqo_cost.Plan_cost.calibration ->
   ?start:Plan.t ->
   method_:Methods.t ->
   model:Ljqo_cost.Cost_model.t ->
@@ -73,11 +72,11 @@ val optimize :
     the trivial plan is already optimal, and component decomposition
     re-derives its own sub-plans.
 
-    [calibration] scales every effective edge selectivity the run costs
-    (see {!Ljqo_cost.Plan_cost.calibration}); the run's {!Evaluator} holds
-    it, so every method, heuristic and portfolio replicate searches under
-    it, and [cost] is priced with it.  It is an input of this call only:
-    concurrent calls with different calibrations do not interact. *)
+    Every method, heuristic and portfolio replicate searches under the
+    model's plain selectivity estimator, and [cost] is priced with it;
+    execution feedback corrects only the estimate of an executed plan
+    ({!Ljqo_cost.Plan_cost.eval}).  All inputs are arguments of this call,
+    so concurrent calls do not interact. *)
 
 val time_limit_ticks :
   ?ticks_per_unit:int -> t_factor:float -> query:Ljqo_catalog.Query.t -> unit -> int

@@ -71,7 +71,7 @@ let run ?(params = default_params) ~ii_params ~sa_params ?start ev rng =
          unlimited budget never reach a barrier)"
   in
   let query = Evaluator.query ev and model = Evaluator.model ev in
-  let epsilon = Evaluator.epsilon ev and calibration = Evaluator.calibration ev in
+  let epsilon = Evaluator.epsilon ev in
   let round_ticks = max 1 (initial / (params.width * params.rounds)) in
   let legs = Array.of_list params.legs in
   let rngs = Array.init params.width (fun i -> Rng.split_at rng i) in
@@ -87,9 +87,7 @@ let run ?(params = default_params) ~ii_params ~sa_params ?start ev rng =
         (fun i ->
           Obs.sub_run phase @@ fun () ->
           let leg = legs.(i mod Array.length legs) in
-          let sub_ev =
-            Evaluator.create ~epsilon ?calibration ~query ~model ~ticks:round_ticks ()
-          in
+          let sub_ev = Evaluator.create ~epsilon ~query ~model ~ticks:round_ticks () in
           run_leg ~ii_params ~sa_params leg ?start:!incumbent sub_ev rngs.(i);
           (Evaluator.best sub_ev, Evaluator.used sub_ev))
         replicates

@@ -9,9 +9,10 @@ type eval = {
 
 (* Execution-feedback calibration: every effective edge selectivity is
    multiplied by the per-edge correction factor fitted from observed
-   cardinalities (see Ljqo_feedback.Calibration).  It is an optional
-   argument of the costing entry points, never a global; without it no
-   float operation is added, so uncalibrated costing stays bit-identical. *)
+   cardinalities (see Ljqo_feedback.Calibration).  Only [eval] takes it, to
+   estimate an executed plan; the search paths build their steppers with
+   [Stepper.make], which has none.  Without it no float operation is added,
+   so uncalibrated costing stays bit-identical. *)
 type calibration = { sel_factor : float }
 
 let joins_before query ~perm ~pos i =
@@ -64,16 +65,16 @@ let[@inline] clamp_cost c =
    clamping [D_k] to the tuples actually present, [min (D_k, outer_card)] —
    a small intermediate cannot carry more join values than tuples, which
    makes selectivity (and hence cost) order-dependent, as in real systems —
-   then multiplied by the calibration factor, if any, and capped at 1.  It
-   is written with plain compares, which agree bit for bit with the
-   [Float.min]/[Float.max] form of the formula (the test oracle's
+   then multiplied by the calibration factor if [eval] was given one, and
+   capped at 1.  It is written with plain compares, which agree bit for bit
+   with the [Float.min]/[Float.max] form of the formula (the test oracle's
    [edge_selectivity]) because distinct counts are at least 1 (neither NaN
    nor a signed zero; see [Relation.distinct_values]) and a constant
    non-NaN bound is compared the same way by both forms.
 
    The outer cardinality is read from [cards.(k - 1)] and the results are
    written to [cards.(k)] and [costs.(k)], so no float crosses the call
-   boxed.  The cost-model module is unpacked once, at [make], and the
+   boxed.  The cost-model module is unpacked once, at [create], and the
    stepper owns the flat [join_input] record it refills for every priced
    step, so the model's inputs and its cost cross unboxed too. *)
 module Stepper = struct
@@ -87,7 +88,7 @@ module Stepper = struct
     calibration : calibration option;
   }
 
-  let make ?calibration (model : Cost_model.t) query =
+  let create calibration (model : Cost_model.t) query =
     let module M = (val model : Cost_model.S) in
     let graph = Query.graph query in
     {
@@ -106,6 +107,8 @@ module Stepper = struct
         };
       calibration;
     }
+
+  let make model query = create None model query
 
   let step t ~price_cross ~pos ~cards ~costs ~k ~r =
     (* Checked reads of [r] and [pos]'s length: every neighbor id is then a
@@ -163,7 +166,7 @@ let eval ?calibration model query perm =
       invalid_arg "Plan_cost.eval: relation id out of range";
     pos.(r) <- i
   done;
-  let stepper = Stepper.make ?calibration model query in
+  let stepper = Stepper.create calibration model query in
   let cards = Array.make n 0.0 in
   let step_costs = Array.make n 0.0 in
   cards.(0) <- (Query.cardinalities query).(perm.(0));
@@ -176,7 +179,7 @@ let eval ?calibration model query perm =
   done;
   { cards; step_costs; total = !total; est_steps = n }
 
-let total ?calibration model query perm = (eval ?calibration model query perm).total
+let total model query perm = (eval model query perm).total
 
 (* The standard estimation-error factor (Moerkotte et al.): symmetric in
    est/act and always >= 1.  Both sides are floored at one tuple so an empty

@@ -32,11 +32,13 @@ type calibration = { sel_factor : float }
 (** A multiplicative per-edge selectivity correction fitted from executed
     plans (least squares of log(actual/estimated) cardinality against join
     depth; see [Ljqo_feedback.Calibration]).  [sel_factor = 1.0] is the
-    identity.  The costing entry points ({!Stepper.make}, {!eval},
-    {!total}) take it as an optional argument: each effective edge
-    selectivity is multiplied by [sel_factor] before the cap at 1.  Without
-    it no extra float operation happens, so uncalibrated costs are the
-    plain estimator's, bit for bit. *)
+    identity.  {!eval} alone takes it, as an optional argument, to estimate
+    an executed plan: each effective edge selectivity is multiplied by
+    [sel_factor] before the cap at 1.  Without it no extra float operation
+    happens, so uncalibrated costs are the plain estimator's, bit for bit.
+    Every search path costs through {!Stepper.make} or {!total}, which take
+    no calibration, so the optimizer always searches under the plain
+    estimator. *)
 
 val joins_before : Ljqo_catalog.Query.t -> perm:int array -> pos:int array -> int -> bool
 (** Whether [perm.(i)] is joined to at least one earlier relation.  List-scan
@@ -70,10 +72,11 @@ val clamp_cost : float -> float
     tuples holding [k] is the catalog selectivity [s] rescaled by clamping
     [k]'s distinct count to [outer_card]:
     [s * max D_k D_r / max (max (min D_k outer_card) 1) D_r], times the
-    calibration's [sel_factor] if any, capped at 1.  Floats cross the call
-    only through caller-owned arrays and the stepper's own flat
-    {!Cost_model.join_input} record, which it refills for every priced step
-    and from which it reads the model's cost, so a step allocates nothing.
+    calibration's [sel_factor] if {!eval} was given one, capped at 1.
+    Floats cross the call only through caller-owned arrays and the
+    stepper's own flat {!Cost_model.join_input} record, which it refills for
+    every priced step and from which it reads the model's cost, so a step
+    allocates nothing.
     This is the library's one copy of the formula; the test oracle
     ([test/plan_cost_reference.ml]) computes it with
     [Float.min]/[Float.max] on boxed floats, and a step's results equal its
@@ -81,11 +84,11 @@ val clamp_cost : float -> float
 module Stepper : sig
   type t
 
-  val make : ?calibration:calibration -> Cost_model.t -> Ljqo_catalog.Query.t -> t
+  val make : Cost_model.t -> Ljqo_catalog.Query.t -> t
   (** O(1): holds the query's neighbor and statistics arrays, the cost
-      model's [join_cost], the calibration every step applies and the
-      [join_input] record every step refills.  That record makes a stepper
-      single-threaded: each domain makes its own. *)
+      model's [join_cost] and the [join_input] record every step refills.
+      That record makes a stepper single-threaded: each domain makes its
+      own. *)
 
   val step :
     t ->
@@ -115,9 +118,8 @@ val eval :
     [Invalid_argument] on an empty array or an id outside
     [[0, n_relations)] before costing anything. *)
 
-val total :
-  ?calibration:calibration -> Cost_model.t -> Ljqo_catalog.Query.t -> int array -> float
-(** [(eval ?calibration model q perm).total]. *)
+val total : Cost_model.t -> Ljqo_catalog.Query.t -> int array -> float
+(** [(eval model q perm).total]. *)
 
 val qerror : est:float -> act:float -> float
 (** The estimation-error factor [max (est/act, act/est)] with both sides

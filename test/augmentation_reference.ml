@@ -4,13 +4,12 @@
    boxed floats, combining with [Float.min], and ranking candidates as
    [(key, -.d_j, j)] tuples under polymorphic [<].  The array kernel must
    return its plan and call [charge] with its sequence of amounts, for every
-   query, criterion, start and calibration. *)
+   query, criterion and start. *)
 
 open Ljqo_catalog
 open Ljqo_core
 
-let generate ?(charge = ignore) ?calibration query (criterion : Augmentation.criterion)
-    ~start =
+let generate ?(charge = ignore) query (criterion : Augmentation.criterion) ~start =
   let n = Query.n_relations query in
   let graph = Query.graph query in
   if start < 0 || start >= n then invalid_arg "Augmentation.generate: bad start";
@@ -42,8 +41,8 @@ let generate ?(charge = ignore) ?calibration query (criterion : Augmentation.cri
       (fun acc (i, s) ->
         if placed.(i) then
           acc
-          *. Plan_cost_reference.edge_selectivity ?calibration query
-               ~outer_card:!inter_card ~k:i ~r:j s
+          *. Plan_cost_reference.edge_selectivity query ~outer_card:!inter_card ~k:i
+               ~r:j s
         else acc)
       1.0
       (Join_graph.neighbors graph j)
@@ -53,8 +52,8 @@ let generate ?(charge = ignore) ?calibration query (criterion : Augmentation.cri
       (fun acc (i, s) ->
         if placed.(i) then
           Float.min acc
-            (Plan_cost_reference.edge_selectivity ?calibration query
-               ~outer_card:!inter_card ~k:i ~r:j s)
+            (Plan_cost_reference.edge_selectivity query ~outer_card:!inter_card ~k:i
+               ~r:j s)
         else acc)
       1.0
       (Join_graph.neighbors graph j)

@@ -137,13 +137,6 @@ let prop_all_criteria_valid =
 
 module Qgen = Ljqo_querygen.Benchmark
 
-let calibrations =
-  [
-    None;
-    Some { Ljqo_cost.Plan_cost.sel_factor = 0.37 };
-    Some { Ljqo_cost.Plan_cost.sel_factor = 3.1 };
-  ]
-
 let trace generate q crit ~start =
   let charges = ref [] in
   let plan =
@@ -153,33 +146,21 @@ let trace generate q crit ~start =
   in
   (plan, List.rev !charges)
 
-let agrees ?calibration q crit ~start =
-  trace (fun charge -> Augmentation.generate ~charge ?calibration) q crit ~start
-  = trace
-      (fun charge -> Augmentation_reference.generate ~charge ?calibration)
-      q crit ~start
+let agrees q crit ~start =
+  trace (fun charge -> Augmentation.generate ~charge) q crit ~start
+  = trace (fun charge -> Augmentation_reference.generate ~charge) q crit ~start
 
-(* The hand-built queries also run under an infinite factor, which a
-   calibration accepts: it makes a zero edge's selectivity NaN beside
-   capped ones, within one candidate's minimum. *)
 let check_agrees_everywhere label q =
   List.iter
-    (fun calibration ->
+    (fun crit ->
       List.iter
-        (fun crit ->
-          List.iter
-            (fun start ->
-              if not (agrees ?calibration q crit ~start) then
-                Alcotest.failf "%s: criterion %d, start %d, %s: differs from the oracle"
-                  label
-                  (Augmentation.criterion_index crit)
-                  start
-                  (match calibration with
-                  | None -> "uncalibrated"
-                  | Some c -> Printf.sprintf "sel_factor %g" c.sel_factor))
-            (Augmentation.starts q))
-        Augmentation.all_criteria)
-    (calibrations @ [ Some { Ljqo_cost.Plan_cost.sel_factor = Float.infinity } ])
+        (fun start ->
+          if not (agrees q crit ~start) then
+            Alcotest.failf "%s: criterion %d, start %d: differs from the oracle" label
+              (Augmentation.criterion_index crit)
+              start)
+        (Augmentation.starts q))
+    Augmentation.all_criteria
 
 let prop_matches_oracle =
   Helpers.qcheck_case ~count:100
@@ -191,12 +172,8 @@ let prop_matches_oracle =
       let n = Array.length starts in
       let picks = [ starts.(0); starts.(n - 1); starts.(Ljqo_stats.Rng.int rng n) ] in
       List.for_all
-        (fun calibration ->
-          List.for_all
-            (fun crit ->
-              List.for_all (fun start -> agrees ?calibration q crit ~start) picks)
-            Augmentation.all_criteria)
-        calibrations)
+        (fun crit -> List.for_all (fun start -> agrees q crit ~start) picks)
+        Augmentation.all_criteria)
     QCheck.(triple (int_bound 9) (int_bound 199) int)
 
 (* Hand-built queries for the cases no benchmark query reaches.  Each
@@ -221,14 +198,7 @@ let test_zero_selectivities () =
         (6, 0, 0.5); (0, 3, -0.0); (1, 5, 0.0); (2, 6, 1.0);
       ]
   in
-  check_agrees_everywhere "zero and -0 selectivities" q;
-  (* Under the infinite factor, relation 3's minimum meets NaN (the zero
-     edge to 0) before 1 (the edge to 1): it stays NaN, so 3 keeps the first
-     slot against 2's key of 1. *)
-  check_agrees_everywhere "a NaN minimum"
-    (hand_query
-       [ (100, 0.5); (100, 0.9); (100, 0.5); (100, 0.1) ]
-       [ (0, 1, 0.5); (0, 2, 0.5); (0, 3, 0.0); (1, 3, 0.5) ])
+  check_agrees_everywhere "zero and -0 selectivities" q
 
 (* A star whose leaves tie on cardinality and degree: criteria 1 and 2 rank
    them by distinct count, most first, then by id. *)

@@ -218,38 +218,3 @@ grep -q 'rate 20/s:' "$server_tmp/loadgen.out"
 grep -q 'rate 200/s:' "$server_tmp/loadgen.out"
 grep -q '<svg' "$server_tmp/goodput.svg"
 rm -rf "$server_tmp"
-
-# Execution-feedback smoke: execute a tiny grid, report per-depth q-error
-# with validator-clean SVG/metrics/trace artifacts, fit a calibration and
-# load it back into a calibrated report.
-fb_tmp=$(mktemp -d)
-dune exec bin/ljqo.exe -- feedback report --ns 4 --per-n 1 --t-factor 1 \
-  --seed 3 --svg "$fb_tmp/qerror.svg" --metrics "$fb_tmp/metrics.json" \
-  --trace "$fb_tmp/trace.jsonl" | tee "$fb_tmp/report.out"
-grep -q 'overall: mean q-error' "$fb_tmp/report.out"
-grep -q 'depth 1' "$fb_tmp/report.out"
-grep -q '<svg' "$fb_tmp/qerror.svg"
-dune exec tools/perf_gate.exe -- --check-json "$fb_tmp/metrics.json"
-dune exec tools/perf_gate.exe -- --check-jsonl "$fb_tmp/trace.jsonl"
-grep -q '"feedback.plans_executed"' "$fb_tmp/metrics.json"
-grep -q '"feedback.qerror.d1"' "$fb_tmp/metrics.json"
-grep -q '"exec.probe_comparisons"' "$fb_tmp/metrics.json"
-dune exec bin/ljqo.exe -- feedback calibrate --ns 4 --per-n 1 --t-factor 1 \
-  --seed 3 -o "$fb_tmp/cal.txt" | tee "$fb_tmp/cal.out"
-grep -q 'wrote' "$fb_tmp/cal.out"
-dune exec bin/ljqo.exe -- feedback report --ns 4 --per-n 1 --t-factor 1 \
-  --seed 3 --calibration "$fb_tmp/cal.txt" | tee "$fb_tmp/cal-report.out"
-grep -q 'calibration:' "$fb_tmp/cal-report.out"
-rm -rf "$fb_tmp"
-
-# Trajectory-dump smoke: the bench harness must leave a non-empty JSONL
-# trajectory table behind --trajectories (fig4 records incumbent
-# improvements; its lines are label/points records, so validate the first
-# line as plain JSON rather than trace JSONL).
-traj_tmp=$(mktemp -d)
-dune exec bench/main.exe -- fig4 --per-n 1 --replicates 1 \
-  --trajectories "$traj_tmp/td" >/dev/null
-test -s "$traj_tmp/td/trajectories.jsonl"
-head -1 "$traj_tmp/td/trajectories.jsonl" > "$traj_tmp/one.json"
-dune exec tools/perf_gate.exe -- --check-json "$traj_tmp/one.json"
-rm -rf "$traj_tmp"
